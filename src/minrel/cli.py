@@ -1,11 +1,12 @@
 """Command-line front end: CSV in, coefficients / matrices / rankings out.
 
-CSV dialect: comma-separated, UTF-8, first non-comment line is the header,
-lines starting with '#' are skipped, decimal points only (no locale
-handling). Numbers are printed with 12 significant digits in CSV output and
-at full double precision in JSON. Every run echoes its effective
-configuration in the output so results can be reproduced from the artifact
-alone.
+CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
+ignored), first non-comment line is the header, lines starting with '#' and
+blank or whitespace-only lines are skipped, quoted fields keep their line
+breaks, decimal points only (no locale handling). Numbers are printed with
+12 significant digits in CSV output and at full double precision in JSON.
+Every run echoes its effective configuration in the output so results can
+be reproduced from the artifact alone.
 
 Exit codes: 0 success, 2 parse/validation failure, 3 degenerate result
 under --strict, 4 I/O failure.
@@ -64,20 +65,26 @@ def _emit(text: str, output: str | None) -> None:
         handle.write(text)
 
 
+def _is_blank(row: list[str]) -> bool:
+    """True for the record of an empty or whitespace-only line."""
+    return len(row) < 2 and not "".join(row).strip()
+
+
 def read_dataset(path: str, na_policy: str) -> Dataset:
     """Parse a CSV file (or '-' for stdin) into a validated Dataset."""
-    lines = [
-        line for line in _read_text(path).splitlines() if not line.startswith("#")
-    ]
-    rows = [row for row in csv.reader(lines)]
-    if not rows:
+    text = _read_text(path).removeprefix("\ufeff")
+    # Lines keep their endings, so a quoted field keeps its line breaks.
+    lines = [line for line in text.splitlines(True) if not line.startswith("#")]
+    rows = csv.reader(lines)
+    header = next((row for row in rows if not _is_blank(row)), None)
+    if header is None:
         raise InvalidInputError("input is empty")
-    names = [cell.strip() for cell in rows[0]]
+    names = [cell.strip() for cell in header]
     if any(not name for name in names):
         raise InvalidInputError("header contains an empty column name")
     parsed: list[list[float]] = []
-    for row_number, row in enumerate(rows[1:], start=1):
-        if not row:
+    for row_number, row in enumerate(rows, start=1):
+        if _is_blank(row):
             continue
         if len(row) != len(names):
             raise InvalidInputError(

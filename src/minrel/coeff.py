@@ -25,30 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ranks import (
-    ColumnLike,
-    as_values,
-    decreasing_scores_from_ranks,
-    fractional_ranks,
-    increasing_scores_from_ranks,
-)
-
-#: Metric identifiers usable with :func:`evaluate_metric` and the CLI.
-METRICS = (
-    "pearson",
-    "spearman",
-    "iota",
-    "iota2",
-    "max_iota_sq",
-    "minrel_simple",
-    "p_leq_hat",
-    "iota_raw_indicator",
-    "iota_raw_squared",
-)
+from .ranks import ColumnLike, ColumnTransforms, as_values, column_transforms
 
 
 @dataclass(frozen=True)
@@ -84,26 +66,24 @@ def _pair_values(x: ColumnLike, y: ColumnLike) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def p_leq_hat(x: ColumnLike, y: ColumnLike) -> float:
-    """Fraction of sample points with x_i <= y_i."""
+def _pair_transforms(
+    x: ColumnLike, y: ColumnLike
+) -> tuple[ColumnTransforms, ColumnTransforms]:
     xv, yv = _pair_values(x, y)
+    return column_transforms(xv), column_transforms(yv)
+
+
+def _p_leq(xv: np.ndarray, yv: np.ndarray) -> float:
     return float(np.count_nonzero(xv <= yv)) / xv.size
 
 
-def minrel_simple(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """Concordant-minus-discordant count for x_i <= y_i, scaled to [-1, 1]."""
-    xv, yv = _pair_values(x, y)
+def _minrel_simple(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
     concordant = int(np.count_nonzero(xv <= yv))
     discordant = xv.size - concordant
     return CoefficientValue((concordant - discordant) / xv.size)
 
 
-def iota_raw_indicator(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """Pure-count trade-off between violations of x <= -y and of x <= y.
-
-    Assumes the caller centered the inputs; no normalization is applied.
-    """
-    xv, yv = _pair_values(x, y)
+def _raw_indicator(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
     above = int(np.count_nonzero(xv > -yv))
     below = int(np.count_nonzero(xv > yv))
     total = above + below
@@ -112,10 +92,31 @@ def iota_raw_indicator(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     return CoefficientValue((above - below) / total)
 
 
+def _raw_squared(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
+    return _minrel_from_scores(xv, yv, yv)
+
+
+def p_leq_hat(x: ColumnLike, y: ColumnLike) -> float:
+    """Fraction of sample points with x_i <= y_i."""
+    return _p_leq(*_pair_values(x, y))
+
+
+def minrel_simple(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """Concordant-minus-discordant count for x_i <= y_i, scaled to [-1, 1]."""
+    return _minrel_simple(*_pair_values(x, y))
+
+
+def iota_raw_indicator(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """Pure-count trade-off between violations of x <= -y and of x <= y.
+
+    Assumes the caller centered the inputs; no normalization is applied.
+    """
+    return _raw_indicator(*_pair_values(x, y))
+
+
 def iota_raw_squared(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Squared-distance-weighted trade-off on raw (caller-centered) values."""
-    xv, yv = _pair_values(x, y)
-    return _minrel_from_scores(xv, yv, yv)
+    return _raw_squared(*_pair_values(x, y))
 
 
 def _minrel_from_scores(
@@ -137,6 +138,42 @@ def _minrel_from_scores(
     return CoefficientValue((above - below) / total)
 
 
+def _oriented(
+    x: ColumnTransforms, y: ColumnTransforms, sign_x: int = 1, sign_y: int = 1
+) -> CoefficientValue:
+    """The coefficient of (sign_x * X, sign_y * Y) from cached transforms."""
+    x_dec = x.oriented(sign_x)[0]
+    y_dec, y_inc = y.oriented(sign_y)
+    return _minrel_from_scores(x_dec, y_dec, y_inc)
+
+
+def _iota2(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
+    # iota2(X, Y) == rank_minrelation(-Y, -X)
+    return _oriented(y, x, -1, -1)
+
+
+def _profile(x: ColumnTransforms, y: ColumnTransforms) -> MinrelProfile:
+    xy = _oriented(x, y)
+    yx = _oriented(y, x)
+    negx_y = _oriented(x, y, -1)
+    negy_x = _oriented(y, x, -1)
+    best = max(v.value * v.value for v in (xy, yx, negx_y, negy_x))
+    return MinrelProfile(xy, yx, negx_y, negy_x, best)
+
+
+def _max_iota_sq(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
+    # Degenerate only when every orientation is.
+    profile = _profile(x, y)
+    return CoefficientValue(
+        profile.max_iota_sq,
+        degenerate=all(v.degenerate for v in profile.oriented_values()),
+    )
+
+
+def _spearman(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
+    return _pearson_kernel(x.ranks, y.ranks)
+
+
 def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """The rank minrelation coefficient of X to Y.
 
@@ -145,8 +182,7 @@ def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     -Y; near 0 for independent columns. Constant columns are legal (all-tied
     ranks) and flagged degenerate only if both trade-off masses vanish.
     """
-    xv, yv = _pair_values(x, y)
-    return _rank_minrelation_values(xv, yv)
+    return _oriented(*_pair_transforms(x, y))
 
 
 def _require_sign(sign: int, name: str) -> int:
@@ -158,27 +194,14 @@ def _require_sign(sign: int, name: str) -> int:
 def iota_oriented(
     x: ColumnLike, y: ColumnLike, sign_x: int = 1, sign_y: int = 1
 ) -> CoefficientValue:
-    """rank_minrelation of (sign_x * X, sign_y * Y), negating before ranking.
+    """rank_minrelation of (sign_x * X, sign_y * Y).
 
     Flipping ``sign_y`` negates the result exactly; flipping ``sign_x``
     generally does not (the measure is asymmetric).
     """
     sx = _require_sign(sign_x, "sign_x")
     sy = _require_sign(sign_y, "sign_y")
-    xv, yv = _pair_values(x, y)
-    if sx < 0:
-        xv = np.negative(xv)
-    if sy < 0:
-        yv = np.negative(yv)
-    return _rank_minrelation_values(xv, yv)
-
-
-def _rank_minrelation_values(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    m = xv.size
-    x_dec = decreasing_scores_from_ranks(fractional_ranks(xv), m)
-    y_dec = decreasing_scores_from_ranks(fractional_ranks(yv), m)
-    y_inc = increasing_scores_from_ranks(fractional_ranks(np.negative(yv)), m)
-    return _minrel_from_scores(x_dec, y_dec, y_inc)
+    return _oriented(*_pair_transforms(x, y), sx, sy)
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
@@ -187,46 +210,12 @@ def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     Computed through its exact identity with the main coefficient:
     iota2(X, Y) == rank_minrelation(-Y, -X).
     """
-    return iota_oriented(y, x, -1, -1)
-
-
-def _profile_from_transforms(
-    x_dec: np.ndarray,
-    x_inc: np.ndarray,
-    x_neg_dec: np.ndarray,
-    y_dec: np.ndarray,
-    y_inc: np.ndarray,
-    y_neg_dec: np.ndarray,
-) -> MinrelProfile:
-    """Build the four-orientation profile from precomputed transforms.
-
-    ``*_neg_dec`` is the decreasing transform of the negated column, which
-    equals the elementwise negation of the increasing transform.
-    """
-    xy = _minrel_from_scores(x_dec, y_dec, y_inc)
-    yx = _minrel_from_scores(y_dec, x_dec, x_inc)
-    negx_y = _minrel_from_scores(x_neg_dec, y_dec, y_inc)
-    negy_x = _minrel_from_scores(y_neg_dec, x_dec, x_inc)
-    best = max(v.value * v.value for v in (xy, yx, negx_y, negy_x))
-    return MinrelProfile(xy, yx, negx_y, negy_x, best)
+    return _iota2(*_pair_transforms(x, y))
 
 
 def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
     """All four tabulated orientations plus their maximal square."""
-    xv, yv = _pair_values(x, y)
-    m = xv.size
-    rx = fractional_ranks(xv)
-    rx_neg = fractional_ranks(np.negative(xv))
-    ry = fractional_ranks(yv)
-    ry_neg = fractional_ranks(np.negative(yv))
-    return _profile_from_transforms(
-        decreasing_scores_from_ranks(rx, m),
-        increasing_scores_from_ranks(rx_neg, m),
-        decreasing_scores_from_ranks(rx_neg, m),
-        decreasing_scores_from_ranks(ry, m),
-        increasing_scores_from_ranks(ry_neg, m),
-        decreasing_scores_from_ranks(ry_neg, m),
-    )
+    return _profile(*_pair_transforms(x, y))
 
 
 def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:
@@ -246,44 +235,55 @@ def _pearson_kernel(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
     vy = float(np.dot(cy, cy))
     if vx == 0.0 or vy == 0.0:
         return CoefficientValue(0.0, degenerate=True)
-    value = float(np.dot(cx, cy)) / math.sqrt(vx * vy)
+    scale = math.sqrt(vx * vy)
+    if scale == 0.0:  # the product underflowed; the factors did not
+        scale = math.sqrt(vx) * math.sqrt(vy)
+    value = float(np.dot(cx, cy)) / scale
     return CoefficientValue(min(1.0, max(-1.0, value)))
 
 
 def pearson(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Product-moment correlation; constant columns yield a degenerate zero."""
-    xv, yv = _pair_values(x, y)
-    return _pearson_kernel(xv, yv)
+    return _pearson_kernel(*_pair_values(x, y))
 
 
 def spearman(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Rank correlation: Pearson applied to tie-averaged fractional ranks."""
-    xv, yv = _pair_values(x, y)
-    return _pearson_kernel(fractional_ranks(xv), fractional_ranks(yv))
+    return _spearman(*_pair_transforms(x, y))
+
+
+class Metric(NamedTuple):
+    """A metric as a function of two prepared columns.
+
+    A ``ranked`` metric's pair function takes both columns'
+    :class:`ColumnTransforms`; the others take the raw value arrays and
+    never sort.
+    """
+
+    pair: Callable[..., CoefficientValue]
+    ranked: bool
+
+
+#: The one metric table: every metric identifier, in CLI order.
+METRIC_TABLE: dict[str, Metric] = {
+    "pearson": Metric(_pearson_kernel, ranked=False),
+    "spearman": Metric(_spearman, ranked=True),
+    "iota": Metric(_oriented, ranked=True),
+    "iota2": Metric(_iota2, ranked=True),
+    "max_iota_sq": Metric(_max_iota_sq, ranked=True),
+    "minrel_simple": Metric(_minrel_simple, ranked=False),
+    "p_leq_hat": Metric(lambda xv, yv: CoefficientValue(_p_leq(xv, yv)), ranked=False),
+    "iota_raw_indicator": Metric(_raw_indicator, ranked=False),
+    "iota_raw_squared": Metric(_raw_squared, ranked=False),
+}
+
+#: Metric identifiers usable with :func:`evaluate_metric` and the CLI.
+METRICS = tuple(METRIC_TABLE)
 
 
 def evaluate_metric(x: ColumnLike, y: ColumnLike, metric: str) -> CoefficientValue:
-    """Dispatch a metric identifier from :data:`METRICS` onto a column pair."""
-    if metric == "pearson":
-        return pearson(x, y)
-    if metric == "spearman":
-        return spearman(x, y)
-    if metric == "iota":
-        return rank_minrelation(x, y)
-    if metric == "iota2":
-        return iota2(x, y)
-    if metric == "max_iota_sq":
-        profile = minrel_profile(x, y)
-        return CoefficientValue(
-            profile.max_iota_sq,
-            degenerate=all(v.degenerate for v in profile.oriented_values()),
-        )
-    if metric == "minrel_simple":
-        return minrel_simple(x, y)
-    if metric == "p_leq_hat":
-        return CoefficientValue(p_leq_hat(x, y))
-    if metric == "iota_raw_indicator":
-        return iota_raw_indicator(x, y)
-    if metric == "iota_raw_squared":
-        return iota_raw_squared(x, y)
-    raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    """Apply a metric identifier from :data:`METRICS` to a column pair."""
+    if metric not in METRIC_TABLE:
+        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    pair, ranked = METRIC_TABLE[metric]
+    return pair(*(_pair_transforms(x, y) if ranked else _pair_values(x, y)))

@@ -1,10 +1,12 @@
 """Pairwise coefficient matrices over whole datasets.
 
-Each column is ranked and transformed exactly once (two sorts per column:
-original and negated order); the n x n pairwise pass then reuses the cached
-transforms and performs no further sorting. Every (i, j) cell is an
-independent work unit written into pre-sized storage, so results are
-bit-identical for any worker count or execution order.
+Each column is ranked and transformed exactly once (one sort per column;
+the negated order's ranks are derived from it); the n x n pairwise pass then
+applies the metric table's pair function to the cached transforms and
+performs no further sorting. Metrics that do not use ranks run on the raw
+columns and never sort. Every (i, j) cell is an independent work unit
+written into pre-sized storage, so results are bit-identical for any worker
+count or execution order.
 """
 
 from __future__ import annotations
@@ -15,16 +17,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import ranks as _ranks
-from .coeff import (
-    CoefficientValue,
-    MinrelProfile,
-    _minrel_from_scores,
-    _pearson_kernel,
-    _profile_from_transforms,
-    minrel_simple,
-)
+from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _profile
 from .errors import InvalidInputError
+from .ranks import ColumnTransforms, column_transforms
 
 #: Metrics accepted by :func:`pairwise_matrix`.
 MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel_simple")
@@ -90,45 +85,9 @@ class Dataset:
         return self.values[:, self.index(name)]
 
 
-@dataclass(frozen=True)
-class ColumnTransforms:
-    """Every rank-derived view of one column the pairwise kernels need.
-
-    ``neg_dec`` / ``neg_inc`` are the transforms of the negated column; they
-    are derived from the same two rank vectors, so no extra sorting happens.
-    """
-
-    values: np.ndarray
-    ranks: np.ndarray
-    dec: np.ndarray
-    inc: np.ndarray
-    neg_dec: np.ndarray
-    neg_inc: np.ndarray
-
-
-def _column_transforms(values: np.ndarray) -> ColumnTransforms:
-    m = values.size
-    ranked = _ranks.fractional_ranks(values)
-    ranked_neg = _ranks.fractional_ranks(np.negative(values))
-    return ColumnTransforms(
-        values=values,
-        ranks=ranked,
-        dec=_ranks.decreasing_scores_from_ranks(ranked, m),
-        inc=_ranks.increasing_scores_from_ranks(ranked_neg, m),
-        neg_dec=_ranks.decreasing_scores_from_ranks(ranked_neg, m),
-        neg_inc=_ranks.increasing_scores_from_ranks(ranked, m),
-    )
-
-
 def transform_cache(dataset: Dataset) -> tuple[ColumnTransforms, ...]:
     """Rank and transform every column once; O(n m log m) preprocessing."""
-    entries = []
-    for j, name in enumerate(dataset.names):
-        try:
-            entries.append(_column_transforms(dataset.values[:, j]))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"column {name!r}: {exc}") from exc
-    return tuple(entries)
+    return tuple(column_transforms(dataset.values[:, j]) for j in range(dataset.n))
 
 
 @dataclass(frozen=True)
@@ -171,45 +130,9 @@ class ProfileMatrix:
         )
 
 
-PairKernel = Callable[[int, int], CoefficientValue]
-
-
-def _metric_kernel(
-    dataset: Dataset, metric: str, cache: Sequence[ColumnTransforms] | None
-) -> PairKernel:
-    columns = dataset.values
-    if metric == "pearson":
-        return lambda i, j: _pearson_kernel(columns[:, i], columns[:, j])
-    if metric == "minrel_simple":
-        return lambda i, j: minrel_simple(columns[:, i], columns[:, j])
-    assert cache is not None
-    if metric == "spearman":
-        return lambda i, j: _pearson_kernel(cache[i].ranks, cache[j].ranks)
-    if metric == "iota":
-        return lambda i, j: _minrel_from_scores(cache[i].dec, cache[j].dec, cache[j].inc)
-    if metric == "iota2":
-        # iota2(X, Y) == rank_minrelation(-Y, -X)
-        return lambda i, j: _minrel_from_scores(
-            cache[j].neg_dec, cache[i].neg_dec, cache[i].neg_inc
-        )
-    if metric == "max_iota_sq":
-
-        def kernel(i: int, j: int) -> CoefficientValue:
-            profile = _pair_profile(cache, i, j)
-            return CoefficientValue(
-                profile.max_iota_sq,
-                degenerate=all(v.degenerate for v in profile.oriented_values()),
-            )
-
-        return kernel
-    raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
-
-
-def _pair_profile(cache: Sequence[ColumnTransforms], i: int, j: int) -> MinrelProfile:
-    ci, cj = cache[i], cache[j]
-    return _profile_from_transforms(
-        ci.dec, ci.inc, ci.neg_dec, cj.dec, cj.inc, cj.neg_dec
-    )
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
 
 
 def _run_cells(
@@ -248,16 +171,21 @@ def pairwise_matrix(
     """
     if metric not in MATRIX_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
-    if cache is None and metric not in ("pearson", "minrel_simple"):
-        cache = transform_cache(dataset)
-    kernel = _metric_kernel(dataset, metric, cache)
+    _require_workers(workers)
+    pair, ranked = METRIC_TABLE[metric]
     n = dataset.n
+    if not ranked:
+        columns = [dataset.values[:, j] for j in range(n)]
+    elif cache is None:
+        columns = transform_cache(dataset)
+    else:
+        columns = cache
     values = np.empty((n, n), dtype=float)
     degenerate = np.zeros((n, n), dtype=bool)
 
     def fill_row(i: int) -> None:
         for j in range(n):
-            cell = kernel(i, j)
+            cell = pair(columns[i], columns[j])
             values[i, j] = cell.value
             degenerate[i, j] = cell.degenerate
 
@@ -274,6 +202,7 @@ def minrel_profile_matrix(
     workers: int = 1,
 ) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
+    _require_workers(workers)
     if cache is None:
         cache = transform_cache(dataset)
     n = dataset.n
@@ -285,7 +214,7 @@ def minrel_profile_matrix(
 
     def fill_row(i: int) -> None:
         for j in range(n):
-            profile = _pair_profile(cache, i, j)
+            profile = _profile(cache[i], cache[j])
             arrays["xy"][i, j] = profile.iota_xy.value
             arrays["yx"][i, j] = profile.iota_yx.value
             arrays["negx_y"][i, j] = profile.iota_negx_y.value

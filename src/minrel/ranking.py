@@ -22,11 +22,27 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coeff import _minrel_from_scores, _pearson_kernel
+from .coeff import METRIC_TABLE, CoefficientValue
 from .errors import InvalidInputError
-from .matrix import ColumnTransforms, Dataset, _pair_profile, transform_cache
+from .matrix import ColumnTransforms, Dataset, transform_cache
 
-CRITERIA = ("rho2", "max_iota_sq", "iota_sq")
+_spearman = METRIC_TABLE["spearman"].pair
+_max_iota_sq = METRIC_TABLE["max_iota_sq"].pair
+_iota = METRIC_TABLE["iota"].pair
+
+
+def _square(coefficient: CoefficientValue) -> float:
+    return coefficient.value * coefficient.value
+
+
+#: Each criterion's score of a (candidate, target) pair of cached transforms.
+_CRITERION_SCORES: dict[str, Callable[[ColumnTransforms, ColumnTransforms], float]] = {
+    "rho2": lambda candidate, target: _square(_spearman(candidate, target)),
+    "max_iota_sq": lambda candidate, target: _max_iota_sq(candidate, target).value,
+    "iota_sq": lambda candidate, target: _square(_iota(target, candidate)),
+}
+
+CRITERIA = tuple(_CRITERION_SCORES)
 
 RIDGE_EPSILON = 1e-8
 
@@ -86,22 +102,6 @@ class WinLossRecord:
         return sum(1 for o in self.outcomes if o.outcome == "draw")
 
 
-def _criterion_score(
-    cache: Sequence[ColumnTransforms], criterion: str, candidate: int, target: int
-) -> float:
-    if criterion == "rho2":
-        rho = _pearson_kernel(cache[candidate].ranks, cache[target].ranks).value
-        return rho * rho
-    if criterion == "max_iota_sq":
-        return _pair_profile(cache, candidate, target).max_iota_sq
-    if criterion == "iota_sq":
-        value = _minrel_from_scores(
-            cache[target].dec, cache[candidate].dec, cache[candidate].inc
-        ).value
-        return value * value
-    raise InvalidInputError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
-
-
 def rank_variables(
     dataset: Dataset,
     target: str,
@@ -120,8 +120,9 @@ def rank_variables(
         raise InvalidInputError("ranking needs at least 2 columns")
     if cache is None:
         cache = transform_cache(dataset)
+    score = _CRITERION_SCORES[criterion]
     scored = [
-        (j, _criterion_score(cache, criterion, j, target_index))
+        (j, score(cache[j], cache[target_index]))
         for j in range(dataset.n)
         if j != target_index
     ]

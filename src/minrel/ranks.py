@@ -10,6 +10,10 @@ marginal by squaring,
 where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
+
+:func:`column_transforms` is the one place that builds them. It sorts each
+column once: tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X)
+holds exactly, ties included, and needs no second sort.
 """
 
 from __future__ import annotations
@@ -99,16 +103,53 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+@dataclass(frozen=True)
+class ColumnTransforms:
+    """Every rank-derived view of one column, from a single sort.
+
+    ``ranks`` are the fractional ranks r(X); the ranks of the negated column
+    are m + 1 - r(X), bit for bit, so they need no second sort. ``neg_dec``
+    and ``neg_inc`` are the transforms of -X: flipping a column's sign swaps
+    its two transforms and negates them (``neg_dec == -inc``,
+    ``neg_inc == -dec``).
+    """
+
+    values: np.ndarray
+    ranks: np.ndarray
+    dec: np.ndarray
+    inc: np.ndarray
+    neg_dec: np.ndarray
+    neg_inc: np.ndarray
+
+    def oriented(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (decreasing, increasing) transforms of ``sign * X``."""
+        if sign < 0:
+            return self.neg_dec, self.neg_inc
+        return self.dec, self.inc
+
+
+def column_transforms(values: np.ndarray) -> ColumnTransforms:
+    """Rank a validated column once and derive every transform from it."""
+    m = values.size
+    ranks = fractional_ranks(values)
+    dec = decreasing_scores_from_ranks(ranks, m)
+    inc = increasing_scores_from_ranks((m + 1) - ranks, m)
+    return ColumnTransforms(
+        values=values, ranks=ranks, dec=dec, inc=inc, neg_dec=-inc, neg_inc=-dec
+    )
+
+
 def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
     """Fractional ranks of the column, or of its negation when ``negate``.
 
-    For distinct values the negated ranks satisfy r(-X) = m + 1 - r(X);
-    tie averaging preserves that identity.
+    The negated ranks are r(-X) = m + 1 - r(X); tie averaging preserves that
+    identity exactly.
     """
     values = as_values(column)
+    ranks = column_transforms(values).ranks
     if negate:
-        values = np.negative(values)
-    return RankVector(ranks=fractional_ranks(values), m=values.size)
+        ranks = (values.size + 1) - ranks
+    return RankVector(ranks=ranks, m=values.size)
 
 
 def uniform_norm(column: ColumnLike) -> np.ndarray:
@@ -129,17 +170,11 @@ def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarra
 
 def tri_decreasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered decreasing-triangular marginal."""
-    ranked = compute_ranks(column)
-    return TriangularScores(
-        scores=decreasing_scores_from_ranks(ranked.ranks, ranked.m),
-        direction="decreasing",
-    )
+    scores = column_transforms(as_values(column)).dec
+    return TriangularScores(scores=scores, direction="decreasing")
 
 
 def tri_increasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered increasing-triangular marginal."""
-    ranked = compute_ranks(column, negate=True)
-    return TriangularScores(
-        scores=increasing_scores_from_ranks(ranked.ranks, ranked.m),
-        direction="increasing",
-    )
+    scores = column_transforms(as_values(column)).inc
+    return TriangularScores(scores=scores, direction="increasing")

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -229,6 +231,46 @@ def test_quoted_column_names_survive_matrix_csv(capsys, tmp_path):
     body = [line for line in out.splitlines() if not line.startswith("#")]
     header = next(csv.reader([body[0]]))
     assert header == ["", "a,1", "b"]
+
+
+def test_utf8_byte_order_mark_is_ignored(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfA,B\n1,2\n2,1\n3,3\n")
+    code, out, err = run_cli(capsys, "coeff", str(path), "--x", "A", "--y", "B")
+    assert code == 0, err
+    assert json.loads(out)["config"]["x"] == "A"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffA,B\n1,2\n2,1\n3,3\n"))
+    code, out, err = run_cli(capsys, "matrix", "-", "--metric", "spearman")
+    assert code == 0, err
+    assert json.loads(out)["names"] == ["A", "B"]
+
+
+def test_whitespace_only_lines_are_skipped(capsys, tmp_path):
+    path = write_csv(tmp_path, "blank.csv", "  \nx,y\n1,1\n \t\n2,2\n\n3,3\n   \n")
+    code, out, err = run_cli(capsys, "coeff", path)
+    assert code == 0, err
+    assert json.loads(out)["m"] == 3
+    code, out, err = run_cli(capsys, "matrix", path, "--metric", "iota")
+    assert code == 0, err
+    assert json.loads(out)["names"] == ["x", "y"]
+
+
+def test_quoted_line_breaks_are_kept(capsys, tmp_path):
+    header = write_csv(tmp_path, "header.csv", '"A\nX",B\n1,2\n2,1\n3,3\n')
+    code, out, err = run_cli(capsys, "matrix", header, "--metric", "spearman")
+    assert code == 0, err
+    assert json.loads(out)["names"] == ["A\nX", "B"]
+    cell = write_csv(tmp_path, "cell.csv", 'A,B\n1,"2\n5"\n2,1\n3,3\n')
+    code, _, err = run_cli(capsys, "coeff", cell)
+    assert code == 2
+    assert "data row 1, column 'B'" in err
+
+
+def test_matrix_workers_below_one_exits_2(capsys, linear_csv):
+    for workers in ("0", "-3"):
+        code, out, err = run_cli(capsys, "matrix", linear_csv, "--workers", workers)
+        assert code == 2 and out == ""
+        assert f"workers must be >= 1, got {workers}" in err
 
 
 def test_output_io_failure_exits_4(capsys, linear_csv, tmp_path):

@@ -273,6 +273,12 @@ def test_pearson_examples():
     assert constant.degenerate and constant.value == 0.0
 
 
+def test_pearson_survives_an_underflowing_variance_product():
+    tiny = [0.0, 1e-140, 3e-140]
+    assert pearson(tiny, tiny).value == pytest.approx(1.0)
+    assert pearson(tiny, [0.0, -1e-140, -3e-140]).value == pytest.approx(-1.0)
+
+
 def test_spearman_monotone_invariance_and_degenerate():
     rng = np.random.default_rng(73)
     x = rng.normal(size=200)

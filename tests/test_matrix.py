@@ -127,6 +127,15 @@ def test_parallel_runs_are_bit_identical():
     assert profile_seq.max_iota_sq.tobytes() == profile_par.max_iota_sq.tobytes()
 
 
+def test_worker_count_below_one_is_rejected():
+    ds = _dataset(n=3)
+    for workers in (0, -3):
+        with pytest.raises(InvalidInputError, match="workers"):
+            pairwise_matrix(ds, "iota", workers=workers)
+        with pytest.raises(InvalidInputError, match="workers"):
+            minrel_profile_matrix(ds, workers=workers)
+
+
 def test_preprocessing_sorts_each_column_once(monkeypatch):
     ds = _dataset(seed=13, m=30, n=5)
     calls = {"count": 0}
@@ -138,8 +147,8 @@ def test_preprocessing_sorts_each_column_once(monkeypatch):
 
     monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
     pairwise_matrix(ds, "iota")
-    # Two rankings per column (original and negated order), nothing per pair.
-    assert calls["count"] == 2 * ds.n
+    # One ranking per column (the negated order is derived), nothing per pair.
+    assert calls["count"] == ds.n
 
 
 def test_pairwise_pass_never_reranks_with_prebuilt_cache(monkeypatch):
