@@ -1,9 +1,10 @@
 """Command-line front end: CSV in, coefficients / matrices / rankings out.
 
 CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
-ignored), first non-comment line is the header, lines starting with '#' and
-blank or whitespace-only lines are skipped, quoted fields keep their line
-breaks, decimal points only (no locale handling). Numbers are printed with
+ignored), first non-comment record is the header, records starting with
+'#' (outside quotes) and blank or whitespace-only lines are skipped, quoted
+fields keep their line breaks (a '#' at the start of a continued line is
+data), decimal points only (no locale handling). Numbers are printed with
 12 significant digits in CSV output and at full double precision in JSON.
 Every run echoes its effective configuration in the output so results can
 be reproduced from the artifact alone.
@@ -70,12 +71,30 @@ def _is_blank(row: list[str]) -> bool:
     return len(row) < 2 and not "".join(row).strip()
 
 
+def _records(lines: list[str]):
+    """CSV records, without comments: lines starting with '#' where a record starts."""
+    at_record_start = True
+
+    def uncommented():
+        nonlocal at_record_start
+        for line in lines:
+            # The reader asks for a quoted field's continued lines before it
+            # yields the record, so they arrive with at_record_start False.
+            if at_record_start and line.startswith("#"):
+                continue
+            at_record_start = False
+            yield line
+
+    for row in csv.reader(uncommented()):
+        at_record_start = True
+        yield row
+
+
 def read_dataset(path: str, na_policy: str) -> Dataset:
     """Parse a CSV file (or '-' for stdin) into a validated Dataset."""
     text = _read_text(path).removeprefix("\ufeff")
     # Lines keep their endings, so a quoted field keeps its line breaks.
-    lines = [line for line in text.splitlines(True) if not line.startswith("#")]
-    rows = csv.reader(lines)
+    rows = _records(text.splitlines(True))
     header = next((row for row in rows if not _is_blank(row)), None)
     if header is None:
         raise InvalidInputError("input is empty")

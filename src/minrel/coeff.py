@@ -23,14 +23,13 @@ baselines live here as well. All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ranks import ColumnLike, ColumnTransforms, as_values, column_transforms
+from .ranks import ColumnLike, ColumnTransforms, as_values, centred, column_transforms, dots
 
 
 @dataclass(frozen=True)
@@ -78,18 +77,20 @@ def _p_leq(xv: np.ndarray, yv: np.ndarray) -> float:
 
 
 def _minrel_simple(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    concordant = int(np.count_nonzero(xv <= yv))
-    discordant = xv.size - concordant
-    return CoefficientValue((concordant - discordant) / xv.size)
+    return CoefficientValue(float(_concordance(xv, yv)))
+
+
+def _concordance(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """(concordant - discordant) / m for x_i <= y_i; either side may be a batch."""
+    m = xv.shape[-1]
+    concordant = np.count_nonzero(xv <= yv, axis=-1)
+    return (2 * concordant - m) / m
 
 
 def _raw_indicator(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    above = int(np.count_nonzero(xv > -yv))
-    below = int(np.count_nonzero(xv > yv))
-    total = above + below
-    if total == 0:
-        return CoefficientValue(0.0, degenerate=True)
-    return CoefficientValue((above - below) / total)
+    above = np.count_nonzero(xv > -yv)
+    below = np.count_nonzero(xv > yv)
+    return _coefficient(*_tradeoff(above, below))
 
 
 def _raw_squared(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
@@ -119,23 +120,51 @@ def iota_raw_squared(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     return _raw_squared(*_pair_values(x, y))
 
 
+def _masses(
+    x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trade-off's two masses, ``above`` and ``below``; see the module docstring.
+
+    Either side may be a batch with one row per column, and ``out`` (of
+    the batch's shape) is used as scratch when given. Each term is
+    max(x + y, 0)^2, which equals I(x > -y) * (x + y)^2 exactly: a rounded
+    sum of two doubles is positive exactly when the true sum is. The sums
+    run over the last axis, and a row's pairwise sum is the same whether it
+    is reduced alone or in a batch, so a matrix cell and a direct call agree
+    bit for bit.
+    """
+    s = np.add(x_dec, y_dec, out=out)
+    np.maximum(s, 0.0, out=s)
+    s *= s
+    above = s.sum(axis=-1)
+    np.subtract(x_dec, y_inc, out=s)
+    np.maximum(s, 0.0, out=s)
+    s *= s
+    return above, s.sum(axis=-1)
+
+
+def _tradeoff(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(above - below) / (above + below), and the mask of zero denominators (value 0)."""
+    total = above + below
+    degenerate = total == 0.0
+    value = np.divide(above - below, total, out=np.zeros(np.shape(total)), where=~degenerate)
+    return value, degenerate
+
+
+def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
+    return CoefficientValue(float(value), bool(degenerate))
+
+
 def _minrel_from_scores(
     x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray
 ) -> CoefficientValue:
-    """Core trade-off kernel; see the module docstring for the formula.
+    """Core trade-off kernel on one column pair.
 
     ``y_dec`` weighs agreement against the anti-diagonal, ``y_inc`` weighs
     violations of the diagonal. Passing the same array for both reproduces
     the raw squared form.
     """
-    support = x_dec + y_dec
-    above = float(((x_dec > -y_dec) * (support * support)).sum())
-    gap = x_dec - y_inc
-    below = float(((x_dec > y_inc) * (gap * gap)).sum())
-    total = above + below
-    if total == 0.0:
-        return CoefficientValue(0.0, degenerate=True)
-    return CoefficientValue((above - below) / total)
+    return _coefficient(*_tradeoff(*_masses(x_dec, y_dec, y_inc)))
 
 
 def _oriented(
@@ -171,7 +200,7 @@ def _max_iota_sq(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
 
 
 def _spearman(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
-    return _pearson_kernel(x.ranks, y.ranks)
+    return _coefficient(*_correlation(*x.centred, *y.centred))
 
 
 def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
@@ -228,18 +257,22 @@ def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:
     return minrel_profile(x, y).max_iota_sq
 
 
+def _correlation(
+    cx: np.ndarray, vx: np.ndarray, cy: np.ndarray, vy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of centred columns and the mask of constant pairs.
+
+    Either side may be a batch of :func:`ranks.centred` columns, one per
+    row. Constant columns give a degenerate zero.
+    """
+    scale = np.sqrt(vx * vy)
+    degenerate = scale == 0.0
+    value = np.divide(dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=~degenerate)
+    return np.minimum(np.maximum(value, -1.0), 1.0), degenerate
+
+
 def _pearson_kernel(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    cx = xv - xv.mean()
-    cy = yv - yv.mean()
-    vx = float(np.dot(cx, cx))
-    vy = float(np.dot(cy, cy))
-    if vx == 0.0 or vy == 0.0:
-        return CoefficientValue(0.0, degenerate=True)
-    scale = math.sqrt(vx * vy)
-    if scale == 0.0:  # the product underflowed; the factors did not
-        scale = math.sqrt(vx) * math.sqrt(vy)
-    value = float(np.dot(cx, cy)) / scale
-    return CoefficientValue(min(1.0, max(-1.0, value)))
+    return _coefficient(*_correlation(*centred(xv), *centred(yv)))
 
 
 def pearson(x: ColumnLike, y: ColumnLike) -> CoefficientValue:

@@ -2,8 +2,10 @@
 
 Each experiment repeats its generator with derived seeds (seed + rep),
 averages the requested coefficients and compares every cell against its
-reference value at a fixed tolerance. Ordering checks capture the
-qualitative claims (which variable each criterion would rank first).
+reference value at a fixed tolerance. Each repetition ranks every column
+of its dataset once and applies the metric table's pair functions to the
+cached transforms. Ordering checks capture the qualitative claims (which
+variable each criterion would rank first).
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import minrel_profile, spearman
+from .coeff import METRIC_TABLE, _profile
 from .errors import InvalidInputError
+from .matrix import ColumnTransforms, Dataset, transform_cache
 from .synth import gen_combined, gen_linear, gen_multiplication
 
 EXPERIMENTS = ("table2", "table3", "table4")
+
+_spearman = METRIC_TABLE["spearman"].pair
 
 
 @dataclass(frozen=True)
@@ -92,9 +97,14 @@ def _require_run_params(reps: int, m: int) -> None:
         raise InvalidInputError(f"m must be >= 2, got {m}")
 
 
-def _pair_stats(acc: _Accumulator, tag: str, x: np.ndarray, y: np.ndarray) -> None:
-    acc.add(f"rho({tag})", spearman(x, y).value)
-    profile = minrel_profile(x, y)
+def _columns(dataset: Dataset) -> dict[str, ColumnTransforms]:
+    """Every column's transforms by name: one sort per column."""
+    return dict(zip(dataset.names, transform_cache(dataset)))
+
+
+def _pair_stats(acc: _Accumulator, tag: str, x: ColumnTransforms, y: ColumnTransforms) -> None:
+    acc.add(f"rho({tag})", _spearman(x, y).value)
+    profile = _profile(x, y)
     acc.add(f"iota({tag})", profile.iota_xy.value)
     acc.add(f"iota_yx({tag})", profile.iota_yx.value)
     acc.add(f"iota_negx({tag})", profile.iota_negx_y.value)
@@ -106,8 +116,8 @@ def run_table2(reps: int, m: int, seed: int) -> ExperimentResult:
     _require_run_params(reps, m)
     acc = _Accumulator()
     for rep in range(reps):
-        ds = gen_multiplication(m, seed + rep).dataset
-        a, b, c = ds.column("A"), ds.column("B"), ds.column("C")
+        columns = _columns(gen_multiplication(m, seed + rep).dataset)
+        a, b, c = columns["A"], columns["B"], columns["C"]
         _pair_stats(acc, "A,B", a, b)
         _pair_stats(acc, "A,C", a, c)
         _pair_stats(acc, "B,C", b, c)
@@ -130,10 +140,9 @@ def run_table3(reps: int, m: int, seed: int) -> ExperimentResult:
     _require_run_params(reps, m)
     acc = _Accumulator()
     for rep in range(reps):
-        ds = gen_linear(m, seed + rep).dataset
-        a = ds.column("A")
+        columns = _columns(gen_linear(m, seed + rep).dataset)
         for name in ("B", "C", "D"):
-            _pair_stats(acc, f"A,{name}", a, ds.column(name))
+            _pair_stats(acc, f"A,{name}", columns["A"], columns[name])
     references = {"B": (0.79, 0.98), "C": (0.52, 0.81), "D": (0.26, 0.46)}
     cells = []
     checks = []
@@ -161,10 +170,9 @@ def run_table4(reps: int, m: int, seed: int) -> ExperimentResult:
     acc = _Accumulator()
     candidates = ("B", "C", "D", "E", "G")
     for rep in range(reps):
-        ds = gen_combined(m, seed + rep).dataset
-        a = ds.column("A")
+        columns = _columns(gen_combined(m, seed + rep).dataset)
         for name in candidates:
-            _pair_stats(acc, f"A,{name}", a, ds.column(name))
+            _pair_stats(acc, f"A,{name}", columns["A"], columns[name])
     references = {
         "B": (0.53, 0.03, 0.97, 0.02),
         "C": (0.53, 0.03, 0.97, 0.02),

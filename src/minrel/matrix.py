@@ -1,12 +1,19 @@
 """Pairwise coefficient matrices over whole datasets.
 
 Each column is ranked and transformed exactly once (one sort per column;
-the negated order's ranks are derived from it); the n x n pairwise pass then
-applies the metric table's pair function to the cached transforms and
-performs no further sorting. Metrics that do not use ranks run on the raw
-columns and never sort. Every (i, j) cell is an independent work unit
-written into pre-sized storage, so results are bit-identical for any worker
-count or execution order.
+the negated order's ranks are derived from it), and the transforms are
+stacked into (n, m) arrays. The n x n pass then runs one vectorised call
+per matrix row over every column, with the same kernels the two-column
+functions use (:func:`coeff._masses`, :func:`coeff._correlation`), so a
+matrix cell equals the direct call bit for bit. Each cell is reduced on
+its own (no matrix products), and each row is written into pre-sized
+storage, so results are bit-identical for any worker count. The kernels'
+large array operations release the interpreter lock, so ``workers``
+threads, each taking a contiguous block of rows, run in parallel.
+
+The four-orientation maps need only two passes: M[i, j] = iota(X_i, X_j)
+and N[i, j] = iota(-X_i, X_j). The other two orientations are their
+transposes, iota(X_j, X_i) = M[j, i] and iota(-X_j, X_i) = N[j, i].
 """
 
 from __future__ import annotations
@@ -17,15 +24,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _profile
+from .coeff import (
+    METRIC_TABLE,
+    CoefficientValue,
+    MinrelProfile,
+    _concordance,
+    _correlation,
+    _masses,
+    _tradeoff,
+)
 from .errors import InvalidInputError
-from .ranks import ColumnTransforms, column_transforms
-
-#: Metrics accepted by :func:`pairwise_matrix`.
-MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel_simple")
-
-#: Metrics whose matrices are symmetric by construction.
-SYMMETRIC_METRICS = frozenset({"pearson", "spearman", "max_iota_sq"})
+from .ranks import ColumnTransforms, centred, column_transforms
 
 
 @dataclass(frozen=True)
@@ -135,26 +144,155 @@ def _require_workers(workers: int) -> None:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
 
 
-def _run_cells(
-    n: int,
-    fill_row: Callable[[int], None],
-    workers: int,
-) -> None:
-    if workers <= 1 or n <= 1:
-        for i in range(n):
-            fill_row(i)
-        return
+#: Scratch per worker for one block of columns' (x + y) terms, in bytes.
+_SCRATCH_BYTES = 1 << 21
 
-    # One contiguous block of rows per worker; each cell writes its own
-    # pre-sized slot, so scheduling cannot affect the result.
-    blocks = [rows for rows in np.array_split(np.arange(n), workers) if rows.size]
+#: The values of an (n_rows, n) map and its degenerate flags.
+_Cells = tuple[np.ndarray, np.ndarray]
 
-    def run_block(rows: np.ndarray) -> None:
+
+def _row_map(
+    n_rows: int, n: int, make_row: Callable[[], Callable[[int], _Cells]], workers: int
+) -> _Cells:
+    """Build a map one row at a time, one contiguous block of rows per worker.
+
+    ``make_row()`` is called once per worker and returns that worker's row
+    function, which owns any scratch it needs.
+    """
+    values = np.empty((n_rows, n))
+    degenerate = np.empty((n_rows, n), dtype=bool)
+
+    def run_block(rows: Iterable[int]) -> None:
+        row = make_row()
         for i in rows:
-            fill_row(int(i))
+            values[i], degenerate[i] = row(i)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_block, blocks))
+    blocks = [rows for rows in np.array_split(np.arange(n_rows), workers) if rows.size]
+    if len(blocks) <= 1:
+        run_block(range(n_rows))
+    else:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(run_block, blocks))
+    return values, degenerate
+
+
+def _iota_map(x_dec: np.ndarray, dec: np.ndarray, inc: np.ndarray, workers: int) -> _Cells:
+    """The coefficient of each row of ``x_dec`` to each stacked column.
+
+    Cell [r, j] is iota of the column whose decreasing transform is
+    x_dec[r] to column j of the (n, m) transforms ``dec``/``inc``. Columns
+    are taken in blocks that keep each worker's scratch at a few MB.
+    """
+    n, m = dec.shape
+    block = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
+
+    def make_row() -> Callable[[int], _Cells]:
+        scratch = np.empty((block, m))
+        above = np.empty(n)
+        below = np.empty(n)
+
+        def row(r: int) -> _Cells:
+            for j in range(0, n, block):
+                cols = slice(j, min(j + block, n))
+                out = scratch[: cols.stop - j]
+                above[cols], below[cols] = _masses(x_dec[r], dec[cols], inc[cols], out)
+            return _tradeoff(above, below)
+
+        return row
+
+    return _row_map(len(x_dec), n, make_row, workers)
+
+
+def _stacks(cache: Sequence[ColumnTransforms]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns' decreasing and increasing transforms as (n, m) arrays."""
+    return np.stack([t.dec for t in cache]), np.stack([t.inc for t in cache])
+
+
+def _two_maps(cache: Sequence[ColumnTransforms], workers: int) -> tuple[_Cells, _Cells]:
+    """iota(X_i, X_j) and iota(-X_i, X_j), from one pass over 2n rows."""
+    dec, inc = _stacks(cache)
+    n = len(cache)
+    # The decreasing transform of -X_i is -inc_i.
+    values, degenerate = _iota_map(np.concatenate([dec, -inc]), dec, inc, workers)
+    return (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
+
+
+def _max_sq(xy: np.ndarray, negx: np.ndarray) -> np.ndarray:
+    squares = [xy * xy, negx * negx]
+    return np.maximum.reduce(squares + [square.T for square in squares])
+
+
+def _iota_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
+    dec, inc = _stacks(cache)
+    return _iota_map(dec, dec, inc, workers)
+
+
+def _iota2_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
+    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns,
+    # whose (decreasing, increasing) transforms are (-inc, -dec).
+    dec, inc = _stacks(cache)
+    values, degenerate = _iota_map(-inc, -inc, -dec, workers)
+    return values.T, degenerate.T
+
+
+def _max_iota_sq_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
+    (xy, xy_degenerate), (negx, negx_degenerate) = _two_maps(cache, workers)
+    # Degenerate only when every orientation is.
+    degenerate = xy_degenerate & xy_degenerate.T & negx_degenerate & negx_degenerate.T
+    return _max_sq(xy, negx), degenerate
+
+
+def _correlation_matrix(columns: Sequence[tuple[np.ndarray, np.ndarray]], workers: int) -> _Cells:
+    """Correlations of :func:`ranks.centred` columns."""
+    c = np.stack([column for column, _ in columns])
+    v = np.array([norm for _, norm in columns])
+
+    def row(i: int) -> _Cells:
+        return _correlation(c[i], v[i], c, v)
+
+    return _row_map(len(c), len(c), lambda: row, workers)
+
+
+def _pearson_matrix(values: np.ndarray, workers: int) -> _Cells:
+    return _correlation_matrix([centred(column) for column in values.T], workers)
+
+
+def _spearman_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
+    return _correlation_matrix([t.centred for t in cache], workers)
+
+
+def _minrel_simple_matrix(values: np.ndarray, workers: int) -> _Cells:
+    columns = np.ascontiguousarray(values.T)
+    never = np.zeros(len(columns), dtype=bool)
+
+    def row(i: int) -> _Cells:
+        return _concordance(columns[i], columns), never
+
+    return _row_map(len(columns), len(columns), lambda: row, workers)
+
+
+#: Each metric's matrix builder. A ranked metric's builder takes the
+#: transform cache, the others the raw (m, n) values.
+_MATRIX_BUILDERS: dict[str, Callable[..., _Cells]] = {
+    "pearson": _pearson_matrix,
+    "spearman": _spearman_matrix,
+    "iota": _iota_matrix,
+    "iota2": _iota2_matrix,
+    "max_iota_sq": _max_iota_sq_matrix,
+    "minrel_simple": _minrel_simple_matrix,
+}
+
+#: Metrics accepted by :func:`pairwise_matrix`.
+MATRIX_METRICS = tuple(_MATRIX_BUILDERS)
+
+#: Metrics whose matrices are symmetric by construction.
+SYMMETRIC_METRICS = frozenset({"pearson", "spearman", "max_iota_sq"})
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.ascontiguousarray(array)
+    array.flags.writeable = False
+    return array
 
 
 def pairwise_matrix(
@@ -172,27 +310,16 @@ def pairwise_matrix(
     if metric not in MATRIX_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
     _require_workers(workers)
-    pair, ranked = METRIC_TABLE[metric]
-    n = dataset.n
-    if not ranked:
-        columns = [dataset.values[:, j] for j in range(n)]
+    if not METRIC_TABLE[metric].ranked:
+        source = dataset.values
     elif cache is None:
-        columns = transform_cache(dataset)
+        source = transform_cache(dataset)
     else:
-        columns = cache
-    values = np.empty((n, n), dtype=float)
-    degenerate = np.zeros((n, n), dtype=bool)
-
-    def fill_row(i: int) -> None:
-        for j in range(n):
-            cell = pair(columns[i], columns[j])
-            values[i, j] = cell.value
-            degenerate[i, j] = cell.degenerate
-
-    _run_cells(n, fill_row, workers)
-    values.flags.writeable = False
-    degenerate.flags.writeable = False
-    return CoefficientMatrix(metric=metric, names=dataset.names, values=values, degenerate=degenerate)
+        source = cache
+    values, degenerate = _MATRIX_BUILDERS[metric](source, workers)
+    return CoefficientMatrix(
+        metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
+    )
 
 
 def minrel_profile_matrix(
@@ -205,33 +332,14 @@ def minrel_profile_matrix(
     _require_workers(workers)
     if cache is None:
         cache = transform_cache(dataset)
-    n = dataset.n
-    arrays = {
-        key: np.empty((n, n), dtype=float)
-        for key in ("xy", "yx", "negx_y", "negy_x", "max_sq")
-    }
-    degenerate = np.zeros((n, n, 4), dtype=bool)
-
-    def fill_row(i: int) -> None:
-        for j in range(n):
-            profile = _profile(cache[i], cache[j])
-            arrays["xy"][i, j] = profile.iota_xy.value
-            arrays["yx"][i, j] = profile.iota_yx.value
-            arrays["negx_y"][i, j] = profile.iota_negx_y.value
-            arrays["negy_x"][i, j] = profile.iota_negy_x.value
-            arrays["max_sq"][i, j] = profile.max_iota_sq
-            degenerate[i, j] = [v.degenerate for v in profile.oriented_values()]
-
-    _run_cells(n, fill_row, workers)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    degenerate.flags.writeable = False
+    (xy, xy_degenerate), (negx, negx_degenerate) = _two_maps(cache, workers)
+    flags = [xy_degenerate, xy_degenerate.T, negx_degenerate, negx_degenerate.T]
     return ProfileMatrix(
         names=dataset.names,
-        iota_xy=arrays["xy"],
-        iota_yx=arrays["yx"],
-        iota_negx_y=arrays["negx_y"],
-        iota_negy_x=arrays["negy_x"],
-        max_iota_sq=arrays["max_sq"],
-        degenerate=degenerate,
+        iota_xy=_frozen(xy),
+        iota_yx=_frozen(xy.T),
+        iota_negx_y=_frozen(negx),
+        iota_negy_x=_frozen(negx.T),
+        max_iota_sq=_frozen(_max_sq(xy, negx)),
+        degenerate=_frozen(np.stack(flags, axis=-1)),
     )

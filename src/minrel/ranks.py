@@ -13,12 +13,14 @@ elementwise, bit for bit.
 
 :func:`column_transforms` is the one place that builds them. It sorts each
 column once: tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X)
-holds exactly, ties included, and needs no second sort.
+holds exactly, ties included, and needs no second sort. :func:`centred`
+prepares a column, or its ranks, for the Pearson and Spearman kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence, Union
 
 import numpy as np
@@ -121,6 +123,11 @@ class ColumnTransforms:
     neg_dec: np.ndarray
     neg_inc: np.ndarray
 
+    @cached_property
+    def centred(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ranks as a :func:`centred` column (for Spearman), built on first use."""
+        return centred(self.ranks)
+
     def oriented(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
         """The (decreasing, increasing) transforms of ``sign * X``."""
         if sign < 0:
@@ -137,6 +144,34 @@ def column_transforms(values: np.ndarray) -> ColumnTransforms:
     return ColumnTransforms(
         values=values, ranks=ranks, dec=dec, inc=inc, neg_dec=-inc, neg_inc=-dec
     )
+
+
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """``values`` times the exact power of two that puts max |v| in [0.5, 1)."""
+    return np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+
+
+def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, one independent dot per row.
+
+    Unlike a matrix product, each row of a batch reduces exactly as it
+    would alone.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def centred(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column minus its mean, scaled, and its squared norm (for correlations).
+
+    The scaling is by exact powers of two that put max |v| in [0.5, 1):
+    before centring, so the mean cannot overflow, and after it, so no
+    product overflows or underflows. It cancels in a correlation: wherever
+    the unscaled computation neither overflows nor underflows, the result is
+    the same, bit for bit.
+    """
+    scaled = _unit_scaled(values)
+    column = _unit_scaled(scaled - scaled.mean())
+    return column, dots(column, column)
 
 
 def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:

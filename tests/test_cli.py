@@ -266,6 +266,19 @@ def test_quoted_line_breaks_are_kept(capsys, tmp_path):
     assert "data row 1, column 'B'" in err
 
 
+def test_comment_marker_inside_a_quoted_field_is_data(capsys, tmp_path):
+    path = write_csv(
+        tmp_path,
+        "comments.csv",
+        '# leading comment\n"A\n#X",B\n1,2\n# a comment "with a quote\n2,1\n3,3\n',
+    )
+    code, out, err = run_cli(capsys, "matrix", path, "--metric", "spearman")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["names"] == ["A\n#X", "B"]
+    assert payload["values"]["A\n#X"]["B"] == pytest.approx(0.5)
+
+
 def test_matrix_workers_below_one_exits_2(capsys, linear_csv):
     for workers in ("0", "-3"):
         code, out, err = run_cli(capsys, "matrix", linear_csv, "--workers", workers)

@@ -279,6 +279,16 @@ def test_pearson_survives_an_underflowing_variance_product():
     assert pearson(tiny, [0.0, -1e-140, -3e-140]).value == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 1e-300, 1.7e308, 2.0**-1072])
+def test_pearson_at_extreme_magnitudes(scale):
+    x = np.array([1.0, -1.0, 0.5]) * scale
+    assert pearson(x, x).value == 1.0
+    assert pearson(x, -x).value == -1.0
+    assert pearson(x, [3.0, -1.0, 2.0]).value == pytest.approx(
+        pearson([1.0, -1.0, 0.5], [3.0, -1.0, 2.0]).value, abs=1e-15
+    )
+
+
 def test_spearman_monotone_invariance_and_degenerate():
     rng = np.random.default_rng(73)
     x = rng.normal(size=200)

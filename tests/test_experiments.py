@@ -1,5 +1,6 @@
 import pytest
 
+import minrel.ranks
 from minrel import InvalidInputError, run_experiment
 from minrel.experiments import ExperimentCell, run_table2, run_table3, run_table4
 
@@ -36,3 +37,19 @@ def test_experiments_are_seed_deterministic():
     first = run_table3(reps=2, m=50, seed=9)
     second = run_table3(reps=2, m=50, seed=9)
     assert [c.mean for c in first.cells] == [c.mean for c in second.cells]
+
+
+def test_experiments_rank_each_column_once_per_repetition(monkeypatch):
+    calls = {"count": 0}
+    original = minrel.ranks.fractional_ranks
+
+    def counting(values):
+        calls["count"] += 1
+        return original(values)
+
+    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
+    # Datasets of 3 (A, B, C), 4 (A..D) and 6 (A..E, G) columns.
+    for run, columns in ((run_table2, 3), (run_table3, 4), (run_table4, 6)):
+        calls["count"] = 0
+        run(reps=2, m=30, seed=0)
+        assert calls["count"] == 2 * columns

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import minrel.matrix
 import minrel.ranks
 from minrel import (
     Dataset,
@@ -201,3 +202,82 @@ def test_profile_matrix_diagonal_is_near_one():
     cell = profiles.profile("X", "X")
     for value in cell.oriented_values():
         assert abs(value.value) >= 0.999
+
+
+def test_pearson_matrix_at_extreme_magnitudes():
+    base = np.array([1.0, -1.0, 0.5, 0.25])
+    ds = Dataset.from_columns(
+        {
+            "huge": base * 1e300,
+            "neg_huge": -base * 1e300,
+            "tiny": base * 1e-300,
+            "max": base * 1.7e308,
+            "other": np.array([3.0, -1.0, 2.0, 0.0]),
+        }
+    )
+    matrix = pairwise_matrix(ds, "pearson")
+    np.testing.assert_array_equal(np.diag(matrix.values), np.ones(ds.n))
+    np.testing.assert_array_equal(matrix.values, matrix.values.T)
+    assert matrix.value("huge", "tiny") == 1.0
+    assert matrix.value("huge", "max") == 1.0
+    assert matrix.value("huge", "neg_huge") == -1.0
+    assert matrix.value("tiny", "neg_huge") == -1.0
+    for i in range(ds.n):
+        for j in range(ds.n):
+            direct = evaluate_metric(ds.values[:, i], ds.values[:, j], "pearson")
+            assert matrix.values[i, j] == direct.value
+
+
+# Above 8192 values a buffered reduction (numpy's einsum, for one) may sum a
+# row differently inside a batch than alone; the row engine must not.
+@pytest.mark.parametrize("scratch_bytes", [None, 8 * 9000 * 2])
+def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scratch_bytes):
+    if scratch_bytes is not None:  # blocks of two columns, the last one short
+        monkeypatch.setattr(minrel.matrix, "_SCRATCH_BYTES", scratch_bytes)
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=9000)
+    values = np.column_stack([x, x * rng.random(9000), np.round(rng.normal(size=9000), 1)])
+    ds = Dataset(names=("a", "b", "c"), values=values)
+    for metric in MATRIX_METRICS:
+        serial = pairwise_matrix(ds, metric, workers=1)
+        parallel = pairwise_matrix(ds, metric, workers=2)
+        assert serial.values.tobytes() == parallel.values.tobytes()
+        assert serial.degenerate.tobytes() == parallel.degenerate.tobytes()
+        for i in range(ds.n):
+            for j in range(ds.n):
+                direct = evaluate_metric(values[:, i], values[:, j], metric)
+                assert serial.values[i, j].tobytes() == np.float64(direct.value).tobytes()
+                assert serial.degenerate[i, j] == direct.degenerate
+    for workers in (1, 2):
+        profiles = minrel_profile_matrix(ds, workers=workers)
+        assert profiles.iota_yx.tobytes() == profiles.iota_xy.T.copy().tobytes()
+        assert profiles.iota_negy_x.tobytes() == profiles.iota_negx_y.T.copy().tobytes()
+        for i, x_name in enumerate(ds.names):
+            for j, y_name in enumerate(ds.names):
+                assert profiles.profile(x_name, y_name) == minrel_profile(values[:, i], values[:, j])
+
+
+@pytest.mark.parametrize(
+    "build, cells_per_n2",
+    [
+        (lambda ds: pairwise_matrix(ds, "iota"), 1),
+        (lambda ds: pairwise_matrix(ds, "iota2"), 1),
+        (lambda ds: pairwise_matrix(ds, "max_iota_sq"), 2),
+        (lambda ds: minrel_profile_matrix(ds), 2),
+    ],
+    ids=["iota", "iota2", "max_iota_sq", "profile"],
+)
+def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, cells_per_n2):
+    ds = _dataset(seed=31, m=40, n=5)
+    cells = {"count": 0}
+    original = minrel.matrix._masses
+
+    def counting(x_dec, y_dec, y_inc, out=None):
+        cells["count"] += np.shape(y_dec)[0]
+        return original(x_dec, y_dec, y_inc, out)
+
+    monkeypatch.setattr(minrel.matrix, "_masses", counting)
+    build(ds)
+    # max_iota_sq and the profile come from M = iota(X_i, X_j) and
+    # N = iota(-X_i, X_j): 2 n^2 kernel cells, not one per orientation (4 n^2).
+    assert cells["count"] == cells_per_n2 * ds.n * ds.n
