@@ -68,8 +68,15 @@ def _pair_values(x: ColumnLike, y: ColumnLike) -> tuple[np.ndarray, np.ndarray]:
 def _pair_transforms(
     x: ColumnLike, y: ColumnLike
 ) -> tuple[ColumnTransforms, ColumnTransforms]:
+    """Both columns' transforms; a column given as its transforms is not re-ranked."""
     xv, yv = _pair_values(x, y)
-    return column_transforms(xv), column_transforms(yv)
+    return _transforms(x, xv), _transforms(y, yv)
+
+
+def _transforms(column: ColumnLike, values: np.ndarray) -> ColumnTransforms:
+    if isinstance(column, ColumnTransforms):
+        return column
+    return column_transforms(values)
 
 
 def _p_leq(xv: np.ndarray, yv: np.ndarray) -> float:
@@ -146,8 +153,12 @@ def _masses(
 def _tradeoff(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(above - below) / (above + below), and the mask of zero denominators (value 0)."""
     total = above + below
+    # Counts may arrive as Python ints, whose == gives a Python bool and
+    # whose ~ is not a logical not; np.logical_not handles every type.
     degenerate = total == 0.0
-    value = np.divide(above - below, total, out=np.zeros(np.shape(total)), where=~degenerate)
+    value = np.divide(
+        above - below, total, out=np.zeros(np.shape(total)), where=np.logical_not(degenerate)
+    )
     return value, degenerate
 
 
@@ -267,7 +278,9 @@ def _correlation(
     """
     scale = np.sqrt(vx * vy)
     degenerate = scale == 0.0
-    value = np.divide(dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=~degenerate)
+    value = np.divide(
+        dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=np.logical_not(degenerate)
+    )
     return np.minimum(np.maximum(value, -1.0), 1.0), degenerate
 
 

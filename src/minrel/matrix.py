@@ -203,17 +203,21 @@ def _iota_map(x_dec: np.ndarray, dec: np.ndarray, inc: np.ndarray, workers: int)
     return _row_map(len(x_dec), n, make_row, workers)
 
 
-def _stacks(cache: Sequence[ColumnTransforms]) -> tuple[np.ndarray, np.ndarray]:
-    """The columns' decreasing and increasing transforms as (n, m) arrays."""
-    return np.stack([t.dec for t in cache]), np.stack([t.inc for t in cache])
+def _stacks(
+    cache: Sequence[ColumnTransforms], sign: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (decreasing, increasing) transforms of every sign * X_j as (n, m) arrays."""
+    dec, inc = zip(*(t.oriented(sign) for t in cache))
+    return np.stack(dec), np.stack(inc)
 
 
 def _two_maps(cache: Sequence[ColumnTransforms], workers: int) -> tuple[_Cells, _Cells]:
     """iota(X_i, X_j) and iota(-X_i, X_j), from one pass over 2n rows."""
-    dec, inc = _stacks(cache)
     n = len(cache)
-    # The decreasing transform of -X_i is -inc_i.
-    values, degenerate = _iota_map(np.concatenate([dec, -inc]), dec, inc, workers)
+    # Rows X_1..X_n, then -X_1..-X_n; the first n rows are also the columns.
+    x_dec = np.stack([t.dec for t in cache] + [t.neg_dec for t in cache])
+    inc = np.stack([t.inc for t in cache])
+    values, degenerate = _iota_map(x_dec, x_dec[:n], inc, workers)
     return (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
 
 
@@ -228,10 +232,9 @@ def _iota_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
 
 
 def _iota2_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns,
-    # whose (decreasing, increasing) transforms are (-inc, -dec).
-    dec, inc = _stacks(cache)
-    values, degenerate = _iota_map(-inc, -inc, -dec, workers)
+    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns.
+    neg_dec, neg_inc = _stacks(cache, -1)
+    values, degenerate = _iota_map(neg_dec, neg_dec, neg_inc, workers)
     return values.T, degenerate.T
 
 

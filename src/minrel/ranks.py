@@ -29,7 +29,7 @@ from .errors import InvalidInputError
 
 Direction = Literal["decreasing", "increasing"]
 
-ColumnLike = Union["DataColumn", np.ndarray, Sequence[float]]
+ColumnLike = Union["DataColumn", "ColumnTransforms", np.ndarray, Sequence[float]]
 
 
 def _validated_values(data, what: str = "column") -> np.ndarray:
@@ -46,7 +46,7 @@ def _validated_values(data, what: str = "column") -> np.ndarray:
 
 def as_values(data, what: str = "column") -> np.ndarray:
     """Coerce a column-like object to a validated 1-D float array."""
-    if isinstance(data, DataColumn):
+    if isinstance(data, (DataColumn, ColumnTransforms)):
         return data.values
     return _validated_values(data, what)
 

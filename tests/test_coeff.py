@@ -56,6 +56,23 @@ def test_iota_raw_indicator_examples():
     assert result.value == 0.0 and result.degenerate
 
 
+def test_iota_raw_indicator_with_python_int_counts(monkeypatch):
+    # numpy releases before 2.3 return a Python int from an axis-free
+    # count_nonzero; the degenerate mask must not depend on that type.
+    count_nonzero = np.count_nonzero
+
+    def python_int_count(a, axis=None, **kwargs):
+        if axis is None:
+            return int(count_nonzero(a))
+        return count_nonzero(a, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", python_int_count)
+    result = iota_raw_indicator([-0.3, -0.2], [-0.1, 0.1])
+    assert result.value == 0.0 and result.degenerate
+    result = iota_raw_indicator([-0.4, -0.1, 0.2], [0.3, 0.2, 0.4])
+    assert result.value == 1.0 and not result.degenerate
+
+
 def test_iota_raw_squared_examples():
     assert iota_raw_squared([0.5, -0.5], [0.5, 0.5]).value == 1.0
     assert iota_raw_squared([0.4, -0.3], [-0.2, 0.1]).value == pytest.approx(-0.8)

@@ -1,5 +1,6 @@
 import pytest
 
+import minrel.experiments
 import minrel.ranks
 from minrel import InvalidInputError, run_experiment
 from minrel.experiments import ExperimentCell, run_table2, run_table3, run_table4
@@ -53,3 +54,19 @@ def test_experiments_rank_each_column_once_per_repetition(monkeypatch):
         calls["count"] = 0
         run(reps=2, m=30, seed=0)
         assert calls["count"] == 2 * columns
+
+
+def test_experiments_go_through_the_direct_calls(monkeypatch):
+    # Every pair is scored by the public spearman and minrel_profile, so a
+    # wrapper of either sees each call.
+    calls = {"spearman": 0, "minrel_profile": 0}
+    for name in calls:
+        original = getattr(minrel.experiments, name)
+
+        def counting(x, y, name=name, original=original):
+            calls[name] += 1
+            return original(x, y)
+
+        monkeypatch.setattr(minrel.experiments, name, counting)
+    run_table2(reps=2, m=30, seed=0)
+    assert calls == {"spearman": 2 * 3, "minrel_profile": 2 * 3}

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import minrel.ranks
 from minrel import (
     CRITERIA,
+    METRICS,
     Dataset,
+    InvalidInputError,
     compute_ranks,
     evaluate_metric,
     iota2,
@@ -91,6 +93,31 @@ def test_direct_calls_sort_each_column_once(sort_counter, function, sorts):
     x, y = rng.normal(size=(2, 25))
     function(x, y)
     assert sort_counter["count"] == sorts
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_direct_calls_take_prepared_transforms_without_sorting(sort_counter, metric):
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(2, 25))
+    expected = evaluate_metric(x, y, metric)
+    prepared = column_transforms(x), column_transforms(y)
+    sort_counter["count"] = 0
+    result = evaluate_metric(*prepared, metric)
+    assert sort_counter["count"] == 0
+    assert _bits(result.value) == _bits(expected.value)
+    assert result.degenerate == expected.degenerate
+
+
+def test_profile_and_spearman_take_prepared_transforms(sort_counter):
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 25))
+    expected = minrel_profile(x, y), spearman(x, y)
+    prepared = column_transforms(x), column_transforms(y)
+    sort_counter["count"] = 0
+    assert (minrel_profile(*prepared), spearman(*prepared)) == expected
+    assert sort_counter["count"] == 0
+    with pytest.raises(InvalidInputError, match="length"):
+        spearman(prepared[0], column_transforms(y[:-1]))
 
 
 @settings(max_examples=300, deadline=None)
