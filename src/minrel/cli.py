@@ -7,7 +7,14 @@ fields keep their line breaks (a '#' at the start of a continued line is
 data), decimal points only (no locale handling). Numbers are printed with
 12 significant digits in CSV output and at full double precision in JSON.
 Every run echoes its effective configuration in the output so results can
-be reproduced from the artifact alone.
+be reproduced from the artifact alone, with the rows behind the result:
+``rows_read`` data rows, ``rows_dropped`` of them dropped, ``m`` kept.
+
+The header goes through the record reader. A data body of plain numbers
+is parsed in one ``np.loadtxt`` call; any other body (quoted cells, NA
+tokens, comment records, whitespace-only lines, ragged rows, errors) goes
+through the record loop from the same line. Both give the same values bit
+for bit, or the same error (see :func:`_bulk_values`).
 
 Exit codes: 0 success, 2 parse/validation failure, 3 degenerate result
 under --strict, 4 I/O failure.
@@ -21,6 +28,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -72,12 +80,17 @@ def _is_blank(row: list[str]) -> bool:
 
 
 def _records(lines: list[str]):
-    """CSV records, without comments: lines starting with '#' where a record starts."""
+    """(record, end) pairs, without comments: lines starting with '#' where a record starts.
+
+    ``end`` indexes the line after the record: the reader reads no further
+    than the record it yields.
+    """
+    end = 0
     at_record_start = True
 
     def uncommented():
-        nonlocal at_record_start
-        for line in lines:
+        nonlocal end, at_record_start
+        for end, line in enumerate(lines, start=1):
             # The reader asks for a quoted field's continued lines before it
             # yields the record, so they arrive with at_record_start False.
             if at_record_start and line.startswith("#"):
@@ -87,24 +100,40 @@ def _records(lines: list[str]):
 
     for row in csv.reader(uncommented()):
         at_record_start = True
-        yield row
+        yield row, end
 
 
-def read_dataset(path: str, na_policy: str) -> Dataset:
-    """Parse a CSV file (or '-' for stdin) into a validated Dataset."""
-    text = _read_text(path).removeprefix("\ufeff")
-    # Lines keep their endings, so a quoted field keeps its line breaks.
-    rows = _records(text.splitlines(True))
-    header = next((row for row in rows if not _is_blank(row)), None)
-    if header is None:
-        raise InvalidInputError("input is empty")
-    names = [cell.strip() for cell in header]
-    if any(not name for name in names):
-        raise InvalidInputError("header contains an empty column name")
+def _bulk_values(lines: list[str], width: int) -> np.ndarray | None:
+    """The data lines parsed in one call, or None where the record loop must parse them.
+
+    ``np.loadtxt`` converts with the same correctly rounded parser as
+    ``float()`` and accepts the same surrounding whitespace. Every token it
+    reads differently (quoted cells, NA tokens, '#', '1_0', non-ASCII
+    digits) makes it raise, so an array it returns equals the record loop's
+    bit for bit.
+    """
+    try:
+        with warnings.catch_warnings():
+            # Input without data warns; the record loop reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                lines, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float
+            )
+    except ValueError:
+        return None
+    if values.shape[1] != width or values.shape[0] < 2 or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _record_values(rows, names: list[str], na_policy: str) -> tuple[list[list[float]], int]:
+    """Parse data records one cell at a time: the kept rows and the count of rows read."""
     parsed: list[list[float]] = []
+    rows_read = 0
     for row_number, row in enumerate(rows, start=1):
         if _is_blank(row):
             continue
+        rows_read += 1
         if len(row) != len(names):
             raise InvalidInputError(
                 f"data row {row_number}: expected {len(names)} cells, found {len(row)}"
@@ -135,9 +164,43 @@ def read_dataset(path: str, na_policy: str) -> Dataset:
             values.append(value)
         if keep:
             parsed.append(values)
+    return parsed, rows_read
+
+
+def read_dataset(path: str, na_policy: str) -> Dataset:
+    """Parse a CSV file (or '-' for stdin) into a validated Dataset."""
+    text = _read_text(path).removeprefix("\ufeff")
+    # Lines keep their endings, so a quoted field keeps its line breaks.
+    lines = text.splitlines(True)
+    records = _records(lines)
+    header, body_start = next(
+        ((row, end) for row, end in records if not _is_blank(row)), (None, 0)
+    )
+    if header is None:
+        raise InvalidInputError("input is empty")
+    names = [cell.strip() for cell in header]
+    if any(not name for name in names):
+        raise InvalidInputError("header contains an empty column name")
+    values = _bulk_values(lines[body_start:], len(names))
+    if values is not None:
+        return Dataset(names=tuple(names), values=values)
+    parsed, rows_read = _record_values((row for row, _ in records), names, na_policy)
     if len(parsed) < 2:
         raise InvalidInputError(f"need at least 2 usable data rows, got {len(parsed)}")
-    return Dataset(names=tuple(names), values=np.asarray(parsed, dtype=float))
+    return Dataset(
+        names=tuple(names),
+        values=np.asarray(parsed, dtype=float),
+        rows_dropped=rows_read - len(parsed),
+    )
+
+
+def _rows_config(dataset: Dataset) -> dict:
+    """The rows behind a result: m kept, of rows_read, after rows_dropped."""
+    return {
+        "m": dataset.m,
+        "rows_read": dataset.m + dataset.rows_dropped,
+        "rows_dropped": dataset.rows_dropped,
+    }
 
 
 def _config_line(config: dict) -> str:
@@ -194,6 +257,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         "na": args.na,
         "strict": args.strict,
         "format": args.format,
+        **_rows_config(dataset),
     }
     if args.format == "json":
         text = _json_dump(
@@ -266,6 +330,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         "ties": "average",
         "na": args.na,
         "format": args.format,
+        **_rows_config(dataset),
     }
     if args.format == "json":
         text = _matrix_json(matrix, config)
@@ -291,6 +356,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         "ties": "average",
         "na": args.na,
         "format": args.format,
+        **_rows_config(dataset),
     }
     if args.format == "json":
         payload = {

@@ -39,10 +39,15 @@ from .ranks import ColumnTransforms, centred, column_transforms
 
 @dataclass(frozen=True)
 class Dataset:
-    """Named columns of equal length m >= 2; stored as an (m, n) float array."""
+    """Named columns of equal length m >= 2; stored as an (m, n) float array.
+
+    ``rows_dropped`` counts input rows left out of ``values``, such as the
+    incomplete rows the CLI reader drops under ``--na drop-rows``.
+    """
 
     names: tuple[str, ...]
     values: np.ndarray
+    rows_dropped: int = 0
 
     def __post_init__(self) -> None:
         names = tuple(str(n) for n in self.names)

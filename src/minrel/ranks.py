@@ -89,8 +89,10 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
 
     A run of k equal values occupying sorted positions p..p+k-1 all receive
     rank (2p+k-1)/2, which keeps the total rank mass at m(m+1)/2 exactly.
+    The ranks depend only on the sorted values, never on the order within a
+    run of ties (-0.0 and 0.0 compare equal), so the sort need not be stable.
     """
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     sorted_values = values[order]
     new_group = np.empty(values.size, dtype=bool)
     new_group[0] = True

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from minrel.cli import main
+from minrel import cli
+from minrel.cli import main, read_dataset
+from minrel.errors import InvalidInputError
 
 
 def run_cli(capsys, *argv):
@@ -295,3 +300,107 @@ def test_output_io_failure_exits_4(capsys, linear_csv, tmp_path):
 def test_missing_input_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "coeff", str(tmp_path / "absent.csv"))
     assert code == 4
+
+
+def test_config_records_rows_read_and_dropped(capsys, tmp_path):
+    path = write_csv(tmp_path, "na.csv", "x,y\n1,2\n2,NA\n3,1\n4,4\n")
+    commands = (
+        ("coeff",),
+        ("matrix", "--metric", "spearman"),
+        ("rank", "--target", "x", "--criterion", "rho2"),
+    )
+    expected = {"m": 3, "rows_read": 4, "rows_dropped": 1}
+    for command in commands:
+        argv = [command[0], path, *command[1:], "--na", "drop-rows"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert {key: config[key] for key in expected} == expected
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert out.startswith("# config: ")
+        assert " m=3 " in out.splitlines()[0]
+        assert " rows_dropped=1 rows_read=4 " in out.splitlines()[0]
+        code, _, err = run_cli(capsys, command[0], path, *command[1:])
+        assert code == 2 and "data row 2, column 'y'" in err
+
+
+# Cells the bulk parse reads exactly as float() does, and cells it must
+# leave to the record loop: NA tokens, non-finite values, quoted cells,
+# digit separators, full-width digits, text.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".25g")),
+    st.sampled_from(
+        ["5e-324", "2.2250738585072014e-308", "1e308", "1.7976931348623157e308",
+         "1e-400", "-0", "0.0", "+1", "1.", ".5", "1E5", "7"]
+    ),
+)
+ODD_CELLS = st.sampled_from(
+    ["", "NA", "nan", "null", " NaN ", "inf", "-inf", "1e999", '"1.5"', '"1\n2"',
+     "1_0", "\uff11", "1#5", "abc"]
+)
+PADDING = st.sampled_from(["", " ", "\t", "\xa0", "\u2003"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"])
+NAMES = ["a", "b", "c", '"q,1"', '"x\ny"', '"#h"', " d "]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with dialect noise: a clean numeric body or a noisy one."""
+    clean = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    header = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n, unique=True))
+    lines = [",".join(header)]
+    body_width = n if clean else draw(st.sampled_from([n, n, n + 1]))
+    cells = NUMBERS if clean else st.one_of(NUMBERS, NUMBERS, NUMBERS, ODD_CELLS)
+    widths = [n] if clean else [body_width] * 4 + [n - 1, n + 1]
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from(widths))
+        row = [draw(PADDING) + draw(cells) + draw(PADDING) for _ in range(width)]
+        lines.append(",".join(row))
+    for _ in range(draw(st.integers(0, 2))):
+        noise = st.sampled_from(["", " \t"] if clean else ["", " \t", "# note", "# a,b"])
+        lines.insert(draw(st.integers(0, len(lines))), draw(noise))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(line + draw(LINE_ENDS) for line in lines)
+
+
+def _read(text, na_policy):
+    """read_dataset on ``text`` as stdin, as comparable bytes or the error message."""
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        try:
+            dataset = read_dataset("-", na_policy)
+        except InvalidInputError as exc:
+            return str(exc)
+    return dataset.names, dataset.values.shape, dataset.values.tobytes(), dataset.rows_dropped
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from(["error", "drop-rows"]))
+@example("x\n1#5\n2\n3\n", "error")
+@example("x\n1,2\n3,4\n", "drop-rows")
+@example("x,y\n1,inf\n2,3\n3,4\n", "drop-rows")
+def test_bulk_parse_equals_the_record_loop(text, na_policy):
+    read = _read(text, na_policy)
+    with mock.patch.object(cli, "_bulk_values", lambda *args: None):
+        assert read == _read(text, na_policy)
+
+
+def test_plain_numeric_body_never_reaches_the_record_loop(capsys, tmp_path, monkeypatch):
+    path = write_csv(
+        tmp_path, "plain.csv", "# made by hand\nx,y,z\n1,2e-3,-0\n\n2.5,1E5,7\n-3,0.1,5e-324\n"
+    )
+
+    def record_loop(*args):
+        raise AssertionError("the record loop parsed a plain numeric body")
+
+    monkeypatch.setattr(cli, "_record_values", record_loop)
+    dataset = read_dataset(path, "error")
+    assert dataset.names == ("x", "y", "z")
+    assert dataset.values.tobytes() == np.array(
+        [[1, 2e-3, -0.0], [2.5, 1e5, 7], [-3, 0.1, 5e-324]]
+    ).tobytes()
+    code, out, err = run_cli(capsys, "rank", path, "--target", "x")
+    assert code == 0, err
+    assert json.loads(out)["config"]["rows_read"] == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minrel import (
     DataColumn,
@@ -68,6 +70,36 @@ def test_fractional_ranks_match_counting_oracle():
         np.testing.assert_array_equal(
             fractional_ranks(values), np.asarray(naive_ranks(values.tolist()))
         )
+
+
+def _stable_sort_ranks(values: np.ndarray) -> np.ndarray:
+    """Tie-averaged ranks from a stable sort: each value's first and last sorted position."""
+    order = np.argsort(values, kind="stable")
+    sorted_values = values[order]
+    first = np.searchsorted(sorted_values, sorted_values, side="left") + 1
+    last = np.searchsorted(sorted_values, sorted_values, side="right")
+    ranks = np.empty(values.size)
+    ranks[order] = (first + last) / 2.0
+    return ranks
+
+
+# Few distinct values, both signed zeros among them; lists longer than 16
+# reach the unstable sort's partitioning, not just its insertion sort.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308]),
+            st.integers(-3, 3).map(float),
+        ),
+        min_size=2,
+        max_size=400,
+    )
+)
+def test_fractional_ranks_equal_stable_sort_ranks_bitwise(values):
+    values = np.asarray(values)
+    expected = _stable_sort_ranks(values)
+    assert fractional_ranks(values).tobytes() == expected.tobytes()
 
 
 def test_uniform_norm_examples():
