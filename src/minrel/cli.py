@@ -10,6 +10,13 @@ Every run echoes its effective configuration in the output so results can
 be reproduced from the artifact alone, with the rows behind the result:
 ``rows_read`` data rows, ``rows_dropped`` of them dropped, ``m`` kept.
 
+Each command builds its config (:func:`_dataset_config` for the commands
+that read a dataset) and hands it, with its JSON fields and CSV sections,
+to :func:`_write`, the one writer. JSON is one sorted-key object with a
+``config`` key; CSV is a ``# config: key=value ...`` line, then tables and
+comment lines. A config value with a line break is written there as its
+JSON string literal, so the config stays on one line.
+
 The header goes through the record reader. A data body of plain numbers
 is parsed in one ``np.loadtxt`` call; any other body (quoted cells, NA
 tokens, comment records, whitespace-only lines, ragged rows, errors) goes
@@ -29,16 +36,17 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
 from . import coeff
 from .errors import InvalidInputError
-from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
-from .matrix import MATRIX_METRICS, CoefficientMatrix, Dataset, pairwise_matrix
+from .experiments import EXPERIMENTS, run_experiment
+from .matrix import MATRIX_METRICS, Dataset, pairwise_matrix
 from .ranking import CRITERIA, average_position, rank_variables
-from .synth import FAMILIES, gen_combined, gen_linear, gen_multiplication, gen_triangle_pair
+from .synth import FAMILIES, GENERATORS
 
 NA_TOKENS = frozenset({"", "na", "nan", "null"})
 
@@ -46,13 +54,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-GENERATORS = {
-    "multiplication": gen_multiplication,
-    "linear": gen_linear,
-    "combined": gen_combined,
-    "triangle": gen_triangle_pair,
-}
 
 
 def _fmt(value: float) -> str:
@@ -194,284 +195,201 @@ def read_dataset(path: str, na_policy: str) -> Dataset:
     )
 
 
-def _rows_config(dataset: Dataset) -> dict:
-    """The rows behind a result: m kept, of rows_read, after rows_dropped."""
+def _dataset_config(args: argparse.Namespace, dataset: Dataset, **fields) -> dict:
+    """The config keys of a command that reads a dataset, plus the command's own ``fields``."""
     return {
+        "command": args.command,
+        "input": args.input,
+        "ties": "average",
+        "na": args.na,
+        "format": args.format,
         "m": dataset.m,
         "rows_read": dataset.m + dataset.rows_dropped,
         "rows_dropped": dataset.rows_dropped,
+        **fields,
     }
 
 
+#: The characters ``str.splitlines`` breaks a line on.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _config_value(value) -> str:
+    text = str(value)
+    # A line break would end the comment line; its JSON literal has none.
+    return json.dumps(text) if _LINE_BREAKS.intersection(text) else text
+
+
 def _config_line(config: dict) -> str:
-    joined = " ".join(f"{key}={config[key]}" for key in sorted(config))
+    joined = " ".join(f"{key}={_config_value(config[key])}" for key in sorted(config))
     return f"# config: {joined}\n"
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(args: argparse.Namespace, config: dict, fields, sections) -> None:
+    """Write a command's result in its ``--format``; the one place that branches on it.
+
+    JSON is the object ``fields()`` plus ``config``. CSV is the ``# config:``
+    line, then each of ``sections()``: a comment line, or a table of rows.
+    Only the selected encoding is built.
+    """
+    if args.format == "json":
+        text = json.dumps({**fields(), "config": config}, indent=2, sort_keys=True) + "\n"
+    else:
+        buffer = io.StringIO()
+        buffer.write(_config_line(config))
+        writer = csv.writer(buffer, lineterminator="\n")
+        for section in sections():
+            if isinstance(section, str):
+                buffer.write(section)
+            else:
+                writer.writerows(section)
+        text = buffer.getvalue()
+    _emit(text, args.output)
 
 
-def _csv_rows(rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _bool(value) -> str:
+    return "true" if value else "false"
+
+
+def _status(passed: bool) -> str:
+    return "pass" if passed else "fail"
 
 
 def _parse_orientation(text: str) -> tuple[int, int]:
     if len(text) != 2 or any(ch not in "+-" for ch in text):
-        raise InvalidInputError(
-            f"orientation must be two signs like '+-', got {text!r}"
-        )
+        raise InvalidInputError(f"orientation must be two signs like '+-', got {text!r}")
     return (1 if text[0] == "+" else -1, 1 if text[1] == "+" else -1)
 
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
-    x_name = args.x or dataset.names[0]
-    if args.y:
-        y_name = args.y
-    elif dataset.n >= 2:
-        y_name = dataset.names[1]
-    else:
+    if not args.y and dataset.n < 2:
         raise InvalidInputError("input has a single column; pass --y explicitly")
+    x_name = args.x or dataset.names[0]
+    y_name = args.y or dataset.names[1]
     x = dataset.column(x_name)
     y = dataset.column(y_name)
-    orientation = None
     if args.orientation:
         if args.metric != "iota":
             raise InvalidInputError("--orientation only applies to --metric iota")
-        orientation = _parse_orientation(args.orientation)
-        result = coeff.iota_oriented(x, y, orientation[0], orientation[1])
+        result = coeff.iota_oriented(x, y, *_parse_orientation(args.orientation))
     else:
         result = coeff.evaluate_metric(x, y, args.metric)
-    config = {
-        "command": "coeff",
-        "input": args.input,
-        "x": x_name,
-        "y": y_name,
-        "metric": args.metric,
-        "orientation": args.orientation or "++",
-        "ties": "average",
-        "na": args.na,
-        "strict": args.strict,
-        "format": args.format,
-        **_rows_config(dataset),
-    }
-    if args.format == "json":
-        text = _json_dump(
-            {
-                "metric": args.metric,
-                "value": result.value,
-                "degenerate": result.degenerate,
-                "m": dataset.m,
-                "config": config,
-            }
-        )
-    else:
-        text = _config_line(config) + _csv_rows(
-            [
-                ["metric", "value", "degenerate", "m"],
-                [args.metric, _fmt(result.value), str(result.degenerate).lower(), str(dataset.m)],
-            ]
-        )
-    _emit(text, args.output)
+    config = _dataset_config(
+        args,
+        dataset,
+        x=x_name,
+        y=y_name,
+        metric=args.metric,
+        orientation=args.orientation or "++",
+        strict=args.strict,
+    )
+    header = ["metric", "value", "degenerate", "m"]
+    values = [args.metric, result.value, result.degenerate, dataset.m]
+    cells = [args.metric, _fmt(result.value), _bool(result.degenerate), str(dataset.m)]
+    _write(args, config, lambda: dict(zip(header, values)), lambda: [[header, cells]])
     if args.strict and result.degenerate:
         return EXIT_DEGENERATE
     return EXIT_OK
 
 
-def _matrix_json(matrix: CoefficientMatrix, config: dict) -> str:
-    values = {
-        x: {y: float(matrix.values[i, j]) for j, y in enumerate(matrix.names)}
-        for i, x in enumerate(matrix.names)
-    }
-    degenerate = {
-        x: {y: bool(matrix.degenerate[i, j]) for j, y in enumerate(matrix.names)}
-        for i, x in enumerate(matrix.names)
-    }
-    return _json_dump(
-        {
-            "metric": matrix.metric,
-            "names": list(matrix.names),
-            "values": values,
-            "degenerate": degenerate,
-            "config": config,
-        }
-    )
-
-
-def _matrix_csv(matrix: CoefficientMatrix, config: dict) -> str:
-    header = [""] + list(matrix.names)
-    value_rows = [
-        [name] + [_fmt(v) for v in matrix.values[i]]
-        for i, name in enumerate(matrix.names)
-    ]
-    mask_rows = [
-        [name] + [str(bool(v)).lower() for v in matrix.degenerate[i]]
-        for i, name in enumerate(matrix.names)
-    ]
-    return (
-        _config_line(config)
-        + _csv_rows([header] + value_rows)
-        + "# degenerate\n"
-        + _csv_rows([header] + mask_rows)
-    )
-
-
 def _cmd_matrix(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
     matrix = pairwise_matrix(dataset, args.metric, workers=args.workers)
-    config = {
-        "command": "matrix",
-        "input": args.input,
-        "metric": args.metric,
-        "ties": "average",
-        "na": args.na,
-        "format": args.format,
-        **_rows_config(dataset),
-    }
-    if args.format == "json":
-        text = _matrix_json(matrix, config)
-    else:
-        text = _matrix_csv(matrix, config)
-    _emit(text, args.output)
+    names = matrix.names
+
+    def fields() -> dict:
+        return {
+            "metric": matrix.metric,
+            "names": list(names),
+            "values": {x: dict(zip(names, row)) for x, row in zip(names, matrix.values.tolist())},
+            "degenerate": {
+                x: dict(zip(names, row)) for x, row in zip(names, matrix.degenerate.tolist())
+            },
+        }
+
+    def sections() -> list:
+        header = [""] + list(names)
+        values = [[name] + [_fmt(v) for v in row] for name, row in zip(names, matrix.values)]
+        flags = [[name] + [_bool(v) for v in row] for name, row in zip(names, matrix.degenerate)]
+        return [[header] + values, "# degenerate\n", [header] + flags]
+
+    _write(args, _dataset_config(args, dataset, metric=args.metric), fields, sections)
     return EXIT_OK
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
     ranking = rank_variables(dataset, args.target, args.criterion)
-    relevant = None
+    ordered = list(enumerate(ranking.ordered, start=1))
+    scalars = {}
     if args.relevant:
         relevant = [name.strip() for name in args.relevant.split(",") if name.strip()]
-        evaluation = average_position(ranking, relevant)
-    config = {
-        "command": "rank",
-        "input": args.input,
-        "target": args.target,
-        "criterion": args.criterion,
-        "relevant": args.relevant or "",
-        "ties": "average",
-        "na": args.na,
-        "format": args.format,
-        **_rows_config(dataset),
-    }
-    if args.format == "json":
-        payload = {
+        scalars["avg_position"] = average_position(ranking, relevant).avg_position
+    config = _dataset_config(
+        args, dataset, target=args.target, criterion=args.criterion, relevant=args.relevant or ""
+    )
+    _write(
+        args,
+        config,
+        lambda: {
             "target": ranking.target,
             "criterion": ranking.criterion,
             "ranking": [
-                {"position": i, "name": name, "score": score}
-                for i, (name, score) in enumerate(ranking.ordered, start=1)
+                {"position": i, "name": name, "score": score} for i, (name, score) in ordered
             ],
-            "config": config,
-        }
-        if relevant is not None:
-            payload["avg_position"] = evaluation.avg_position
-        text = _json_dump(payload)
-    else:
-        rows = [["position", "name", "score"]]
-        rows.extend(
-            [str(i), name, _fmt(score)]
-            for i, (name, score) in enumerate(ranking.ordered, start=1)
-        )
-        text = _config_line(config) + _csv_rows(rows)
-        if relevant is not None:
-            text += f"# avg_position: {_fmt(evaluation.avg_position)}\n"
-    _emit(text, args.output)
+            **scalars,
+        },
+        lambda: [
+            [["position", "name", "score"]]
+            + [[str(i), name, _fmt(score)] for i, (name, score) in ordered],
+            *(f"# {key}: {_fmt(value)}\n" for key, value in scalars.items()),
+        ],
+    )
     return EXIT_OK
-
-
-def _experiment_json(result: ExperimentResult, config: dict) -> str:
-    return _json_dump(
-        {
-            "experiment": result.name,
-            "reps": result.reps,
-            "m": result.m,
-            "seed": result.seed,
-            "cells": [
-                {
-                    "label": cell.label,
-                    "mean": cell.mean,
-                    "stderr": cell.stderr,
-                    "reference": cell.reference,
-                    "tolerance": cell.tolerance,
-                    "status": "pass" if cell.passed else "fail",
-                }
-                for cell in result.cells
-            ],
-            "checks": [
-                {
-                    "label": check.label,
-                    "detail": check.detail,
-                    "status": "pass" if check.passed else "fail",
-                }
-                for check in result.checks
-            ],
-            "passed": result.passed,
-            "config": config,
-        }
-    )
-
-
-def _experiment_csv(result: ExperimentResult, config: dict) -> str:
-    rows = [["cell", "mean", "stderr", "reference", "tolerance", "status"]]
-    rows.extend(
-        [
-            cell.label,
-            _fmt(cell.mean),
-            _fmt(cell.stderr),
-            _fmt(cell.reference),
-            _fmt(cell.tolerance),
-            "pass" if cell.passed else "fail",
-        ]
-        for cell in result.cells
-    )
-    text = _config_line(config) + _csv_rows(rows)
-    if result.checks:
-        check_rows = [["check", "detail", "status"]]
-        check_rows.extend(
-            [check.label, check.detail, "pass" if check.passed else "fail"]
-            for check in result.checks
-        )
-        text += "# checks\n" + _csv_rows(check_rows)
-    return text
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(args.name, args.reps, args.m, args.seed)
-    config = {
-        "command": "experiment",
-        "name": args.name,
-        "reps": args.reps,
-        "m": args.m,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    if args.format == "json":
-        text = _experiment_json(result, config)
-    else:
-        text = _experiment_csv(result, config)
-    _emit(text, args.output)
+    config = {key: getattr(args, key) for key in ("command", "name", "reps", "m", "seed", "format")}
+    cell_keys = ("mean", "stderr", "reference", "tolerance")
+
+    def fields() -> dict:
+        return {
+            "experiment": result.name,
+            "reps": result.reps,
+            "m": result.m,
+            "seed": result.seed,
+            "cells": [{**asdict(cell), "status": _status(cell.passed)} for cell in result.cells],
+            "checks": [
+                {"label": check.label, "detail": check.detail, "status": _status(check.passed)}
+                for check in result.checks
+            ],
+            "passed": result.passed,
+        }
+
+    def sections() -> list:
+        cells = [["cell", *cell_keys, "status"]] + [
+            [cell.label, *(_fmt(getattr(cell, key)) for key in cell_keys), _status(cell.passed)]
+            for cell in result.cells
+        ]
+        if not result.checks:
+            return [cells]
+        checks = [["check", "detail", "status"]] + [
+            [check.label, check.detail, _status(check.passed)] for check in result.checks
+        ]
+        return [cells, "# checks\n", checks]
+
+    _write(args, config, fields, sections)
     return EXIT_OK
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    generated = GENERATORS[args.family](args.m, args.seed)
-    dataset = generated.dataset
-    config = {
-        "command": "gen",
-        "family": args.family,
-        "m": args.m,
-        "seed": args.seed,
-    }
-    rows = [list(dataset.names)]
-    rows.extend(
-        [_fmt(v) for v in dataset.values[i]] for i in range(dataset.m)
-    )
-    _emit(_config_line(config) + _csv_rows(rows), args.output)
+    dataset = GENERATORS[args.family](args.m, args.seed).dataset
+    config = {key: getattr(args, key) for key in ("command", "family", "m", "seed")}
+    rows = [list(dataset.names)] + [[_fmt(v) for v in row] for row in dataset.values]
+    # gen writes CSV only: it has no --format option and no JSON fields.
+    _write(args, config, None, lambda: [rows])
     return EXIT_OK
 
 
@@ -546,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m", type=int, default=1000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", default=None)
-    p_gen.set_defaults(handler=_cmd_gen)
+    p_gen.set_defaults(handler=_cmd_gen, format="csv")
 
     return parser
 

@@ -20,9 +20,6 @@ from .errors import InvalidInputError
 from .matrix import ColumnTransforms, Dataset, transform_cache
 from .synth import gen_combined, gen_linear, gen_multiplication
 
-EXPERIMENTS = ("table2", "table3", "table4")
-
-
 @dataclass(frozen=True)
 class ExperimentCell:
     """One averaged coefficient against its reference value."""
@@ -214,11 +211,13 @@ def run_table4(reps: int, m: int, seed: int) -> ExperimentResult:
     )
 
 
+#: Each experiment's runner, by the name of the table it reproduces.
+RUNNERS = {"table2": run_table2, "table3": run_table3, "table4": run_table4}
+
+EXPERIMENTS = tuple(RUNNERS)
+
+
 def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
-    if name == "table2":
-        return run_table2(reps, m, seed)
-    if name == "table3":
-        return run_table3(reps, m, seed)
-    if name == "table4":
-        return run_table4(reps, m, seed)
-    raise InvalidInputError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    if name not in RUNNERS:
+        raise InvalidInputError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    return RUNNERS[name](reps, m, seed)

@@ -9,7 +9,8 @@ matrix cell equals the direct call bit for bit. Each cell is reduced on
 its own (no matrix products), and each row is written into pre-sized
 storage, so results are bit-identical for any worker count. The kernels'
 large array operations release the interpreter lock, so ``workers``
-threads, each taking a contiguous block of rows, run in parallel.
+threads (at most one per available CPU), each taking a contiguous block
+of rows, run in parallel.
 
 The four-orientation maps need only two passes: M[i, j] = iota(X_i, X_j)
 and N[i, j] = iota(-X_i, X_j). The other two orientations are their
@@ -18,6 +19,7 @@ transposes, iota(X_j, X_i) = M[j, i] and iota(-X_j, X_i) = N[j, i].
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -52,7 +54,8 @@ class Dataset:
     def __post_init__(self) -> None:
         names = tuple(str(n) for n in self.names)
         if len(set(names)) != len(names):
-            raise InvalidInputError("column names must be unique")
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise InvalidInputError(f"column names must be unique; {duplicate!r} repeats")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise InvalidInputError(f"dataset values must be 2-D, got shape {values.shape}")
@@ -156,13 +159,22 @@ _SCRATCH_BYTES = 1 << 21
 _Cells = tuple[np.ndarray, np.ndarray]
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
 def _row_map(
     n_rows: int, n: int, make_row: Callable[[], Callable[[int], _Cells]], workers: int
 ) -> _Cells:
     """Build a map one row at a time, one contiguous block of rows per worker.
 
     ``make_row()`` is called once per worker and returns that worker's row
-    function, which owns any scratch it needs.
+    function, which owns any scratch it needs. At most one thread per
+    available CPU runs: more would only add scratch, not speed.
     """
     values = np.empty((n_rows, n))
     degenerate = np.empty((n_rows, n), dtype=bool)
@@ -172,7 +184,8 @@ def _row_map(
         for i in rows:
             values[i], degenerate[i] = row(i)
 
-    blocks = [rows for rows in np.array_split(np.arange(n_rows), workers) if rows.size]
+    threads = min(workers, _available_cpus())
+    blocks = [rows for rows in np.array_split(np.arange(n_rows), threads) if rows.size]
     if len(blocks) <= 1:
         run_block(range(n_rows))
     else:

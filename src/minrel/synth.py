@@ -17,9 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .matrix import Dataset
 
-FAMILIES = ("multiplication", "linear", "combined", "triangle")
-
-
 @dataclass(frozen=True)
 class GeneratedDataset:
     """A synthetic dataset together with how it was produced."""
@@ -109,6 +106,17 @@ def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
     y = np.maximum(u, v) - 0.5
     dataset = Dataset.from_columns({"X": x, "Y": y})
     return GeneratedDataset(dataset=dataset, family="triangle", m=m, seed=seed)
+
+
+#: Each toy family's generator, by the name the command line uses.
+GENERATORS = {
+    "multiplication": gen_multiplication,
+    "linear": gen_linear,
+    "combined": gen_combined,
+    "triangle": gen_triangle_pair,
+}
+
+FAMILIES = tuple(GENERATORS)
 
 
 def gen_relevance_suite_dataset(

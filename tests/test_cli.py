@@ -404,3 +404,37 @@ def test_plain_numeric_body_never_reaches_the_record_loop(capsys, tmp_path, monk
     code, out, err = run_cli(capsys, "rank", path, "--target", "x")
     assert code == 0, err
     assert json.loads(out)["config"]["rows_read"] == 3
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("coeff", "--x", "A\nX"), ("rank", "--target", "A\nX", "--relevant", "B")],
+    ids=["coeff", "rank"],
+)
+def test_config_line_keeps_a_line_break_in_a_value(capsys, tmp_path, command):
+    path = write_csv(tmp_path, "nl.csv", '"A\nX",B,C\n1,2,3\n2,1,5\n3,3,4\n4,5,1\n')
+    code, out, err = run_cli(capsys, command[0], path, *command[1:], "--format", "csv")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].startswith("# config: ")
+    assert not lines[1].startswith("#")
+    assert lines[1] in ("metric,value,degenerate,m", "position,name,score")
+    assert '="A\\nX" ' in lines[0]
+
+
+def test_config_line_writes_line_breaks_as_json_literals():
+    breaks = {ch for ch in map(chr, range(0x110000)) if len(f"a{ch}b".splitlines()) > 1}
+    assert breaks == cli._LINE_BREAKS
+    for ch in breaks:
+        line = cli._config_line({"x": f"a{ch}b"})
+        assert line.splitlines() == [line[:-1]]
+        assert json.loads(line[len("# config: x=") : -1]) == f"a{ch}b"
+    plain = {"a": 'q"u o\tt,e', "b": "", "c": False, "d": 3, "e": "A\\nX"}
+    assert cli._config_line(plain) == '# config: a=q"u o\tt,e b= c=False d=3 e=A\\nX\n'
+
+
+def test_duplicate_column_name_is_named(capsys, tmp_path):
+    path = write_csv(tmp_path, "dup.csv", "x,y,z,y,x\n1,2,3,4,5\n2,3,4,5,6\n")
+    code, out, err = run_cli(capsys, "matrix", path)
+    assert code == 2 and out == ""
+    assert "unique" in err and "'y'" in err and "'x'" not in err

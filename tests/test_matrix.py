@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,43 @@ def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, cell
     # max_iota_sq and the profile come from M = iota(X_i, X_j) and
     # N = iota(-X_i, X_j): 2 n^2 kernel cells, not one per orientation (4 n^2).
     assert cells["count"] == cells_per_n2 * ds.n * ds.n
+
+
+class _SerialPool:
+    """A ThreadPoolExecutor stand-in that records its size and runs each task in turn."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, function, items):
+        return [function(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_threads_are_capped_at_the_available_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(minrel.matrix, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    ds = _dataset(seed=5, m=30, n=8)
+    serial = pairwise_matrix(ds, "max_iota_sq", workers=1)
+    for workers in (2, 5000):
+        many = pairwise_matrix(ds, "max_iota_sq", workers=workers)
+        assert many.values.tobytes() == serial.values.tobytes()
+        assert many.degenerate.tobytes() == serial.degenerate.tobytes()
+    expected = [] if cpus == 1 else [min(2, cpus), cpus]
+    assert _SerialPool.sizes == expected
+
+
+def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    assert 1 <= minrel.matrix._available_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert minrel.matrix._available_cpus() == 1
