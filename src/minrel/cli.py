@@ -324,7 +324,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     ordered = list(enumerate(ranking.ordered, start=1))
     scalars = {}
     if args.relevant:
-        relevant = [name.strip() for name in args.relevant.split(",") if name.strip()]
+        try:  # one CSV record, quoted like the header, so a name may hold a comma
+            fields = next(csv.reader([args.relevant]))
+        except csv.Error:  # an unquoted line break ends a CSV record; read it as text
+            fields = args.relevant.split(",")
+        relevant = [name.strip() for name in fields if name.strip()]
         scalars["avg_position"] = average_position(ranking, relevant).avg_position
     config = _dataset_config(
         args, dataset, target=args.target, criterion=args.criterion, relevant=args.relevant or ""
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument(
         "--relevant",
         default=None,
-        help="comma-separated known-relevant columns; reports their average position",
+        help="comma-separated known-relevant columns, CSV-quoted; reports their average position",
     )
     p_rank.set_defaults(handler=_cmd_rank)
 

@@ -182,7 +182,7 @@ def _oriented(
     x: ColumnTransforms, y: ColumnTransforms, sign_x: int = 1, sign_y: int = 1
 ) -> CoefficientValue:
     """The coefficient of (sign_x * X, sign_y * Y) from cached transforms."""
-    x_dec = x.oriented(sign_x)[0]
+    x_dec = x.neg_dec if sign_x < 0 else x.dec
     y_dec, y_inc = y.oriented(sign_y)
     return _minrel_from_scores(x_dec, y_dec, y_inc)
 

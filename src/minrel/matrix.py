@@ -221,27 +221,28 @@ def _iota_map(x_dec: np.ndarray, dec: np.ndarray, inc: np.ndarray, workers: int)
     return _row_map(len(x_dec), n, make_row, workers)
 
 
-def _stacks(
-    cache: Sequence[ColumnTransforms], sign: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (decreasing, increasing) transforms of every sign * X_j as (n, m) arrays."""
-    dec, inc = zip(*(t.oriented(sign) for t in cache))
-    return np.stack(dec), np.stack(inc)
+def _stacks(cache: Sequence[ColumnTransforms]) -> tuple[np.ndarray, np.ndarray]:
+    """The (decreasing, increasing) transforms of every X_j as (n, m) arrays."""
+    return np.stack([t.dec for t in cache]), np.stack([t.inc for t in cache])
 
 
 def _two_maps(cache: Sequence[ColumnTransforms], workers: int) -> tuple[_Cells, _Cells]:
     """iota(X_i, X_j) and iota(-X_i, X_j), from one pass over 2n rows."""
     n = len(cache)
-    # Rows X_1..X_n, then -X_1..-X_n; the first n rows are also the columns.
-    x_dec = np.stack([t.dec for t in cache] + [t.neg_dec for t in cache])
+    # Rows X_1..X_n, then -X_1..-X_n (dec(-X) = -inc(X)); rows 1..n are the columns.
+    x_dec = np.empty((2 * n, cache[0].dec.size))
+    np.stack([t.dec for t in cache], out=x_dec[:n])
     inc = np.stack([t.inc for t in cache])
+    np.negative(inc, out=x_dec[n:])
     values, degenerate = _iota_map(x_dec, x_dec[:n], inc, workers)
     return (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
 
 
 def _max_sq(xy: np.ndarray, negx: np.ndarray) -> np.ndarray:
-    squares = [xy * xy, negx * negx]
-    return np.maximum.reduce(squares + [square.T for square in squares])
+    """The largest square of the four orientations, M, M.T, N and N.T."""
+    best = xy * xy
+    np.maximum(best, negx * negx, out=best)
+    return np.maximum(best, best.T)
 
 
 def _iota_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
@@ -250,8 +251,10 @@ def _iota_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
 
 
 def _iota2_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns.
-    neg_dec, neg_inc = _stacks(cache, -1)
+    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns,
+    # whose transforms are (-inc, -dec), negated in place.
+    dec, inc = _stacks(cache)
+    neg_dec, neg_inc = np.negative(inc, out=inc), np.negative(dec, out=dec)
     values, degenerate = _iota_map(neg_dec, neg_dec, neg_inc, workers)
     return values.T, degenerate.T
 

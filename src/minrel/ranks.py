@@ -115,15 +115,21 @@ class ColumnTransforms:
     are m + 1 - r(X), bit for bit, so they need no second sort. ``neg_dec``
     and ``neg_inc`` are the transforms of -X: flipping a column's sign swaps
     its two transforms and negates them (``neg_dec == -inc``,
-    ``neg_inc == -dec``).
+    ``neg_inc == -dec``); negation is exact, so they are not stored.
     """
 
     values: np.ndarray
     ranks: np.ndarray
     dec: np.ndarray
     inc: np.ndarray
-    neg_dec: np.ndarray
-    neg_inc: np.ndarray
+
+    @property
+    def neg_dec(self) -> np.ndarray:
+        return -self.inc
+
+    @property
+    def neg_inc(self) -> np.ndarray:
+        return -self.dec
 
     @cached_property
     def centred(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,9 +149,7 @@ def column_transforms(values: np.ndarray) -> ColumnTransforms:
     ranks = fractional_ranks(values)
     dec = decreasing_scores_from_ranks(ranks, m)
     inc = increasing_scores_from_ranks((m + 1) - ranks, m)
-    return ColumnTransforms(
-        values=values, ranks=ranks, dec=dec, inc=inc, neg_dec=-inc, neg_inc=-dec
-    )
+    return ColumnTransforms(values=values, ranks=ranks, dec=dec, inc=inc)
 
 
 def _unit_scaled(values: np.ndarray) -> np.ndarray:

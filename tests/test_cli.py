@@ -161,6 +161,31 @@ def test_rank_combined_family(capsys, tmp_path):
     assert "# avg_position:" in out
 
 
+@pytest.mark.parametrize(
+    "relevant, expected",
+    [
+        ('B,"Q, name"', ["B", "Q, name"]),
+        ('"Q, name"', ["Q, name"]),
+        ("B, T", ["B", "T"]),
+        ('"B\nX",T', ["B\nX", "T"]),
+        # An unquoted line break is not one CSV record; it is split on commas.
+        ("B\nX,T", ["B\nX", "T"]),
+    ],
+)
+def test_rank_relevant_takes_csv_quoting(capsys, tmp_path, relevant, expected):
+    path = write_csv(
+        tmp_path,
+        "q.csv",
+        'A,B,"Q, name","B\nX",T\n1,2,3,1,4\n2,1,5,4,3\n3,3,4,2,1\n4,5,1,3,2\n5,4,2,5,5\n',
+    )
+    code, out, err = run_cli(capsys, "rank", path, "--target", "A", "--relevant", relevant)
+    assert code == 0, err
+    payload = json.loads(out)
+    positions = {row["name"]: row["position"] for row in payload["ranking"]}
+    assert payload["avg_position"] == sum(positions[name] for name in expected) / len(expected)
+    assert payload["config"]["relevant"] == relevant
+
+
 def test_rank_validation_exits_2(capsys, linear_csv):
     code, _, err = run_cli(capsys, "rank", linear_csv, "--target", "nope")
     assert code == 2 and "nope" in err

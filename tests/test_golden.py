@@ -30,6 +30,12 @@ COMMANDS = {
     "experiment.csv": [
         "experiment", "table4", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
     ],
+    "experiment_table2.csv": [
+        "experiment", "table2", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
+    ],
+    "experiment_table3.csv": [
+        "experiment", "table3", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
+    ],
     "gen.csv": ["gen", "triangle", "--m", "5", "--seed", "3"],
 }
 
