@@ -1,7 +1,8 @@
 """Command-line front end: CSV in, coefficients / matrices / rankings out.
 
 CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
-ignored), first non-comment record is the header, records starting with
+ignored; a file that is not UTF-8 fails, naming its first bad byte's
+line), first non-comment record is the header, records starting with
 '#' (outside quotes) and blank or whitespace-only lines are skipped, quoted
 fields keep their line breaks (a '#' at the start of a continued line is
 data), decimal points only (no locale handling). Numbers are printed with
@@ -63,8 +64,19 @@ def _fmt(value: float) -> str:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise InvalidInputError(
+            f"input is not UTF-8: byte 0x{data[exc.start]:02x} on line {line}"
+        ) from None
+    if "\r" in text:  # universal newlines, as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -1,4 +1,4 @@
-"""Bivariate dependence coefficients.
+"""Bivariate dependence coefficients, each defined once.
 
 The centerpiece is the rank minrelation coefficient: an asymmetric score in
 [-1, 1] that is high when one variable consistently stays below the other
@@ -17,8 +17,21 @@ violations of X <= Y (points under the diagonal y = x). Points exactly on a
 diagonal contribute to neither sum. A zero denominator is reported as a
 degenerate zero, never an error.
 
-Raw (untransformed) variants of the trade-off plus Pearson and Spearman
-baselines live here as well. All functions are pure and thread-safe.
+Every metric, including the raw variants of the trade-off and the Pearson
+and Spearman baselines, is one :data:`METRIC_TABLE` entry
+``Metric(prepare, kernel, ranked)``:
+
+- ``prepare`` maps one column to a tuple of arrays. A ``ranked`` metric's
+  column is its :class:`ColumnTransforms` (one sort, shared by every
+  ranked metric); any other metric's column is its values, never sorted.
+- ``kernel(x, y)`` takes two prepared columns and returns ``(values,
+  degenerate)`` arrays. Either side may be a batch, each part stacked
+  with one row per column. Every reduction runs over the last axis, and a
+  row reduces the same alone as in a batch.
+
+A two-column call, a matrix cell (:mod:`minrel.matrix`) and a ranking
+score (:mod:`minrel.ranking`) are each one call of that kernel, so they
+agree bit for bit by construction. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -65,11 +78,14 @@ def _pair_values(x: ColumnLike, y: ColumnLike) -> tuple[np.ndarray, np.ndarray]:
     return xv, yv
 
 
-def _pair_transforms(
-    x: ColumnLike, y: ColumnLike
-) -> tuple[ColumnTransforms, ColumnTransforms]:
-    """Both columns' transforms; a column given as its transforms is not re-ranked."""
+def _pair_columns(x: ColumnLike, y: ColumnLike, ranked: bool) -> tuple:
+    """Both columns as a metric takes them: transforms when ``ranked``, else values.
+
+    A column given as its transforms is not re-ranked.
+    """
     xv, yv = _pair_values(x, y)
+    if not ranked:
+        return xv, yv
     return _transforms(x, xv), _transforms(y, yv)
 
 
@@ -79,68 +95,18 @@ def _transforms(column: ColumnLike, values: np.ndarray) -> ColumnTransforms:
     return column_transforms(values)
 
 
-def _p_leq(xv: np.ndarray, yv: np.ndarray) -> float:
-    return float(np.count_nonzero(xv <= yv)) / xv.size
-
-
-def _minrel_simple(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    return CoefficientValue(float(_concordance(xv, yv)))
-
-
-def _concordance(xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-    """(concordant - discordant) / m for x_i <= y_i; either side may be a batch."""
-    m = xv.shape[-1]
-    concordant = np.count_nonzero(xv <= yv, axis=-1)
-    return (2 * concordant - m) / m
-
-
-def _raw_indicator(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    above = np.count_nonzero(xv > -yv)
-    below = np.count_nonzero(xv > yv)
-    return _coefficient(*_tradeoff(above, below))
-
-
-def _raw_squared(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    return _minrel_from_scores(xv, yv, yv)
-
-
-def p_leq_hat(x: ColumnLike, y: ColumnLike) -> float:
-    """Fraction of sample points with x_i <= y_i."""
-    return _p_leq(*_pair_values(x, y))
-
-
-def minrel_simple(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """Concordant-minus-discordant count for x_i <= y_i, scaled to [-1, 1]."""
-    return _minrel_simple(*_pair_values(x, y))
-
-
-def iota_raw_indicator(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """Pure-count trade-off between violations of x <= -y and of x <= y.
-
-    Assumes the caller centered the inputs; no normalization is applied.
-    """
-    return _raw_indicator(*_pair_values(x, y))
-
-
-def iota_raw_squared(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """Squared-distance-weighted trade-off on raw (caller-centered) values."""
-    return _raw_squared(*_pair_values(x, y))
-
-
 def _masses(
-    x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray, out: np.ndarray | None = None
+    x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The trade-off's two masses, ``above`` and ``below``; see the module docstring.
 
-    Either side may be a batch with one row per column, and ``out`` (of
-    the batch's shape) is used as scratch when given. Each term is
+    Either side may be a batch with one row per column. Each term is
     max(x + y, 0)^2, which equals I(x > -y) * (x + y)^2 exactly: a rounded
     sum of two doubles is positive exactly when the true sum is. The sums
     run over the last axis, and a row's pairwise sum is the same whether it
-    is reduced alone or in a batch, so a matrix cell and a direct call agree
-    bit for bit.
+    is reduced alone or in a batch.
     """
-    s = np.add(x_dec, y_dec, out=out)
+    s = np.add(x_dec, y_dec)
     np.maximum(s, 0.0, out=s)
     s *= s
     above = s.sum(axis=-1)
@@ -166,52 +132,136 @@ def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
     return CoefficientValue(float(value), bool(degenerate))
 
 
-def _minrel_from_scores(
-    x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray
-) -> CoefficientValue:
-    """Core trade-off kernel on one column pair.
+def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The trade-off of X to Y: ``x`` starts with x~, ``y`` is (y~dec, y~inc)."""
+    return _tradeoff(*_masses(x[0], *y))
 
-    ``y_dec`` weighs agreement against the anti-diagonal, ``y_inc`` weighs
-    violations of the diagonal. Passing the same array for both reproduces
-    the raw squared form.
+
+def _orientations(x: tuple, y: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X), from the (dec, inc) of X and Y.
+
+    The decreasing transform of -X is -inc(X), exactly. The other four sign
+    combinations are these four negated, exactly.
     """
-    return _coefficient(*_tradeoff(*_masses(x_dec, y_dec, y_inc)))
+    neg_x, neg_y = (np.negative(x[1]),), (np.negative(y[1]),)
+    return [_iota(x, y), _iota(y, x), _iota(neg_x, y), _iota(neg_y, x)]
 
 
-def _oriented(
-    x: ColumnTransforms, y: ColumnTransforms, sign_x: int = 1, sign_y: int = 1
-) -> CoefficientValue:
-    """The coefficient of (sign_x * X, sign_y * Y) from cached transforms."""
-    x_dec = x.neg_dec if sign_x < 0 else x.dec
-    y_dec, y_inc = y.oriented(sign_y)
-    return _minrel_from_scores(x_dec, y_dec, y_inc)
+def _max_iota_sq(orientations) -> tuple[np.ndarray, np.ndarray]:
+    """The largest square of the orientations' values, and where every one is degenerate.
+
+    ``max`` is exact, so the order of the orientations does not matter.
+    """
+    values, flags = zip(*orientations)
+    best = np.square(values[0], out=np.empty(np.shape(values[0])))
+    for value in values[1:]:
+        np.maximum(best, np.square(value), out=best)
+    return best, np.logical_and.reduce(flags)
 
 
-def _iota2(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
-    # iota2(X, Y) == rank_minrelation(-Y, -X)
-    return _oriented(y, x, -1, -1)
+def _correlation(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of :func:`ranks.centred` columns and the mask of constant pairs.
 
-
-def _profile(x: ColumnTransforms, y: ColumnTransforms) -> MinrelProfile:
-    xy = _oriented(x, y)
-    yx = _oriented(y, x)
-    negx_y = _oriented(x, y, -1)
-    negy_x = _oriented(y, x, -1)
-    best = max(v.value * v.value for v in (xy, yx, negx_y, negy_x))
-    return MinrelProfile(xy, yx, negx_y, negy_x, best)
-
-
-def _max_iota_sq(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
-    # Degenerate only when every orientation is.
-    profile = _profile(x, y)
-    return CoefficientValue(
-        profile.max_iota_sq,
-        degenerate=all(v.degenerate for v in profile.oriented_values()),
+    Constant columns give a degenerate zero.
+    """
+    (cx, vx), (cy, vy) = x, y
+    scale = np.sqrt(vx * vy)
+    degenerate = scale == 0.0
+    value = np.divide(
+        dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=np.logical_not(degenerate)
     )
+    return np.minimum(np.maximum(value, -1.0), 1.0), degenerate
 
 
-def _spearman(x: ColumnTransforms, y: ColumnTransforms) -> CoefficientValue:
-    return _coefficient(*_correlation(*x.centred, *y.centred))
+def _never_degenerate(value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return value, np.zeros(np.shape(value), dtype=bool)
+
+
+def _p_leq(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    (xv,), (yv,) = x, y
+    return _never_degenerate(np.count_nonzero(xv <= yv, axis=-1) / xv.shape[-1])
+
+
+def _concordance(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(concordant - discordant) / m for x_i <= y_i."""
+    (xv,), (yv,) = x, y
+    m = xv.shape[-1]
+    return _never_degenerate((2 * np.count_nonzero(xv <= yv, axis=-1) - m) / m)
+
+
+def _raw_indicator(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    (xv,), (yv,) = x, y
+    return _tradeoff(np.count_nonzero(xv > -yv, axis=-1), np.count_nonzero(xv > yv, axis=-1))
+
+
+class Metric(NamedTuple):
+    """A metric as ``kernel(prepare(x), prepare(y))``; see the module docstring."""
+
+    prepare: Callable[..., tuple]
+    kernel: Callable[[tuple, tuple], tuple[np.ndarray, np.ndarray]]
+    ranked: bool
+
+
+def _values(values: np.ndarray) -> tuple[np.ndarray]:
+    return (values,)
+
+
+#: The one metric table: every metric identifier, in CLI order.
+METRIC_TABLE: dict[str, Metric] = {
+    "pearson": Metric(centred, _correlation, ranked=False),
+    "spearman": Metric(lambda t: t.centred, _correlation, ranked=True),
+    "iota": Metric(lambda t: t.oriented(1), _iota, ranked=True),
+    # iota2(X, Y) == iota(-Y, -X), on the transforms of -X.
+    "iota2": Metric(lambda t: t.oriented(-1), lambda x, y: _iota(y, x), ranked=True),
+    "max_iota_sq": Metric(
+        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(_orientations(x, y)), ranked=True
+    ),
+    "minrel_simple": Metric(_values, _concordance, ranked=False),
+    "p_leq_hat": Metric(_values, _p_leq, ranked=False),
+    "iota_raw_indicator": Metric(_values, _raw_indicator, ranked=False),
+    # The raw values stand in for both transforms.
+    "iota_raw_squared": Metric(lambda values: (values, values), _iota, ranked=False),
+}
+
+#: Metric identifiers usable with :func:`evaluate_metric` and the CLI.
+METRICS = tuple(METRIC_TABLE)
+
+
+def _pair(metric: str, x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """A metric of one column pair: one call of its kernel."""
+    prepare, kernel, ranked = METRIC_TABLE[metric]
+    x, y = _pair_columns(x, y, ranked)
+    return _coefficient(*kernel(prepare(x), prepare(y)))
+
+
+def evaluate_metric(x: ColumnLike, y: ColumnLike, metric: str) -> CoefficientValue:
+    """Apply a metric identifier from :data:`METRICS` to a column pair."""
+    if metric not in METRIC_TABLE:
+        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    return _pair(metric, x, y)
+
+
+def p_leq_hat(x: ColumnLike, y: ColumnLike) -> float:
+    """Fraction of sample points with x_i <= y_i."""
+    return _pair("p_leq_hat", x, y).value
+
+
+def minrel_simple(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """Concordant-minus-discordant count for x_i <= y_i, scaled to [-1, 1]."""
+    return _pair("minrel_simple", x, y)
+
+
+def iota_raw_indicator(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """Pure-count trade-off between violations of x <= -y and of x <= y.
+
+    Assumes the caller centered the inputs; no normalization is applied.
+    """
+    return _pair("iota_raw_indicator", x, y)
+
+
+def iota_raw_squared(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    """Squared-distance-weighted trade-off on raw (caller-centered) values."""
+    return _pair("iota_raw_squared", x, y)
 
 
 def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
@@ -222,7 +272,7 @@ def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     -Y; near 0 for independent columns. Constant columns are legal (all-tied
     ranks) and flagged degenerate only if both trade-off masses vanish.
     """
-    return _oriented(*_pair_transforms(x, y))
+    return _pair("iota", x, y)
 
 
 def _require_sign(sign: int, name: str) -> int:
@@ -241,7 +291,8 @@ def iota_oriented(
     """
     sx = _require_sign(sign_x, "sign_x")
     sy = _require_sign(sign_y, "sign_y")
-    return _oriented(*_pair_transforms(x, y), sx, sy)
+    tx, ty = _pair_columns(x, y, ranked=True)
+    return _coefficient(*_iota(tx.oriented(sx), ty.oriented(sy)))
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
@@ -250,12 +301,15 @@ def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     Computed through its exact identity with the main coefficient:
     iota2(X, Y) == rank_minrelation(-Y, -X).
     """
-    return _iota2(*_pair_transforms(x, y))
+    return _pair("iota2", x, y)
 
 
 def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
     """All four tabulated orientations plus their maximal square."""
-    return _profile(*_pair_transforms(x, y))
+    tx, ty = _pair_columns(x, y, ranked=True)
+    values = [_coefficient(*o) for o in _orientations(tx.oriented(1), ty.oriented(1))]
+    # The largest square, from the four floats: numpy calls on 0-d arrays cost more.
+    return MinrelProfile(*values, max(v.value * v.value for v in values))
 
 
 def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:
@@ -265,71 +319,14 @@ def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:
     remaining sign combinations are redundant by exact negation symmetry.
     Symmetric in its arguments.
     """
-    return minrel_profile(x, y).max_iota_sq
-
-
-def _correlation(
-    cx: np.ndarray, vx: np.ndarray, cy: np.ndarray, vy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation of centred columns and the mask of constant pairs.
-
-    Either side may be a batch of :func:`ranks.centred` columns, one per
-    row. Constant columns give a degenerate zero.
-    """
-    scale = np.sqrt(vx * vy)
-    degenerate = scale == 0.0
-    value = np.divide(
-        dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=np.logical_not(degenerate)
-    )
-    return np.minimum(np.maximum(value, -1.0), 1.0), degenerate
-
-
-def _pearson_kernel(xv: np.ndarray, yv: np.ndarray) -> CoefficientValue:
-    return _coefficient(*_correlation(*centred(xv), *centred(yv)))
+    return _pair("max_iota_sq", x, y).value
 
 
 def pearson(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Product-moment correlation; constant columns yield a degenerate zero."""
-    return _pearson_kernel(*_pair_values(x, y))
+    return _pair("pearson", x, y)
 
 
 def spearman(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Rank correlation: Pearson applied to tie-averaged fractional ranks."""
-    return _spearman(*_pair_transforms(x, y))
-
-
-class Metric(NamedTuple):
-    """A metric as a function of two prepared columns.
-
-    A ``ranked`` metric's pair function takes both columns'
-    :class:`ColumnTransforms`; the others take the raw value arrays and
-    never sort.
-    """
-
-    pair: Callable[..., CoefficientValue]
-    ranked: bool
-
-
-#: The one metric table: every metric identifier, in CLI order.
-METRIC_TABLE: dict[str, Metric] = {
-    "pearson": Metric(_pearson_kernel, ranked=False),
-    "spearman": Metric(_spearman, ranked=True),
-    "iota": Metric(_oriented, ranked=True),
-    "iota2": Metric(_iota2, ranked=True),
-    "max_iota_sq": Metric(_max_iota_sq, ranked=True),
-    "minrel_simple": Metric(_minrel_simple, ranked=False),
-    "p_leq_hat": Metric(lambda xv, yv: CoefficientValue(_p_leq(xv, yv)), ranked=False),
-    "iota_raw_indicator": Metric(_raw_indicator, ranked=False),
-    "iota_raw_squared": Metric(_raw_squared, ranked=False),
-}
-
-#: Metric identifiers usable with :func:`evaluate_metric` and the CLI.
-METRICS = tuple(METRIC_TABLE)
-
-
-def evaluate_metric(x: ColumnLike, y: ColumnLike, metric: str) -> CoefficientValue:
-    """Apply a metric identifier from :data:`METRICS` to a column pair."""
-    if metric not in METRIC_TABLE:
-        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    pair, ranked = METRIC_TABLE[metric]
-    return pair(*(_pair_transforms(x, y) if ranked else _pair_values(x, y)))
+    return _pair("spearman", x, y)

@@ -26,7 +26,7 @@ import numpy as np
 from .coeff import minrel_profile, spearman
 from .errors import InvalidInputError
 from .matrix import ColumnTransforms, transform_cache
-from .synth import GeneratedDataset, gen_combined, gen_linear, gen_multiplication
+from .synth import GeneratedDataset, _require_seed, gen_combined, gen_linear, gen_multiplication
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,7 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
         raise InvalidInputError(f"reps must be >= 1, got {reps}")
     if m < 2:
         raise InvalidInputError(f"m must be >= 2, got {m}")
+    _require_seed(seed)
     table = TABLES[name]
     values: dict[str, list[float]] = {}
     for rep in range(reps):

@@ -1,20 +1,24 @@
 """Pairwise coefficient matrices over whole datasets.
 
-Each column is ranked and transformed exactly once (one sort per column;
-the negated order's ranks are derived from it), and the transforms are
-stacked into (n, m) arrays. The n x n pass then runs one vectorised call
-per matrix row over every column, with the same kernels the two-column
-functions use (:func:`coeff._masses`, :func:`coeff._correlation`), so a
-matrix cell equals the direct call bit for bit. Each cell is reduced on
-its own (no matrix products), and each row is written into pre-sized
-storage, so results are bit-identical for any worker count. The kernels'
-large array operations release the interpreter lock, so ``workers``
-threads (at most one per available CPU), each taking a contiguous block
-of rows, run in parallel.
+Each column is prepared once with its metric's ``prepare`` (see
+:mod:`minrel.coeff`; a ranked metric's columns are ranked and transformed
+once by :func:`transform_cache`, one sort each), and the prepared parts are
+stacked into (n, ...) arrays. One function, :func:`_kernel_map`, fills the
+n x n map with one call of the metric's ``kernel`` per matrix row per block
+of columns: the kernel a two-column call runs, so a matrix cell equals the
+direct call bit for bit by construction. Each cell is reduced on its own
+(no matrix products), and each row is written into pre-sized storage, so
+results are bit-identical for any worker count. The kernels' large array
+operations release the interpreter lock, so ``workers`` threads (at most
+one per available CPU), each taking a contiguous block of rows, run in
+parallel.
 
-The four-orientation maps need only two passes: M[i, j] = iota(X_i, X_j)
-and N[i, j] = iota(-X_i, X_j). The other two orientations are their
-transposes, iota(X_j, X_i) = M[j, i] and iota(-X_j, X_i) = N[j, i].
+The one selection by metric is ``max_iota_sq`` (and
+:func:`minrel_profile_matrix`). Its four orientations need only two maps,
+M[i, j] = iota(X_i, X_j) and N[i, j] = iota(-X_i, X_j), from one pass over
+2n rows; the other two orientations are their transposes,
+iota(X_j, X_i) = M[j, i] and iota(-X_j, X_i) = N[j, i]. That is 2 n^2
+kernel cells where the metric's own kernel, cell by cell, would take 4 n^2.
 """
 
 from __future__ import annotations
@@ -26,17 +30,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coeff import (
-    METRIC_TABLE,
-    CoefficientValue,
-    MinrelProfile,
-    _concordance,
-    _correlation,
-    _masses,
-    _tradeoff,
-)
+from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _iota, _max_iota_sq
 from .errors import InvalidInputError
-from .ranks import ColumnTransforms, centred, column_transforms
+from .ranks import ColumnTransforms, column_transforms
 
 
 @dataclass(frozen=True)
@@ -152,7 +148,7 @@ def _require_workers(workers: int) -> None:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
 
 
-#: Scratch per worker for one block of columns' (x + y) terms, in bytes.
+#: The size of one kernel call's (columns, m) temporaries, in bytes.
 _SCRATCH_BYTES = 1 << 21
 
 #: The values of an (n_rows, n) map and its degenerate flags.
@@ -167,147 +163,57 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _row_map(
-    n_rows: int, n: int, make_row: Callable[[], Callable[[int], _Cells]], workers: int
-) -> _Cells:
-    """Build a map one row at a time, one contiguous block of rows per worker.
+def _kernel_map(kernel: Callable, rows: tuple, cols: tuple, workers: int) -> _Cells:
+    """Cell [r, j] is ``kernel(row r, column j)``, one kernel call per row per column block.
 
-    ``make_row()`` is called once per worker and returns that worker's row
-    function, which owns any scratch it needs. At most one thread per
-    available CPU runs: more would only add scratch, not speed.
+    ``rows`` and ``cols`` are stacked prepared columns: tuples of arrays
+    whose first axis indexes the column. Columns are taken in blocks that
+    keep a call's temporaries at a few MB. Each worker takes one
+    contiguous block of rows; at most one thread per available CPU runs:
+    more would only add temporaries, not speed.
     """
+    n_rows = len(rows[0])
+    n, m = cols[0].shape
+    width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
     values = np.empty((n_rows, n))
     degenerate = np.empty((n_rows, n), dtype=bool)
 
-    def run_block(rows: Iterable[int]) -> None:
-        row = make_row()
-        for i in rows:
-            values[i], degenerate[i] = row(i)
+    def run_rows(indices: Iterable[int]) -> None:
+        for r in indices:
+            x = tuple(part[r] for part in rows)
+            for j in range(0, n, width):
+                cells = slice(j, j + width)
+                y = tuple(part[cells] for part in cols)
+                values[r, cells], degenerate[r, cells] = kernel(x, y)
 
     threads = min(workers, _available_cpus())
-    blocks = [rows for rows in np.array_split(np.arange(n_rows), threads) if rows.size]
+    blocks = [block for block in np.array_split(np.arange(n_rows), threads) if block.size]
     if len(blocks) <= 1:
-        run_block(range(n_rows))
+        run_rows(range(n_rows))
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(run_rows, blocks))
     return values, degenerate
 
 
-def _iota_map(x_dec: np.ndarray, dec: np.ndarray, inc: np.ndarray, workers: int) -> _Cells:
-    """The coefficient of each row of ``x_dec`` to each stacked column.
+def _orientation_maps(cache: Sequence[ColumnTransforms], workers: int) -> list[_Cells]:
+    """The maps of iota(X_i, X_j), iota(X_j, X_i), iota(-X_i, X_j) and iota(-X_j, X_i).
 
-    Cell [r, j] is iota of the column whose decreasing transform is
-    x_dec[r] to column j of the (n, m) transforms ``dec``/``inc``. Columns
-    are taken in blocks that keep each worker's scratch at a few MB.
+    They are M, M.T, N and N.T, from one pass over 2n rows.
     """
-    n, m = dec.shape
-    block = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
-
-    def make_row() -> Callable[[int], _Cells]:
-        scratch = np.empty((block, m))
-        above = np.empty(n)
-        below = np.empty(n)
-
-        def row(r: int) -> _Cells:
-            for j in range(0, n, block):
-                cols = slice(j, min(j + block, n))
-                out = scratch[: cols.stop - j]
-                above[cols], below[cols] = _masses(x_dec[r], dec[cols], inc[cols], out)
-            return _tradeoff(above, below)
-
-        return row
-
-    return _row_map(len(x_dec), n, make_row, workers)
-
-
-def _stacks(cache: Sequence[ColumnTransforms]) -> tuple[np.ndarray, np.ndarray]:
-    """The (decreasing, increasing) transforms of every X_j as (n, m) arrays."""
-    return np.stack([t.dec for t in cache]), np.stack([t.inc for t in cache])
-
-
-def _two_maps(cache: Sequence[ColumnTransforms], workers: int) -> tuple[_Cells, _Cells]:
-    """iota(X_i, X_j) and iota(-X_i, X_j), from one pass over 2n rows."""
     n = len(cache)
     # Rows X_1..X_n, then -X_1..-X_n (dec(-X) = -inc(X)); rows 1..n are the columns.
     x_dec = np.empty((2 * n, cache[0].dec.size))
     np.stack([t.dec for t in cache], out=x_dec[:n])
     inc = np.stack([t.inc for t in cache])
     np.negative(inc, out=x_dec[n:])
-    values, degenerate = _iota_map(x_dec, x_dec[:n], inc, workers)
-    return (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
+    values, degenerate = _kernel_map(_iota, (x_dec,), (x_dec[:n], inc), workers)
+    xy, negx = (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
+    return [xy, (xy[0].T, xy[1].T), negx, (negx[0].T, negx[1].T)]
 
-
-def _max_sq(xy: np.ndarray, negx: np.ndarray) -> np.ndarray:
-    """The largest square of the four orientations, M, M.T, N and N.T."""
-    best = xy * xy
-    np.maximum(best, negx * negx, out=best)
-    return np.maximum(best, best.T)
-
-
-def _iota_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    dec, inc = _stacks(cache)
-    return _iota_map(dec, dec, inc, workers)
-
-
-def _iota2_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    # iota2(X_i, X_j) = iota(-X_j, -X_i): row j against the negated columns,
-    # whose transforms are (-inc, -dec), negated in place.
-    dec, inc = _stacks(cache)
-    neg_dec, neg_inc = np.negative(inc, out=inc), np.negative(dec, out=dec)
-    values, degenerate = _iota_map(neg_dec, neg_dec, neg_inc, workers)
-    return values.T, degenerate.T
-
-
-def _max_iota_sq_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    (xy, xy_degenerate), (negx, negx_degenerate) = _two_maps(cache, workers)
-    # Degenerate only when every orientation is.
-    degenerate = xy_degenerate & xy_degenerate.T & negx_degenerate & negx_degenerate.T
-    return _max_sq(xy, negx), degenerate
-
-
-def _correlation_matrix(columns: Sequence[tuple[np.ndarray, np.ndarray]], workers: int) -> _Cells:
-    """Correlations of :func:`ranks.centred` columns."""
-    c = np.stack([column for column, _ in columns])
-    v = np.array([norm for _, norm in columns])
-
-    def row(i: int) -> _Cells:
-        return _correlation(c[i], v[i], c, v)
-
-    return _row_map(len(c), len(c), lambda: row, workers)
-
-
-def _pearson_matrix(values: np.ndarray, workers: int) -> _Cells:
-    return _correlation_matrix([centred(column) for column in values.T], workers)
-
-
-def _spearman_matrix(cache: Sequence[ColumnTransforms], workers: int) -> _Cells:
-    return _correlation_matrix([t.centred for t in cache], workers)
-
-
-def _minrel_simple_matrix(values: np.ndarray, workers: int) -> _Cells:
-    columns = np.ascontiguousarray(values.T)
-    never = np.zeros(len(columns), dtype=bool)
-
-    def row(i: int) -> _Cells:
-        return _concordance(columns[i], columns), never
-
-    return _row_map(len(columns), len(columns), lambda: row, workers)
-
-
-#: Each metric's matrix builder. A ranked metric's builder takes the
-#: transform cache, the others the raw (m, n) values.
-_MATRIX_BUILDERS: dict[str, Callable[..., _Cells]] = {
-    "pearson": _pearson_matrix,
-    "spearman": _spearman_matrix,
-    "iota": _iota_matrix,
-    "iota2": _iota2_matrix,
-    "max_iota_sq": _max_iota_sq_matrix,
-    "minrel_simple": _minrel_simple_matrix,
-}
 
 #: Metrics accepted by :func:`pairwise_matrix`.
-MATRIX_METRICS = tuple(_MATRIX_BUILDERS)
+MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel_simple")
 
 #: Metrics whose matrices are symmetric by construction.
 SYMMETRIC_METRICS = frozenset({"pearson", "spearman", "max_iota_sq"})
@@ -334,13 +240,15 @@ def pairwise_matrix(
     if metric not in MATRIX_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
     _require_workers(workers)
-    if not METRIC_TABLE[metric].ranked:
-        source = dataset.values
-    elif cache is None:
-        source = transform_cache(dataset)
+    prepare, kernel, ranked = METRIC_TABLE[metric]
+    if ranked and cache is None:
+        cache = transform_cache(dataset)
+    if metric == "max_iota_sq":
+        values, degenerate = _max_iota_sq(_orientation_maps(cache, workers))
     else:
-        source = cache
-    values, degenerate = _MATRIX_BUILDERS[metric](source, workers)
+        columns = cache if ranked else dataset.values.T
+        stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
+        values, degenerate = _kernel_map(kernel, stacks, stacks, workers)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
@@ -356,14 +264,15 @@ def minrel_profile_matrix(
     _require_workers(workers)
     if cache is None:
         cache = transform_cache(dataset)
-    (xy, xy_degenerate), (negx, negx_degenerate) = _two_maps(cache, workers)
-    flags = [xy_degenerate, xy_degenerate.T, negx_degenerate, negx_degenerate.T]
+    orientations = _orientation_maps(cache, workers)
+    (xy, _), (yx, _), (negx_y, _), (negy_x, _) = orientations
+    best, _ = _max_iota_sq(orientations)
     return ProfileMatrix(
         names=dataset.names,
         iota_xy=_frozen(xy),
-        iota_yx=_frozen(xy.T),
-        iota_negx_y=_frozen(negx),
-        iota_negy_x=_frozen(negx.T),
-        max_iota_sq=_frozen(_max_sq(xy, negx)),
-        degenerate=_frozen(np.stack(flags, axis=-1)),
+        iota_yx=_frozen(yx),
+        iota_negx_y=_frozen(negx_y),
+        iota_negy_x=_frozen(negy_x),
+        max_iota_sq=_frozen(best),
+        degenerate=_frozen(np.stack([flags for _, flags in orientations], axis=-1)),
     )

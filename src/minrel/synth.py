@@ -43,6 +43,12 @@ def _require_m(m: int) -> int:
     return int(m)
 
 
+def _require_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def gen_multiplication(m: int, seed: int) -> GeneratedDataset:
     """A = B * C with B, C independent U(0, 1).
 
@@ -50,6 +56,7 @@ def gen_multiplication(m: int, seed: int) -> GeneratedDataset:
     produce a strong one-directional dependence. Draw order: B, then C.
     """
     m = _require_m(m)
+    seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     b = rng.random(m)
     c = rng.random(m)
@@ -63,6 +70,7 @@ def gen_linear(m: int, seed: int) -> GeneratedDataset:
     Draw order: B, C, D.
     """
     m = _require_m(m)
+    seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(m)
     c = rng.standard_normal(m)
@@ -78,6 +86,7 @@ def gen_combined(m: int, seed: int) -> GeneratedDataset:
     B, C, D, then E.
     """
     m = _require_m(m)
+    seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     b = rng.random(m)
     c = rng.random(m)
@@ -99,6 +108,7 @@ def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
     Draw order: the min/max source pair.
     """
     m = _require_m(m)
+    seed = _require_seed(seed)
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     v = rng.random(m)
@@ -134,6 +144,7 @@ def gen_relevance_suite_dataset(
     noise N1, N2. The factor and noise columns are drawn in column order.
     """
     m = _require_m(m)
+    seed = _require_seed(seed)
     if not factor_counts or any(k < 1 for k in factor_counts):
         raise InvalidInputError("factor_counts must be positive integers")
     rng = np.random.default_rng(seed)

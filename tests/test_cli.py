@@ -1,17 +1,21 @@
 import csv
 import io
 import json
+import struct
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from minrel import cli
+from minrel import cli, evaluate_metric, max_iota_sq, rank_minrelation, spearman
 from minrel.cli import main, read_dataset
+from minrel.coeff import METRICS
 from minrel.errors import InvalidInputError
+from minrel.matrix import MATRIX_METRICS
+from minrel.ranking import CRITERIA
 
 
 def run_cli(capsys, *argv):
@@ -463,3 +467,133 @@ def test_duplicate_column_name_is_named(capsys, tmp_path):
     code, out, err = run_cli(capsys, "matrix", path)
     assert code == 2 and out == ""
     assert "unique" in err and "'y'" in err and "'x'" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "triangle", "--m", "5", "--seed", "-1"),
+        ("experiment", "table2", "--reps", "2", "--m", "10", "--seed", "-1"),
+    ],
+    ids=["gen", "experiment"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "seed must be an integer >= 0, got -1" in err
+
+
+def test_input_that_is_not_utf8_exits_2_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"A,B\n1,2\n3,\xe94\n5,6\n")
+    for command in (("coeff",), ("matrix",), ("rank", "--target", "A")):
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2 and out == ""
+        assert "input is not UTF-8: byte 0xe9 on line 3" in err
+    # Lines are counted in the whole file, past a decoder's first chunk, at
+    # every line ending a text-mode read accepts.
+    path.write_bytes(b"A,B\r\n" + b"1,2\r\n" * 3000 + b"3,4\r5,\xff\n")
+    code, _, err = run_cli(capsys, "coeff", str(path))
+    assert code == 2 and "byte 0xff on line 3003" in err
+
+
+def test_file_input_decodes_as_text_mode_does(tmp_path):
+    path = tmp_path / "endings.csv"
+    path.write_bytes('\ufeffA,"B\r\nx\u00e9"\r\n1,2\r3,4\n5,6\r\n'.encode())
+    dataset = read_dataset(str(path), "error")
+    assert dataset.names == ("A", "B\nx\u00e9")
+    assert dataset.values.tolist() == [[1, 2], [3, 4], [5, 6]]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _criterion_score(criterion, candidate, target):
+    """Each criterion's definition, from the public two-column calls."""
+    if criterion == "max_iota_sq":
+        return max_iota_sq(candidate, target)
+    if criterion == "rho2":
+        value = spearman(candidate, target).value
+    else:
+        value = rank_minrelation(target, candidate).value
+    return value * value
+
+
+@st.composite
+def tied_datasets(draw):
+    """A small tie-heavy CSV with awkward names and some rows to drop, and its counts."""
+    names = draw(
+        st.lists(
+            st.sampled_from(["A", "b,c", 'd"e', '"f"', 'g, "h"', "i j"]),
+            min_size=2, max_size=4, unique=True,
+        )
+    )
+    cells = st.sampled_from(["-2", "-1", "-0.5", "-0.0", "0", "0.5", "1", "2", "1e-300", "3.25"])
+    row_cells = st.lists(cells, min_size=len(names), max_size=len(names))
+    rows = draw(st.lists(row_cells, min_size=2, max_size=8))
+    kept = len(rows)
+    dropped = draw(st.integers(0, 2))
+    for _ in range(dropped):
+        row = draw(row_cells)
+        row[draw(st.integers(0, len(names) - 1))] = "NA"
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([names] + rows)
+    return buffer.getvalue(), kept, dropped
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    tied_datasets(),
+    st.sampled_from(METRICS),
+    st.sampled_from(MATRIX_METRICS),
+    st.sampled_from(CRITERIA),
+    st.data(),
+)
+def test_cli_output_equals_the_direct_calls(
+    tmp_path, dataset_csv, metric, matrix_metric, criterion, data
+):
+    text, m, dropped = dataset_csv
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    dataset = read_dataset(str(path), "drop-rows")
+    names = dataset.names
+    x, y = (data.draw(st.sampled_from(names)) for _ in range(2))
+    target = data.draw(st.sampled_from(names))
+
+    def run(*argv):
+        out = tmp_path / "out.json"
+        command, *options = argv
+        assert main([command, str(path), *options, "--na", "drop-rows", "--output", str(out)]) == 0
+        written = out.read_bytes()
+        payload = json.loads(written)
+        counts = [payload["config"][key] for key in ("m", "rows_read", "rows_dropped")]
+        assert counts == [m, m + dropped, dropped]
+        return payload, written
+
+    payload, _ = run("coeff", "--x", x, "--y", y, "--metric", metric)
+    direct = evaluate_metric(dataset.column(x), dataset.column(y), metric)
+    assert _bits(payload["value"]) == _bits(direct.value)
+    assert payload["degenerate"] == direct.degenerate and payload["m"] == m
+
+    payload, serial = run("matrix", "--metric", matrix_metric, "--workers", "1")
+    assert run("matrix", "--metric", matrix_metric, "--workers", "2")[1] == serial
+    for a in names:
+        for b in names:
+            direct = evaluate_metric(dataset.column(a), dataset.column(b), matrix_metric)
+            assert _bits(payload["values"][a][b]) == _bits(direct.value)
+            assert payload["degenerate"][a][b] == direct.degenerate
+
+    payload, _ = run("rank", "--target", target, "--criterion", criterion)
+    scores = {
+        name: _criterion_score(criterion, dataset.column(name), dataset.column(target))
+        for name in names
+        if name != target
+    }
+    expected = sorted(scores, key=lambda name: (-scores[name], names.index(name)))
+    assert [entry["name"] for entry in payload["ranking"]] == expected
+    for entry in payload["ranking"]:
+        assert _bits(entry["score"]) == _bits(scores[entry["name"]])

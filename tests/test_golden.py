@@ -4,7 +4,8 @@ The files in ``data/golden`` were written by the command lines below from
 ``data/golden/input.csv``, run from that directory, so the recorded input
 path is ``input.csv``. Seven data rows keep every sum a plain sequential
 loop. The JSON files hold no Pearson/Spearman values: those go through a
-BLAS dot product, whose last bits may differ between CPUs.
+BLAS dot product, whose last bits may differ between CPUs; their CSV
+files print 12 significant digits, which hides those bits.
 """
 
 import os
@@ -37,6 +38,22 @@ COMMANDS = {
         "experiment", "table3", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
     ],
     "gen.csv": ["gen", "triangle", "--m", "5", "--seed", "3"],
+    **{
+        f"matrix_{metric}.csv": ["matrix", "input.csv", "--metric", metric, "--format", "csv"]
+        for metric in ("iota2", "minrel_simple", "pearson", "spearman")
+    },
+    **{
+        f"rank_{criterion}.csv": [
+            "rank", "input.csv", "--target", "A", "--criterion", criterion, "--format", "csv",
+        ]
+        for criterion in ("rho2", "iota_sq")
+    },
+    **{
+        f"coeff_{metric}.csv": ["coeff", "input.csv", "--metric", metric, "--format", "csv"]
+        for metric in (
+            "max_iota_sq", "iota2", "p_leq_hat", "iota_raw_indicator", "iota_raw_squared",
+        )
+    },
 }
 
 

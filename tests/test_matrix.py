@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import minrel.coeff
 import minrel.matrix
 import minrel.ranks
 from minrel import (
@@ -272,13 +273,14 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
 def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, cells_per_n2):
     ds = _dataset(seed=31, m=40, n=5)
     cells = {"count": 0}
-    original = minrel.matrix._masses
+    original = minrel.coeff._masses
 
-    def counting(x_dec, y_dec, y_inc, out=None):
-        cells["count"] += np.shape(y_dec)[0]
-        return original(x_dec, y_dec, y_inc, out)
+    def counting(x_dec, y_dec, y_inc):
+        # iota2's batch is on the x side.
+        cells["count"] += np.broadcast_shapes(np.shape(x_dec), np.shape(y_dec))[0]
+        return original(x_dec, y_dec, y_inc)
 
-    monkeypatch.setattr(minrel.matrix, "_masses", counting)
+    monkeypatch.setattr(minrel.coeff, "_masses", counting)
     build(ds)
     # max_iota_sq and the profile come from M = iota(X_i, X_j) and
     # N = iota(-X_i, X_j): 2 n^2 kernel cells, not one per orientation (4 n^2).

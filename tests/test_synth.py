@@ -31,6 +31,12 @@ def test_generators_reject_tiny_m(generator):
         generator(1, seed=0)
 
 
+@pytest.mark.parametrize("generator", ALL_GENERATORS + (gen_relevance_suite_dataset,))
+def test_generators_reject_a_negative_seed(generator):
+    with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
+        generator(10, seed=-1)
+
+
 def test_multiplication_structure():
     generated = gen_multiplication(500, seed=1)
     ds = generated.dataset
