@@ -62,10 +62,12 @@ def _fmt(value: float) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The input's bytes decoded as UTF-8, with universal newlines; '-' is stdin."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb") as handle:
-        data = handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -305,11 +305,15 @@ def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
 
 
 def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
-    """All four tabulated orientations plus their maximal square."""
+    """All four tabulated orientations plus their maximal square.
+
+    The square is :func:`_max_iota_sq` of the same orientations, as in the
+    ``max_iota_sq`` kernel and matrix, so it equals :func:`max_iota_sq`.
+    """
     tx, ty = _pair_columns(x, y, ranked=True)
-    values = [_coefficient(*o) for o in _orientations(tx.oriented(1), ty.oriented(1))]
-    # The largest square, from the four floats: numpy calls on 0-d arrays cost more.
-    return MinrelProfile(*values, max(v.value * v.value for v in values))
+    orientations = _orientations(tx.oriented(1), ty.oriented(1))
+    best, _ = _max_iota_sq(orientations)
+    return MinrelProfile(*(_coefficient(*o) for o in orientations), float(best))
 
 
 def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:

@@ -5,15 +5,15 @@ repetition's dataset; each row ``(x, y, references, tolerances)`` is a
 pair it scores, with one printed cell ``stat(x,y)`` per statistic in
 ``stats``, in output order; ``checks`` maps the per-label means to the
 ordering checks, the qualitative claims (which variable each criterion
-would rank first). Every pair yields rho, iota, iota_yx, iota_negx and
-iota_negy; a table prints the ones it names.
+would rank first). A statistic name is a :data:`STATS` key: the public
+direct call that gives it.
 
 :func:`run_experiment` runs any table. Repetition ``rep`` uses seed
 ``seed + rep`` and ranks each column once (:func:`transform_cache`). Each
-pair is scored by the public direct calls (:func:`coeff.spearman`,
-:func:`coeff.minrel_profile`) on the cached transforms, so every value is
-what a library user gets for that pair, not a parallel implementation.
-A cell reports the mean over repetitions and its standard error.
+pair is scored by the direct calls of the table's ``stats`` alone, on the
+cached transforms, so every value is what a library user gets for that
+pair and nothing unprinted is computed. A cell reports the mean over
+repetitions and its standard error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coeff import minrel_profile, spearman
+from .coeff import CoefficientValue, iota_oriented, rank_minrelation, spearman
 from .errors import InvalidInputError
 from .matrix import ColumnTransforms, transform_cache
 from .synth import GeneratedDataset, _require_seed, gen_combined, gen_linear, gen_multiplication
@@ -153,14 +153,16 @@ TABLES: dict[str, _Table] = {
 
 EXPERIMENTS = tuple(TABLES)
 
-
-def _pair_stats(x: ColumnTransforms, y: ColumnTransforms) -> dict[str, float]:
-    """The five statistics of one pair, by the names the labels use."""
-    rho = spearman(x, y)
-    p = minrel_profile(x, y)
-    values = (rho, p.iota_xy, p.iota_yx, p.iota_negx_y, p.iota_negy_x)
-    names = ("rho", "iota", "iota_yx", "iota_negx", "iota_negy")
-    return {name: value.value for name, value in zip(names, values)}
+#: Each statistic a table may print, by the name its labels use, as the
+#: public direct call that gives it. Called through this module's
+#: bindings, as the generators are.
+STATS: dict[str, Callable[[ColumnTransforms, ColumnTransforms], CoefficientValue]] = {
+    "rho": lambda x, y: spearman(x, y),
+    "iota": lambda x, y: rank_minrelation(x, y),
+    "iota_yx": lambda x, y: rank_minrelation(y, x),
+    "iota_negx": lambda x, y: iota_oriented(x, y, -1, 1),
+    "iota_negy": lambda x, y: iota_oriented(y, x, -1, 1),
+}
 
 
 def _stderr(values: list[float]) -> float:
@@ -184,7 +186,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
         dataset = table.generate(m, seed + rep).dataset
         columns = dict(zip(dataset.names, transform_cache(dataset)))
         for x, y, _, _ in table.rows:
-            for stat, value in _pair_stats(columns[x], columns[y]).items():
+            for stat in table.stats:
+                value = STATS[stat](columns[x], columns[y]).value
                 values.setdefault(f"{stat}({x},{y})", []).append(value)
     means = {label: float(np.mean(series)) for label, series in values.items()}
     cells = []

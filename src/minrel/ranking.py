@@ -30,6 +30,7 @@ import numpy as np
 from .coeff import METRIC_TABLE
 from .errors import InvalidInputError
 from .matrix import ColumnTransforms, Dataset, transform_cache
+from .synth import _require_seed
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
 #: score is the metric's kernel on (candidate, target), or on (target,
@@ -282,7 +283,7 @@ def split_half_cv_eval(
             f"need at least {2 * folds} rows for {folds}-fold split-half evaluation, got {dataset.m}"
         )
     target_index = dataset.index(target)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     shuffled = _canonical_row_order(dataset)[rng.permutation(dataset.m)]
     half = math.ceil(dataset.m / 2)
     ranking_rows, eval_rows = shuffled[:half], shuffled[half:]

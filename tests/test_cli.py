@@ -24,6 +24,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _stdin(text):
+    """A text stdin over the UTF-8 bytes of ``text``, with a ``buffer`` as sys.stdin has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def write_csv(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -273,7 +278,7 @@ def test_utf8_byte_order_mark_is_ignored(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "coeff", str(path), "--x", "A", "--y", "B")
     assert code == 0, err
     assert json.loads(out)["config"]["x"] == "A"
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffA,B\n1,2\n2,1\n3,3\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin("\ufeffA,B\n1,2\n2,1\n3,3\n"))
     code, out, err = run_cli(capsys, "matrix", "-", "--metric", "spearman")
     assert code == 0, err
     assert json.loads(out)["names"] == ["A", "B"]
@@ -397,7 +402,7 @@ def csv_texts(draw):
 
 def _read(text, na_policy):
     """read_dataset on ``text`` as stdin, as comparable bytes or the error message."""
-    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+    with mock.patch.object(sys, "stdin", _stdin(text)):
         try:
             dataset = read_dataset("-", na_policy)
         except InvalidInputError as exc:
@@ -495,6 +500,19 @@ def test_input_that_is_not_utf8_exits_2_naming_the_line(capsys, tmp_path):
     path.write_bytes(b"A,B\r\n" + b"1,2\r\n" * 3000 + b"3,4\r5,\xff\n")
     code, _, err = run_cli(capsys, "coeff", str(path))
     assert code == 2 and "byte 0xff on line 3003" in err
+
+
+def test_stdin_that_is_not_utf8_exits_2_naming_the_line(capsys, tmp_path, monkeypatch):
+    # Stdin bytes go through the file decoder: no garbled name on stdout and
+    # no encoding traceback when the output is a file.
+    output = tmp_path / "out.csv"
+    for extra in ((), ("--output", str(output))):
+        stdin = io.TextIOWrapper(io.BytesIO(b"A\xe9,B\n1,2\n2,1\n3,3\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, "matrix", "-", "--format", "csv", *extra)
+        assert code == 2 and out == ""
+        assert "input is not UTF-8: byte 0xe9 on line 1" in err
+    assert not output.exists()
 
 
 def test_file_input_decodes_as_text_mode_does(tmp_path):

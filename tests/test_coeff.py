@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -179,21 +181,28 @@ def test_diagonal_symmetry_at_large_m():
 
 
 def test_max_iota_sq_is_max_of_four_squared_orientations():
+    # Normal, tie-heavy and constant columns; a constant column makes every
+    # orientation a degenerate zero. Compared bit for bit.
     rng = np.random.default_rng(59)
+    draws = (
+        lambda m: rng.normal(size=m),
+        lambda m: rng.integers(0, 3, size=m).astype(float),
+        lambda m: np.full(m, 2.5),
+    )
     for _ in range(50):
         m = int(rng.integers(2, 60))
-        x = rng.normal(size=m)
-        y = rng.normal(size=m)
-        profile = minrel_profile(x, y)
-        oriented = (
-            rank_minrelation(x, y).value,
-            rank_minrelation(y, x).value,
-            iota_oriented(x, y, -1, 1).value,
-            iota_oriented(y, x, -1, 1).value,
-        )
-        assert profile.max_iota_sq == max(v * v for v in oriented)
-        assert max_iota_sq(x, y) == profile.max_iota_sq
-        assert max_iota_sq(y, x) == profile.max_iota_sq  # symmetric in its arguments
+        for x, y in ((draw_x(m), draw_y(m)) for draw_x in draws for draw_y in draws):
+            profile = minrel_profile(x, y)
+            oriented = (
+                rank_minrelation(x, y).value,
+                rank_minrelation(y, x).value,
+                iota_oriented(x, y, -1, 1).value,
+                iota_oriented(y, x, -1, 1).value,
+            )
+            expected = struct.pack("<d", max(v * v for v in oriented))
+            assert struct.pack("<d", profile.max_iota_sq) == expected
+            assert struct.pack("<d", max_iota_sq(x, y)) == expected
+            assert struct.pack("<d", max_iota_sq(y, x)) == expected  # symmetric
 
 
 def test_orientation_fingerprint_on_noisy_product_family():

@@ -1,9 +1,18 @@
+import struct
+
+import numpy as np
 import pytest
 
-import minrel.experiments
 import minrel.ranks
-from minrel import InvalidInputError, run_experiment
-from minrel.experiments import ExperimentCell, run_table2, run_table3, run_table4
+from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
+from minrel.experiments import (
+    STATS,
+    TABLES,
+    ExperimentCell,
+    run_table2,
+    run_table3,
+    run_table4,
+)
 
 
 def test_cell_pass_fail():
@@ -56,17 +65,40 @@ def test_experiments_rank_each_column_once_per_repetition(monkeypatch):
         assert calls["count"] == 2 * columns
 
 
-def test_experiments_go_through_the_direct_calls(monkeypatch):
-    # Every pair is scored by the public spearman and minrel_profile, so a
-    # wrapper of either sees each call.
-    calls = {"spearman": 0, "minrel_profile": 0}
-    for name in calls:
-        original = getattr(minrel.experiments, name)
+def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeypatch):
+    # Each printed statistic is one public direct call per pair and
+    # repetition, and nothing unprinted is computed: a wrapper of each STATS
+    # entry sees exactly reps x rows x len(stats) calls, and every mean is
+    # bitwise the mean of the direct calls on that repetition's columns.
+    reps, m, seed = 2, 30, 0
+    for name, table in TABLES.items():
+        calls = dict.fromkeys(STATS, 0)
+        for stat, original in STATS.items():
 
-        def counting(x, y, name=name, original=original):
-            calls[name] += 1
-            return original(x, y)
+            def counting(x, y, stat=stat, original=original):
+                calls[stat] += 1
+                return original(x, y)
 
-        monkeypatch.setattr(minrel.experiments, name, counting)
-    run_table2(reps=2, m=30, seed=0)
-    assert calls == {"spearman": 2 * 3, "minrel_profile": 2 * 3}
+            monkeypatch.setitem(STATS, stat, counting)
+        result = run_experiment(name, reps, m, seed)
+        monkeypatch.undo()
+        expected = len(table.rows) * reps
+        assert calls == {stat: expected if stat in table.stats else 0 for stat in STATS}
+        assert sum(calls.values()) == reps * len(table.rows) * len(table.stats)
+
+        datasets = [table.generate(m, seed + rep).dataset for rep in range(reps)]
+        direct = {
+            "rho": lambda x, y: spearman(x, y),
+            "iota": lambda x, y: rank_minrelation(x, y),
+            "iota_yx": lambda x, y: rank_minrelation(y, x),
+            "iota_negx": lambda x, y: iota_oriented(x, y, -1, 1),
+            "iota_negy": lambda x, y: iota_oriented(y, x, -1, 1),
+        }
+        means = {}
+        for x, y, _, _ in table.rows:
+            for stat in table.stats:
+                series = [direct[stat](d.column(x), d.column(y)).value for d in datasets]
+                means[f"{stat}({x},{y})"] = float(np.mean(series))
+        assert [cell.label for cell in result.cells] == list(means)
+        for cell in result.cells:
+            assert struct.pack("<d", cell.mean) == struct.pack("<d", means[cell.label])

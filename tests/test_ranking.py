@@ -9,6 +9,7 @@ from minrel import (
     compare_criteria,
     gen_combined,
     gen_linear,
+    gen_relevance_suite_dataset,
     rank_variables,
     split_half_cv_eval,
 )
@@ -217,6 +218,12 @@ def test_split_half_validation():
         split_half_cv_eval(ds, "A", "rho2", sizes=(2,), folds=1, seed=0)
     with pytest.raises(InvalidInputError, match="rows"):
         split_half_cv_eval(ds, "A", "rho2", sizes=(2,), folds=16, seed=0)
+
+
+def test_split_half_rejects_a_negative_seed():
+    ds = gen_relevance_suite_dataset(40, seed=0).dataset
+    with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
+        split_half_cv_eval(ds, "T1", "iota_sq", sizes=(2,), folds=2, seed=-1)
 
 
 def test_singular_design_falls_back_to_ridge():
