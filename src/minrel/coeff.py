@@ -31,7 +31,10 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
 
 A two-column call, a matrix cell (:mod:`minrel.matrix`) and a ranking
 score (:mod:`minrel.ranking`) are each one call of that kernel, so they
-agree bit for bit by construction. All functions are pure and thread-safe.
+agree bit for bit by construction. Every mass is one :func:`_mass`
+reduction. The ``max_iota_sq`` kernel, :func:`minrel_profile` and the
+profile matrix share :func:`_orientations`: four orientations from four
+masses, not eight. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -95,25 +98,27 @@ def _transforms(column: ColumnLike, values: np.ndarray) -> ColumnTransforms:
     return column_transforms(values)
 
 
+def _mass(s: np.ndarray) -> np.ndarray:
+    """The one mass reduction: row sums of max(s, 0)^2, squaring ``s`` in place.
+
+    max(x + y, 0)^2 equals I(x > -y) * (x + y)^2 exactly: a rounded sum of
+    two doubles is positive exactly when the true sum is. A row's pairwise
+    sum is the same alone or in a batch (never ``einsum`` or ``dot``).
+    """
+    np.maximum(s, 0.0, out=s)
+    s *= s
+    return s.sum(axis=-1)
+
+
 def _masses(
     x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The trade-off's two masses, ``above`` and ``below``; see the module docstring.
 
-    Either side may be a batch with one row per column. Each term is
-    max(x + y, 0)^2, which equals I(x > -y) * (x + y)^2 exactly: a rounded
-    sum of two doubles is positive exactly when the true sum is. The sums
-    run over the last axis, and a row's pairwise sum is the same whether it
-    is reduced alone or in a batch.
+    Either side may be a batch with one row per column.
     """
     s = np.add(x_dec, y_dec)
-    np.maximum(s, 0.0, out=s)
-    s *= s
-    above = s.sum(axis=-1)
-    np.subtract(x_dec, y_inc, out=s)
-    np.maximum(s, 0.0, out=s)
-    s *= s
-    return above, s.sum(axis=-1)
+    return _mass(s), _mass(np.subtract(x_dec, y_inc, out=s))
 
 
 def _tradeoff(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,26 +142,31 @@ def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     return _tradeoff(*_masses(x[0], *y))
 
 
-def _orientations(x: tuple, y: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X), from the (dec, inc) of X and Y.
+def _orientations(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X) on a last axis of 4, from four masses.
 
-    The decreasing transform of -X is -inc(X), exactly. The other four sign
-    combinations are these four negated, exactly.
+    With dec(-X) = -inc(X), ``above`` is (P, P, R, Q) and ``below`` is
+    (Q, R, S, S) for P = mass(decX + decY), Q = mass(decX - incY),
+    R = mass(decY - incX) and S = mass(-incX - incY). a - b equals (-b) + a
+    exactly, so each is the mass :func:`_iota` forms, bit for bit. The other
+    four sign combinations are these four negated, exactly.
     """
-    neg_x, neg_y = (np.negative(x[1]),), (np.negative(y[1]),)
-    return [_iota(x, y), _iota(y, x), _iota(neg_x, y), _iota(neg_y, x)]
+    (x_dec, x_inc), (y_dec, y_inc) = x, y
+    work = np.add(x_dec, y_dec)
+    p = _mass(work)
+    q = _mass(np.subtract(x_dec, y_inc, out=work))
+    r = _mass(np.subtract(y_dec, x_inc, out=work))
+    np.negative(x_inc, out=work)
+    s = _mass(np.subtract(work, y_inc, out=work))
+    return _tradeoff(np.stack([p, p, r, q], axis=-1), np.stack([q, r, s, s], axis=-1))
 
 
-def _max_iota_sq(orientations) -> tuple[np.ndarray, np.ndarray]:
-    """The largest square of the orientations' values, and where every one is degenerate.
+def _max_iota_sq(values: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest square of :func:`_orientations`, and where every orientation is degenerate.
 
     ``max`` is exact, so the order of the orientations does not matter.
     """
-    values, flags = zip(*orientations)
-    best = np.square(values[0], out=np.empty(np.shape(values[0])))
-    for value in values[1:]:
-        np.maximum(best, np.square(value), out=best)
-    return best, np.logical_and.reduce(flags)
+    return np.square(values).max(axis=-1), degenerate.all(axis=-1)
 
 
 def _correlation(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +224,7 @@ METRIC_TABLE: dict[str, Metric] = {
     # iota2(X, Y) == iota(-Y, -X), on the transforms of -X.
     "iota2": Metric(lambda t: t.oriented(-1), lambda x, y: _iota(y, x), ranked=True),
     "max_iota_sq": Metric(
-        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(_orientations(x, y)), ranked=True
+        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(*_orientations(x, y)), ranked=True
     ),
     "minrel_simple": Metric(_values, _concordance, ranked=False),
     "p_leq_hat": Metric(_values, _p_leq, ranked=False),
@@ -307,13 +317,13 @@ def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
 def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
     """All four tabulated orientations plus their maximal square.
 
-    The square is :func:`_max_iota_sq` of the same orientations, as in the
-    ``max_iota_sq`` kernel and matrix, so it equals :func:`max_iota_sq`.
+    One call of :func:`_orientations` and :func:`_max_iota_sq`, the
+    ``max_iota_sq`` kernel, so the square equals :func:`max_iota_sq`.
     """
     tx, ty = _pair_columns(x, y, ranked=True)
-    orientations = _orientations(tx.oriented(1), ty.oriented(1))
-    best, _ = _max_iota_sq(orientations)
-    return MinrelProfile(*(_coefficient(*o) for o in orientations), float(best))
+    values, degenerate = _orientations(tx.oriented(1), ty.oriented(1))
+    best, _ = _max_iota_sq(values, degenerate)
+    return MinrelProfile(*map(_coefficient, values, degenerate), float(best))
 
 
 def max_iota_sq(x: ColumnLike, y: ColumnLike) -> float:

@@ -24,9 +24,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coeff import CoefficientValue, iota_oriented, rank_minrelation, spearman
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .matrix import ColumnTransforms, transform_cache
-from .synth import GeneratedDataset, _require_seed, gen_combined, gen_linear, gen_multiplication
+from .synth import (
+    GeneratedDataset, _require_m, _require_seed, gen_combined, gen_linear, gen_multiplication
+)
 
 
 @dataclass(frozen=True)
@@ -175,10 +177,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     """Run table ``name`` of :data:`TABLES` over ``reps`` repetitions of ``m`` rows."""
     if name not in TABLES:
         raise InvalidInputError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
-    if reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
-    if m < 2:
-        raise InvalidInputError(f"m must be >= 2, got {m}")
+    reps = require_count(reps, "reps", 1)
+    _require_m(m)
     _require_seed(seed)
     table = TABLES[name]
     values: dict[str, list[float]] = {}

@@ -7,18 +7,17 @@ stacked into (n, ...) arrays. One function, :func:`_kernel_map`, fills the
 n x n map with one call of the metric's ``kernel`` per matrix row per block
 of columns: the kernel a two-column call runs, so a matrix cell equals the
 direct call bit for bit by construction. Each cell is reduced on its own
-(no matrix products), and each row is written into pre-sized storage, so
-results are bit-identical for any worker count. The kernels' large array
-operations release the interpreter lock, so ``workers`` threads (at most
-one per available CPU), each taking a contiguous block of rows, run in
-parallel.
+(no matrix products), and each row is written into storage allocated
+before any thread starts, so results are bit-identical for any worker
+count. The kernels' large array operations release the interpreter lock,
+so ``workers`` threads (at most one per available CPU), dealt the rows in
+turn, run in parallel.
 
-The one selection by metric is ``max_iota_sq`` (and
-:func:`minrel_profile_matrix`). Its four orientations need only two maps,
-M[i, j] = iota(X_i, X_j) and N[i, j] = iota(-X_i, X_j), from one pass over
-2n rows; the other two orientations are their transposes,
-iota(X_j, X_i) = M[j, i] and iota(-X_j, X_i) = N[j, i]. That is 2 n^2
-kernel cells where the metric's own kernel, cell by cell, would take 4 n^2.
+No metric has a path of its own. A metric of :data:`SYMMETRIC_METRICS`
+computes only the cells with j >= i and mirrors them. The
+``max_iota_sq`` kernel and :func:`minrel_profile_matrix` share
+:func:`coeff._orientations`, which forms all four orientations of a pair
+from four masses; the profile's cells are its (4,) vectors.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _iota, _max_iota_sq
-from .errors import InvalidInputError
+from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _max_iota_sq, _orientations
+from .errors import InvalidInputError, require_count
 from .ranks import ColumnTransforms, column_transforms
 
 
@@ -74,6 +73,8 @@ class Dataset:
     @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[float]]) -> "Dataset":
         names = tuple(columns)
+        if not names:
+            raise InvalidInputError("a dataset needs at least one column")
         arrays = [np.asarray(columns[name], dtype=float) for name in names]
         lengths = {array.shape[0] if array.ndim else 0 for array in arrays}
         if len(lengths) > 1:
@@ -143,17 +144,8 @@ class ProfileMatrix:
         )
 
 
-def _require_workers(workers: int) -> None:
-    if workers < 1:
-        raise InvalidInputError(f"workers must be >= 1, got {workers}")
-
-
 #: The size of one kernel call's (columns, m) temporaries, in bytes.
 _SCRATCH_BYTES = 1 << 21
-
-#: The values of an (n_rows, n) map and its degenerate flags.
-_Cells = tuple[np.ndarray, np.ndarray]
-
 
 def _available_cpus() -> int:
     """The CPUs this process may run on."""
@@ -163,53 +155,48 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_map(kernel: Callable, rows: tuple, cols: tuple, workers: int) -> _Cells:
-    """Cell [r, j] is ``kernel(row r, column j)``, one kernel call per row per column block.
+def _kernel_map(
+    kernel: Callable, stacks: tuple, workers: int, *, symmetric: bool = False, cell: tuple = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell [i, j] is ``kernel(column i, column j)``, one kernel call per row per column block.
 
-    ``rows`` and ``cols`` are stacked prepared columns: tuples of arrays
-    whose first axis indexes the column. Columns are taken in blocks that
-    keep a call's temporaries at a few MB. Each worker takes one
-    contiguous block of rows; at most one thread per available CPU runs:
-    more would only add temporaries, not speed.
+    ``stacks`` are the stacked prepared columns: a tuple of arrays whose
+    first axis indexes the column, used for both rows and columns. A cell
+    of the output has shape ``cell``. Columns are taken in blocks that keep
+    a call's temporaries at a few MB. When ``symmetric``, only cells with
+    j >= i are computed and the rest mirrored. Rows are dealt to the
+    threads in turn, so a triangle splits evenly; at most one thread per
+    available CPU runs: more would only add temporaries, not speed.
     """
-    n_rows = len(rows[0])
-    n, m = cols[0].shape
+    n, m = stacks[0].shape[:2]
     width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
-    values = np.empty((n_rows, n))
-    degenerate = np.empty((n_rows, n), dtype=bool)
+    values = np.empty((n, n, *cell))
+    degenerate = np.empty((n, n, *cell), dtype=bool)
 
-    def run_rows(indices: Iterable[int]) -> None:
-        for r in indices:
-            x = tuple(part[r] for part in rows)
-            for j in range(0, n, width):
+    def run_rows(rows: Iterable[int]) -> None:
+        for i in rows:
+            x = tuple(part[i] for part in stacks)
+            for j in range(i if symmetric else 0, n, width):
                 cells = slice(j, j + width)
-                y = tuple(part[cells] for part in cols)
-                values[r, cells], degenerate[r, cells] = kernel(x, y)
+                y = tuple(part[cells] for part in stacks)
+                values[i, cells], degenerate[i, cells] = kernel(x, y)
 
-    threads = min(workers, _available_cpus())
-    blocks = [block for block in np.array_split(np.arange(n_rows), threads) if block.size]
-    if len(blocks) <= 1:
-        run_rows(range(n_rows))
+    threads = min(workers, _available_cpus(), n)
+    if threads <= 1:
+        run_rows(range(n))
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run_rows, blocks))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_rows, [range(t, n, threads) for t in range(threads)]))
+    if symmetric:
+        for i in range(1, n):
+            values[i, :i] = values[:i, i]
+            degenerate[i, :i] = degenerate[:i, i]
     return values, degenerate
 
 
-def _orientation_maps(cache: Sequence[ColumnTransforms], workers: int) -> list[_Cells]:
-    """The maps of iota(X_i, X_j), iota(X_j, X_i), iota(-X_i, X_j) and iota(-X_j, X_i).
-
-    They are M, M.T, N and N.T, from one pass over 2n rows.
-    """
-    n = len(cache)
-    # Rows X_1..X_n, then -X_1..-X_n (dec(-X) = -inc(X)); rows 1..n are the columns.
-    x_dec = np.empty((2 * n, cache[0].dec.size))
-    np.stack([t.dec for t in cache], out=x_dec[:n])
-    inc = np.stack([t.inc for t in cache])
-    np.negative(inc, out=x_dec[n:])
-    values, degenerate = _kernel_map(_iota, (x_dec,), (x_dec[:n], inc), workers)
-    xy, negx = (values[:n], degenerate[:n]), (values[n:], degenerate[n:])
-    return [xy, (xy[0].T, xy[1].T), negx, (negx[0].T, negx[1].T)]
+def _stacks(prepare: Callable, columns: Iterable) -> tuple:
+    """Every column's ``prepare`` parts, each part stacked into one (n, ...) array."""
+    return tuple(np.stack(part) for part in zip(*map(prepare, columns)))
 
 
 #: Metrics accepted by :func:`pairwise_matrix`.
@@ -239,16 +226,12 @@ def pairwise_matrix(
     """
     if metric not in MATRIX_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
-    _require_workers(workers)
+    workers = require_count(workers, "workers", 1)
     prepare, kernel, ranked = METRIC_TABLE[metric]
     if ranked and cache is None:
         cache = transform_cache(dataset)
-    if metric == "max_iota_sq":
-        values, degenerate = _max_iota_sq(_orientation_maps(cache, workers))
-    else:
-        columns = cache if ranked else dataset.values.T
-        stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
-        values, degenerate = _kernel_map(kernel, stacks, stacks, workers)
+    stacks = _stacks(prepare, cache if ranked else dataset.values.T)
+    values, degenerate = _kernel_map(kernel, stacks, workers, symmetric=metric in SYMMETRIC_METRICS)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
@@ -261,18 +244,12 @@ def minrel_profile_matrix(
     workers: int = 1,
 ) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
-    _require_workers(workers)
+    workers = require_count(workers, "workers", 1)
     if cache is None:
         cache = transform_cache(dataset)
-    orientations = _orientation_maps(cache, workers)
-    (xy, _), (yx, _), (negx_y, _), (negy_x, _) = orientations
-    best, _ = _max_iota_sq(orientations)
-    return ProfileMatrix(
-        names=dataset.names,
-        iota_xy=_frozen(xy),
-        iota_yx=_frozen(yx),
-        iota_negx_y=_frozen(negx_y),
-        iota_negy_x=_frozen(negy_x),
-        max_iota_sq=_frozen(best),
-        degenerate=_frozen(np.stack([flags for _, flags in orientations], axis=-1)),
-    )
+    stacks = _stacks(lambda t: t.oriented(1), cache)
+    values, degenerate = _kernel_map(_orientations, stacks, workers, cell=(4,))
+    best, _ = _max_iota_sq(values, degenerate)
+    # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
+    maps = (*np.moveaxis(values, -1, 0), best, degenerate)
+    return ProfileMatrix(dataset.names, *map(_frozen, maps))

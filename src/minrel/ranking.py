@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .coeff import METRIC_TABLE
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .matrix import ColumnTransforms, Dataset, transform_cache
 from .synth import _require_seed
 
@@ -271,13 +271,12 @@ def split_half_cv_eval(
     ranked columns, for each requested subset size. Reported MSEs are
     fold averages; ``mean_mse`` additionally averages over sizes.
     """
-    sizes = tuple(int(k) for k in sizes)
+    sizes = tuple(require_count(k, "subset size", 1) for k in sizes)
     if not sizes:
         raise InvalidInputError("sizes must not be empty")
-    if any(k < 1 or k > dataset.n - 1 for k in sizes):
+    if any(k > dataset.n - 1 for k in sizes):
         raise InvalidInputError(f"subset sizes must be within [1, {dataset.n - 1}], got {sizes}")
-    if folds < 2:
-        raise InvalidInputError(f"folds must be >= 2, got {folds}")
+    folds = require_count(folds, "folds", 2)
     if dataset.m < 2 * folds:
         raise InvalidInputError(
             f"need at least {2 * folds} rows for {folds}-fold split-half evaluation, got {dataset.m}"

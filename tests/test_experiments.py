@@ -33,6 +33,11 @@ def test_run_experiment_dispatch_and_validation():
         run_table3(reps=1, m=1, seed=0)
 
 
+def test_run_experiment_rejects_a_non_integer_rep_count():
+    with pytest.raises(InvalidInputError, match="reps must be an integer, got 1.5"):
+        run_experiment("table2", reps=1.5, m=30, seed=0)
+
+
 def test_small_runs_produce_all_cells():
     table2 = run_table2(reps=3, m=40, seed=1)
     assert len(table2.cells) == 15

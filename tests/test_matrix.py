@@ -11,6 +11,7 @@ from minrel import (
     InvalidInputError,
     evaluate_metric,
     gen_multiplication,
+    max_iota_sq,
     minrel_profile,
     minrel_profile_matrix,
     pairwise_matrix,
@@ -35,6 +36,20 @@ def test_dataset_validation():
         Dataset(names=("a", "b", "c"), values=np.zeros((3, 2)))
     with pytest.raises(InvalidInputError, match="row 1, column 'b'"):
         Dataset(names=("a", "b"), values=np.array([[0.0, 1.0], [2.0, np.nan]]))
+
+
+def test_dataset_from_columns_rejects_no_columns():
+    with pytest.raises(InvalidInputError, match="at least one column"):
+        Dataset.from_columns({})
+
+
+@pytest.mark.parametrize("workers", [1.5, 0, True])
+def test_matrices_reject_a_bad_worker_count(workers):
+    ds = _dataset(seed=2, m=10, n=3)
+    for build in (lambda: pairwise_matrix(ds, "iota", workers=workers),
+                  lambda: minrel_profile_matrix(ds, workers=workers)):
+        with pytest.raises(InvalidInputError, match=f"workers must be .*, got {workers!r}"):
+            build()
 
 
 def test_dataset_from_columns_rejects_ragged_input():
@@ -261,30 +276,32 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
 
 
 @pytest.mark.parametrize(
-    "build, cells_per_n2",
+    "build, rows",
     [
-        (lambda ds: pairwise_matrix(ds, "iota"), 1),
-        (lambda ds: pairwise_matrix(ds, "iota2"), 1),
-        (lambda ds: pairwise_matrix(ds, "max_iota_sq"), 2),
-        (lambda ds: minrel_profile_matrix(ds), 2),
+        (lambda ds: pairwise_matrix(ds, "iota"), lambda n: 2 * n * n),
+        (lambda ds: pairwise_matrix(ds, "iota2"), lambda n: 2 * n * n),
+        (lambda ds: pairwise_matrix(ds, "max_iota_sq"), lambda n: 2 * n * (n + 1)),
+        (lambda ds: minrel_profile_matrix(ds), lambda n: 4 * n * n),
+        (lambda ds: max_iota_sq(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
+        (lambda ds: minrel_profile(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
     ],
-    ids=["iota", "iota2", "max_iota_sq", "profile"],
+    ids=["iota", "iota2", "max_iota_sq", "profile", "direct_max_iota_sq", "direct_profile"],
 )
-def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, cells_per_n2):
+def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, rows):
     ds = _dataset(seed=31, m=40, n=5)
-    cells = {"count": 0}
-    original = minrel.coeff._masses
+    reduced = {"rows": 0}
+    original = minrel.coeff._mass
 
-    def counting(x_dec, y_dec, y_inc):
-        # iota2's batch is on the x side.
-        cells["count"] += np.broadcast_shapes(np.shape(x_dec), np.shape(y_dec))[0]
-        return original(x_dec, y_dec, y_inc)
+    def counting(s):
+        reduced["rows"] += int(np.prod(np.shape(s)[:-1]))
+        return original(s)
 
-    monkeypatch.setattr(minrel.coeff, "_masses", counting)
+    monkeypatch.setattr(minrel.coeff, "_mass", counting)
     build(ds)
-    # max_iota_sq and the profile come from M = iota(X_i, X_j) and
-    # N = iota(-X_i, X_j): 2 n^2 kernel cells, not one per orientation (4 n^2).
-    assert cells["count"] == cells_per_n2 * ds.n * ds.n
+    # Two masses per iota cell. All four orientations of a pair share four
+    # masses, and the symmetric max_iota_sq matrix computes only its
+    # n (n + 1) / 2 cells with j >= i, then mirrors them.
+    assert reduced["rows"] == rows(ds.n)
 
 
 class _SerialPool:
