@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the count-argument check."""
+"""Exception types shared across the package, and its one integer-argument check.
+
+Every integer argument (m, seed, reps, folds, subset sizes, workers, factor
+counts, n_noise, min_relevant) is checked by :func:`require_count`.
+"""
 
 from numbers import Integral
 
@@ -12,9 +16,10 @@ class InvalidInputError(MinrelError, ValueError):
 
 
 def require_count(value, name: str, least: int) -> int:
-    """``value`` as an int; :class:`InvalidInputError` unless it is an integer >= ``least``."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InvalidInputError(f"{name} must be >= {least}, got {value!r}")
+    """``value`` as a Python int; :class:`InvalidInputError` unless an integer >= ``least``.
+
+    A bool is not an integer here.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -26,9 +26,7 @@ import numpy as np
 from .coeff import CoefficientValue, iota_oriented, rank_minrelation, spearman
 from .errors import InvalidInputError, require_count
 from .matrix import ColumnTransforms, transform_cache
-from .synth import (
-    GeneratedDataset, _require_m, _require_seed, gen_combined, gen_linear, gen_multiplication
-)
+from .synth import GeneratedDataset, gen_combined, gen_linear, gen_multiplication
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     if name not in TABLES:
         raise InvalidInputError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
     reps = require_count(reps, "reps", 1)
-    _require_m(m)
-    _require_seed(seed)
+    m = require_count(m, "m", 2)
+    seed = require_count(seed, "seed", 0)
     table = TABLES[name]
     values: dict[str, list[float]] = {}
     for rep in range(reps):

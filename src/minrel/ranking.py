@@ -30,7 +30,6 @@ import numpy as np
 from .coeff import METRIC_TABLE
 from .errors import InvalidInputError, require_count
 from .matrix import ColumnTransforms, Dataset, transform_cache
-from .synth import _require_seed
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
 #: score is the metric's kernel on (candidate, target), or on (target,
@@ -166,8 +165,7 @@ def compare_criteria(
     filtered out before scoring. A criterion wins a target when its
     ranking gives the predictors a strictly lower average position.
     """
-    if min_relevant < 1:
-        raise InvalidInputError(f"min_relevant must be >= 1, got {min_relevant}")
+    min_relevant = require_count(min_relevant, "min_relevant", 1)
     cache = transform_cache(dataset)
     resolved = {name: tuple(relevant) for name, relevant in targets.items()}
     ordered_targets = sorted(resolved, key=dataset.index)
@@ -282,7 +280,8 @@ def split_half_cv_eval(
             f"need at least {2 * folds} rows for {folds}-fold split-half evaluation, got {dataset.m}"
         )
     target_index = dataset.index(target)
-    rng = np.random.default_rng(_require_seed(seed))
+    seed = require_count(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
     shuffled = _canonical_row_order(dataset)[rng.permutation(dataset.m)]
     half = math.ceil(dataset.m / 2)
     ranking_rows, eval_rows = shuffled[:half], shuffled[half:]

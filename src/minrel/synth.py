@@ -5,16 +5,20 @@ fixed documented order, so a given (family, m, seed) always yields the same
 dataset on this implementation. Structural identities (A = B*C and the
 like) hold exactly, not just statistically. Repetition harnesses derive
 per-repetition seeds as ``seed + repetition_index``.
+
+The four toy families share one prologue, :func:`_generate`: it checks m
+(>= 2) and seed (>= 0) with :func:`errors.require_count`, seeds the
+generator and wraps the drawn columns, so each family is only its draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .matrix import Dataset
 
 @dataclass(frozen=True)
@@ -37,16 +41,12 @@ class RelevanceSuiteDataset:
     seed: int
 
 
-def _require_m(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
-        raise InvalidInputError(f"m must be an integer >= 2, got {m!r}")
-    return int(m)
-
-
-def _require_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
+def _generate(family: str, m: int, seed: int, draw: Callable[..., dict]) -> GeneratedDataset:
+    """Check m and seed, then wrap ``draw(default_rng(seed), m)``'s columns as ``family``."""
+    m = require_count(m, "m", 2)
+    seed = require_count(seed, "seed", 0)
+    dataset = Dataset.from_columns(draw(np.random.default_rng(seed), m))
+    return GeneratedDataset(dataset=dataset, family=family, m=m, seed=seed)
 
 
 def gen_multiplication(m: int, seed: int) -> GeneratedDataset:
@@ -55,13 +55,12 @@ def gen_multiplication(m: int, seed: int) -> GeneratedDataset:
     A is dominated by both factors componentwise, the cleanest way to
     produce a strong one-directional dependence. Draw order: B, then C.
     """
-    m = _require_m(m)
-    seed = _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    b = rng.random(m)
-    c = rng.random(m)
-    dataset = Dataset.from_columns({"A": b * c, "B": b, "C": c})
-    return GeneratedDataset(dataset=dataset, family="multiplication", m=m, seed=seed)
+    def draw(rng, m):
+        b = rng.random(m)
+        c = rng.random(m)
+        return {"A": b * c, "B": b, "C": c}
+
+    return _generate("multiplication", m, seed, draw)
 
 
 def gen_linear(m: int, seed: int) -> GeneratedDataset:
@@ -69,14 +68,13 @@ def gen_linear(m: int, seed: int) -> GeneratedDataset:
 
     Draw order: B, C, D.
     """
-    m = _require_m(m)
-    seed = _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal(m)
-    c = rng.standard_normal(m)
-    d = rng.standard_normal(m)
-    dataset = Dataset.from_columns({"A": 3.0 * b + 2.0 * c + d, "B": b, "C": c, "D": d})
-    return GeneratedDataset(dataset=dataset, family="linear", m=m, seed=seed)
+    def draw(rng, m):
+        b = rng.standard_normal(m)
+        c = rng.standard_normal(m)
+        d = rng.standard_normal(m)
+        return {"A": 3.0 * b + 2.0 * c + d, "B": b, "C": c, "D": d}
+
+    return _generate("linear", m, seed, draw)
 
 
 def gen_combined(m: int, seed: int) -> GeneratedDataset:
@@ -85,18 +83,15 @@ def gen_combined(m: int, seed: int) -> GeneratedDataset:
     E is normal with mean 0 and standard deviation 0.15. Draw order:
     B, C, D, then E.
     """
-    m = _require_m(m)
-    seed = _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    b = rng.random(m)
-    c = rng.random(m)
-    d = rng.random(m)
-    e = rng.normal(0.0, 0.15, m)
-    a = b * c * d
-    dataset = Dataset.from_columns(
-        {"A": a, "B": b, "C": c, "D": d, "E": e, "G": a + e}
-    )
-    return GeneratedDataset(dataset=dataset, family="combined", m=m, seed=seed)
+    def draw(rng, m):
+        b = rng.random(m)
+        c = rng.random(m)
+        d = rng.random(m)
+        e = rng.normal(0.0, 0.15, m)
+        a = b * c * d
+        return {"A": a, "B": b, "C": c, "D": d, "E": e, "G": a + e}
+
+    return _generate("combined", m, seed, draw)
 
 
 def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
@@ -107,15 +102,12 @@ def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
     triangular marginal (mean -1/6) and Y an increasing one (mean +1/6).
     Draw order: the min/max source pair.
     """
-    m = _require_m(m)
-    seed = _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    u = rng.random(m)
-    v = rng.random(m)
-    x = np.minimum(u, v) - 0.5
-    y = np.maximum(u, v) - 0.5
-    dataset = Dataset.from_columns({"X": x, "Y": y})
-    return GeneratedDataset(dataset=dataset, family="triangle", m=m, seed=seed)
+    def draw(rng, m):
+        u = rng.random(m)
+        v = rng.random(m)
+        return {"X": np.minimum(u, v) - 0.5, "Y": np.maximum(u, v) - 0.5}
+
+    return _generate("triangle", m, seed, draw)
 
 
 #: Each toy family's generator, by the name the command line uses.
@@ -143,10 +135,12 @@ def gen_relevance_suite_dataset(
     20 columns: T1 = product of F01..F04, T2 of F05..F09, T3 of F10..F15,
     noise N1, N2. The factor and noise columns are drawn in column order.
     """
-    m = _require_m(m)
-    seed = _require_seed(seed)
-    if not factor_counts or any(k < 1 for k in factor_counts):
-        raise InvalidInputError("factor_counts must be positive integers")
+    m = require_count(m, "m", 2)
+    seed = require_count(seed, "seed", 0)
+    factor_counts = tuple(require_count(k, "factor count", 1) for k in factor_counts)
+    if not factor_counts:
+        raise InvalidInputError("factor_counts must not be empty")
+    n_noise = require_count(n_noise, "n_noise", 0)
     rng = np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     targets: dict[str, tuple[str, ...]] = {}

@@ -14,7 +14,7 @@ from minrel import cli, evaluate_metric, max_iota_sq, rank_minrelation, spearman
 from minrel.cli import main, read_dataset
 from minrel.coeff import METRICS
 from minrel.errors import InvalidInputError
-from minrel.matrix import MATRIX_METRICS
+from minrel.matrix import MATRIX_METRICS, Dataset
 from minrel.ranking import CRITERIA
 
 
@@ -322,7 +322,7 @@ def test_matrix_workers_below_one_exits_2(capsys, linear_csv):
     for workers in ("0", "-3"):
         code, out, err = run_cli(capsys, "matrix", linear_csv, "--workers", workers)
         assert code == 2 and out == ""
-        assert f"workers must be >= 1, got {workers}" in err
+        assert err == f"error: workers must be an integer >= 1, got {workers}\n"
 
 
 def test_output_io_failure_exits_4(capsys, linear_csv, tmp_path):
@@ -540,7 +540,13 @@ def _criterion_score(criterion, candidate, target):
 
 @st.composite
 def tied_datasets(draw):
-    """A small tie-heavy CSV with awkward names and some rows to drop, and its counts."""
+    """A small tie-heavy CSV with dialect noise, and the Dataset its cells define.
+
+    The noise (a BOM, LF or CRLF endings, blank, whitespace-only and '#'
+    comment lines, quoted numeric cells and NA rows to drop) sends some
+    files through the reader's bulk parse and the rest through its record
+    loop. The expected Dataset is built from the drawn cells, not read back.
+    """
     names = draw(
         st.lists(
             st.sampled_from(["A", "b,c", 'd"e', '"f"', 'g, "h"', "i j"]),
@@ -550,15 +556,26 @@ def tied_datasets(draw):
     cells = st.sampled_from(["-2", "-1", "-0.5", "-0.0", "0", "0.5", "1", "2", "1e-300", "3.25"])
     row_cells = st.lists(cells, min_size=len(names), max_size=len(names))
     rows = draw(st.lists(row_cells, min_size=2, max_size=8))
-    kept = len(rows)
+    expected = Dataset(
+        names=tuple(names), values=np.array([[float(cell) for cell in row] for row in rows])
+    )
     dropped = draw(st.integers(0, 2))
     for _ in range(dropped):
         row = draw(row_cells)
         row[draw(st.integers(0, len(names) - 1))] = "NA"
         rows.insert(draw(st.integers(0, len(rows))), row)
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([names] + rows)
-    return buffer.getvalue(), kept, dropped
+    quoted = draw(st.booleans())
+    header = io.StringIO()
+    csv.writer(header, lineterminator="").writerow(names)
+    lines = [header.getvalue()]
+    for row in rows:
+        lines.append(",".join(f'"{c}"' if quoted and draw(st.booleans()) else c for c in row))
+    for _ in range(draw(st.integers(0, 2))):
+        noise = draw(st.sampled_from(["", " \t", "# note", "# a,b"]))
+        lines.insert(draw(st.integers(0, len(lines))), noise)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    text = bom + "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text, expected, dropped
 
 
 @settings(
@@ -574,11 +591,13 @@ def tied_datasets(draw):
 def test_cli_output_equals_the_direct_calls(
     tmp_path, dataset_csv, metric, matrix_metric, criterion, data
 ):
-    text, m, dropped = dataset_csv
+    text, dataset, dropped = dataset_csv
+    m = dataset.m
     path = tmp_path / "data.csv"
-    path.write_text(text, encoding="utf-8")
-    dataset = read_dataset(str(path), "drop-rows")
+    path.write_bytes(text.encode("utf-8"))
     names = dataset.names
+    read = read_dataset(str(path), "drop-rows")
+    assert read.names == names and read.values.tobytes() == dataset.values.tobytes()
     x, y = (data.draw(st.sampled_from(names)) for _ in range(2))
     target = data.draw(st.sampled_from(names))
 

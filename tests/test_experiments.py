@@ -34,8 +34,17 @@ def test_run_experiment_dispatch_and_validation():
 
 
 def test_run_experiment_rejects_a_non_integer_rep_count():
-    with pytest.raises(InvalidInputError, match="reps must be an integer, got 1.5"):
+    with pytest.raises(InvalidInputError) as raised:
         run_experiment("table2", reps=1.5, m=30, seed=0)
+    assert str(raised.value) == "reps must be an integer >= 1, got 1.5"
+
+
+def test_run_experiment_uses_the_checked_python_ints():
+    # A numpy seed would overflow in seed + rep; the checked int does not.
+    seed = 2**63 - 1
+    result = run_experiment("table3", reps=2, m=np.int64(20), seed=np.int64(seed))
+    assert type(result.m) is int and type(result.seed) is int
+    assert result == run_experiment("table3", reps=2, m=20, seed=seed)
 
 
 def test_small_runs_produce_all_cells():

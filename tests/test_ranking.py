@@ -226,20 +226,6 @@ def test_split_half_rejects_a_negative_seed():
         split_half_cv_eval(ds, "T1", "iota_sq", sizes=(2,), folds=2, seed=-1)
 
 
-@pytest.mark.parametrize(
-    "sizes, folds, message",
-    [
-        ((2,), 2.5, "folds must be an integer, got 2.5"),
-        ((2.7,), 2, "subset size must be an integer, got 2.7"),
-        ((0,), 2, "subset size must be >= 1, got 0"),
-    ],
-)
-def test_split_half_rejects_non_integer_counts(sizes, folds, message):
-    ds = gen_linear(30, seed=23).dataset
-    with pytest.raises(InvalidInputError, match=message):
-        split_half_cv_eval(ds, "A", "rho2", sizes=sizes, folds=folds, seed=0)
-
-
 def test_singular_design_falls_back_to_ridge():
     rng = np.random.default_rng(29)
     x = rng.normal(size=40)
