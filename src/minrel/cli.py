@@ -6,17 +6,20 @@ line), first non-comment record is the header, records starting with
 '#' (outside quotes) and blank or whitespace-only lines are skipped, quoted
 fields keep their line breaks (a '#' at the start of a continued line is
 data), decimal points only (no locale handling). Numbers are printed with
-12 significant digits in CSV output and at full double precision in JSON.
+12 significant digits in CSV output and at full double precision in JSON;
+CSV writes a bool as ``true``/``false``.
 Every run echoes its effective configuration in the output so results can
 be reproduced from the artifact alone, with the rows behind the result:
 ``rows_read`` data rows, ``rows_dropped`` of them dropped, ``m`` kept.
 
 Each command builds its config (:func:`_dataset_config` for the commands
-that read a dataset) and hands it, with its JSON fields and CSV sections,
-to :func:`_write`, the one writer. JSON is one sorted-key object with a
-``config`` key; CSV is a ``# config: key=value ...`` line, then tables and
-comment lines. A config value with a line break is written there as its
-JSON string literal, so the config stays on one line.
+that read a dataset) and hands it, with its JSON fields and CSV sections of
+typed rows, to :func:`_write`, the one writer. It spells every CSV cell and
+builds the whole result before it opens the output, so stdout and
+``--output`` get the same bytes and a failed command leaves no file. JSON is
+one sorted-key object with a ``config`` key; CSV is a ``# config: key=value
+...`` line, then tables and comment lines. A config value with a line break
+is written there as its JSON string literal, so the config stays on one line.
 
 The header goes through the record reader. A data body of plain numbers
 is parsed in one ``np.loadtxt`` call; any other body (quoted cells, NA
@@ -31,13 +34,13 @@ under --strict, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from typing import Sequence
 
 import numpy as np
@@ -55,10 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
 
 
 def _read_text(path: str) -> str:
@@ -79,14 +78,6 @@ def _read_text(path: str) -> str:
     if "\r" in text:  # universal newlines, as a text-mode read translates them
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output in (None, "-"):
-        sys.stdout.write(text)
-        return
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
 
 
 def _is_blank(row: list[str]) -> bool:
@@ -239,30 +230,41 @@ def _config_line(config: dict) -> str:
     return f"# config: {joined}\n"
 
 
+def _csv_cell(value) -> str:
+    """A CSV cell: a bool as ``true``/``false``, a float to 12 significant digits, else ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _opened(output: str | None):
+    """The output handle: stdout for None or '-', else the file ``output``."""
+    if output in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8", newline="")
+
+
 def _write(args: argparse.Namespace, config: dict, fields, sections) -> None:
     """Write a command's result in its ``--format``; the one place that branches on it.
 
     JSON is the object ``fields()`` plus ``config``. CSV is the ``# config:``
-    line, then each of ``sections()``: a comment line, or a table of rows.
-    Only the selected encoding is built.
+    line, then each of ``sections()``: a comment line, or a table of typed
+    rows whose every cell :func:`_csv_cell` spells. Only the selected
+    encoding is built, and all of it before the output is opened.
     """
     if args.format == "json":
-        text = json.dumps({**fields(), "config": config}, indent=2, sort_keys=True) + "\n"
+        parts = [json.dumps({**fields(), "config": config}, indent=2, sort_keys=True) + "\n"]
     else:
-        buffer = io.StringIO()
-        buffer.write(_config_line(config))
-        writer = csv.writer(buffer, lineterminator="\n")
-        for section in sections():
-            if isinstance(section, str):
-                buffer.write(section)
+        parts = [_config_line(config), *sections()]
+    with _opened(args.output) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        for part in parts:
+            if isinstance(part, str):
+                handle.write(part)
             else:
-                writer.writerows(section)
-        text = buffer.getvalue()
-    _emit(text, args.output)
-
-
-def _bool(value) -> str:
-    return "true" if value else "false"
+                writer.writerows(map(_csv_cell, row) for row in part)
 
 
 def _status(passed: bool) -> str:
@@ -300,8 +302,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     )
     header = ["metric", "value", "degenerate", "m"]
     values = [args.metric, result.value, result.degenerate, dataset.m]
-    cells = [args.metric, _fmt(result.value), _bool(result.degenerate), str(dataset.m)]
-    _write(args, config, lambda: dict(zip(header, values)), lambda: [[header, cells]])
+    _write(args, config, lambda: dict(zip(header, values)), lambda: [[header, values]])
     if args.strict and result.degenerate:
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -311,22 +312,22 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
     matrix = pairwise_matrix(dataset, args.metric, workers=args.workers)
     names = matrix.names
+    values = matrix.values.tolist()
+    flags = matrix.degenerate.tolist()
 
     def fields() -> dict:
         return {
             "metric": matrix.metric,
             "names": list(names),
-            "values": {x: dict(zip(names, row)) for x, row in zip(names, matrix.values.tolist())},
-            "degenerate": {
-                x: dict(zip(names, row)) for x, row in zip(names, matrix.degenerate.tolist())
-            },
+            "values": {x: dict(zip(names, row)) for x, row in zip(names, values)},
+            "degenerate": {x: dict(zip(names, row)) for x, row in zip(names, flags)},
         }
 
     def sections() -> list:
-        header = [""] + list(names)
-        values = [[name] + [_fmt(v) for v in row] for name, row in zip(names, matrix.values)]
-        flags = [[name] + [_bool(v) for v in row] for name, row in zip(names, matrix.degenerate)]
-        return [[header] + values, "# degenerate\n", [header] + flags]
+        def table(rows: list) -> list:
+            return [["", *names], *([x, *row] for x, row in zip(names, rows))]
+
+        return [table(values), "# degenerate\n", table(flags)]
 
     _write(args, _dataset_config(args, dataset, metric=args.metric), fields, sections)
     return EXIT_OK
@@ -335,7 +336,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
     ranking = rank_variables(dataset, args.target, args.criterion)
-    ordered = list(enumerate(ranking.ordered, start=1))
+    header = ("position", "name", "score")
+    rows = [(i, name, score) for i, (name, score) in enumerate(ranking.ordered, start=1)]
     scalars = {}
     if args.relevant:
         try:  # one CSV record, quoted like the header, so a name may hold a comma
@@ -353,15 +355,12 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         lambda: {
             "target": ranking.target,
             "criterion": ranking.criterion,
-            "ranking": [
-                {"position": i, "name": name, "score": score} for i, (name, score) in ordered
-            ],
+            "ranking": [dict(zip(header, row)) for row in rows],
             **scalars,
         },
         lambda: [
-            [["position", "name", "score"]]
-            + [[str(i), name, _fmt(score)] for i, (name, score) in ordered],
-            *(f"# {key}: {_fmt(value)}\n" for key, value in scalars.items()),
+            [header, *rows],
+            *(f"# {key}: {_csv_cell(value)}\n" for key, value in scalars.items()),
         ],
     )
     return EXIT_OK
@@ -370,7 +369,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(args.name, args.reps, args.m, args.seed)
     config = {key: getattr(args, key) for key in ("command", "name", "reps", "m", "seed", "format")}
-    cell_keys = ("mean", "stderr", "reference", "tolerance")
 
     def fields() -> dict:
         return {
@@ -387,9 +385,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         }
 
     def sections() -> list:
-        cells = [["cell", *cell_keys, "status"]] + [
-            [cell.label, *(_fmt(getattr(cell, key)) for key in cell_keys), _status(cell.passed)]
-            for cell in result.cells
+        cells = [["cell", "mean", "stderr", "reference", "tolerance", "status"]] + [
+            [*astuple(cell), _status(cell.passed)] for cell in result.cells
         ]
         if not result.checks:
             return [cells]
@@ -405,7 +402,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset = GENERATORS[args.family](args.m, args.seed).dataset
     config = {key: getattr(args, key) for key in ("command", "family", "m", "seed")}
-    rows = [list(dataset.names)] + [[_fmt(v) for v in row] for row in dataset.values]
+    rows = [dataset.names, *dataset.values.tolist()]
     # gen writes CSV only: it has no --format option and no JSON fields.
     _write(args, config, None, lambda: [rows])
     return EXIT_OK

@@ -121,16 +121,19 @@ def _masses(
     return _mass(s), _mass(np.subtract(x_dec, y_inc, out=s))
 
 
-def _tradeoff(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(above - below) / (above + below), and the mask of zero denominators (value 0)."""
-    total = above + below
+def _ratio(numerator, denominator) -> tuple[np.ndarray, np.ndarray]:
+    """numerator / denominator, and the mask of zero denominators (value 0)."""
     # Counts may arrive as Python ints, whose == gives a Python bool and
     # whose ~ is not a logical not; np.logical_not handles every type.
-    degenerate = total == 0.0
-    value = np.divide(
-        above - below, total, out=np.zeros(np.shape(total)), where=np.logical_not(degenerate)
-    )
+    degenerate = denominator == 0.0
+    out = np.zeros(np.shape(denominator))
+    value = np.divide(numerator, denominator, out=out, where=np.logical_not(degenerate))
     return value, degenerate
+
+
+def _tradeoff(above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(above - below) / (above + below), and the mask of zero denominators (value 0)."""
+    return _ratio(above - below, above + below)
 
 
 def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
@@ -175,11 +178,7 @@ def _correlation(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     Constant columns give a degenerate zero.
     """
     (cx, vx), (cy, vy) = x, y
-    scale = np.sqrt(vx * vy)
-    degenerate = scale == 0.0
-    value = np.divide(
-        dots(cx, cy), scale, out=np.zeros(np.shape(scale)), where=np.logical_not(degenerate)
-    )
+    value, degenerate = _ratio(dots(cx, cy), np.sqrt(vx * vy))
     return np.minimum(np.maximum(value, -1.0), 1.0), degenerate
 
 

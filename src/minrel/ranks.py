@@ -187,7 +187,7 @@ def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
     identity exactly.
     """
     values = as_values(column)
-    ranks = column_transforms(values).ranks
+    ranks = fractional_ranks(values)
     if negate:
         ranks = (values.size + 1) - ranks
     return RankVector(ranks=ranks, m=values.size)

@@ -479,13 +479,17 @@ def test_duplicate_column_name_is_named(capsys, tmp_path):
     [
         ("gen", "triangle", "--m", "5", "--seed", "-1"),
         ("experiment", "table2", "--reps", "2", "--m", "10", "--seed", "-1"),
+        ("experiment", "table3", "--reps", "2", "--m", "10", "--seed", "-1", "--format", "csv"),
     ],
-    ids=["gen", "experiment"],
+    ids=["gen", "experiment", "experiment-csv"],
 )
-def test_negative_seed_exits_2(capsys, argv):
+def test_negative_seed_exits_2(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "seed must be an integer >= 0, got -1" in err
+    output = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--output", str(output))[0] == 2
+    assert not output.exists()
 
 
 def test_input_that_is_not_utf8_exits_2_naming_the_line(capsys, tmp_path):
@@ -611,6 +615,15 @@ def test_cli_output_equals_the_direct_calls(
         assert counts == [m, m + dropped, dropped]
         return payload, written
 
+    def run_csv(*argv):
+        """The records of the CSV result, without its comment lines."""
+        out = tmp_path / "out.csv"
+        command, *options = argv
+        argv = [command, str(path), *options, "--na", "drop-rows", "--format", "csv"]
+        assert main([*argv, "--output", str(out)]) == 0
+        lines = out.read_bytes().decode("utf-8").splitlines(True)
+        return list(csv.reader(line for line in lines if not line.startswith("#")))
+
     payload, _ = run("coeff", "--x", x, "--y", y, "--metric", metric)
     direct = evaluate_metric(dataset.column(x), dataset.column(y), metric)
     assert _bits(payload["value"]) == _bits(direct.value)
@@ -618,11 +631,19 @@ def test_cli_output_equals_the_direct_calls(
 
     payload, serial = run("matrix", "--metric", matrix_metric, "--workers", "1")
     assert run("matrix", "--metric", matrix_metric, "--workers", "2")[1] == serial
-    for a in names:
-        for b in names:
+    # CSV: the value table, then the degenerate table, each headed by the names.
+    records = run_csv("matrix", "--metric", matrix_metric)
+    n = len(names)
+    assert records[0] == records[n + 1] == ["", *names]
+    for i, a in enumerate(names):
+        value_row, flag_row = records[1 + i], records[n + 2 + i]
+        assert value_row[0] == flag_row[0] == a
+        for j, b in enumerate(names):
             direct = evaluate_metric(dataset.column(a), dataset.column(b), matrix_metric)
             assert _bits(payload["values"][a][b]) == _bits(direct.value)
             assert payload["degenerate"][a][b] == direct.degenerate
+            assert value_row[1 + j] == format(direct.value, ".12g")
+            assert flag_row[1 + j] == ("true" if direct.degenerate else "false")
 
     payload, _ = run("rank", "--target", target, "--criterion", criterion)
     scores = {
@@ -634,3 +655,8 @@ def test_cli_output_equals_the_direct_calls(
     assert [entry["name"] for entry in payload["ranking"]] == expected
     for entry in payload["ranking"]:
         assert _bits(entry["score"]) == _bits(scores[entry["name"]])
+    records = run_csv("rank", "--target", target, "--criterion", criterion)
+    assert records == [["position", "name", "score"]] + [
+        [str(position), name, format(scores[name], ".12g")]
+        for position, name in enumerate(expected, start=1)
+    ]

@@ -2,7 +2,8 @@
 
 The files in ``data/golden`` were written by the command lines below from
 ``data/golden/input.csv``, run from that directory, so the recorded input
-path is ``input.csv``. Seven data rows keep every sum a plain sequential
+path is ``input.csv``. Each command must give these bytes both with
+``--output`` and on stdout. Seven data rows keep every sum a plain sequential
 loop. The JSON files hold no Pearson/Spearman values: those go through a
 BLAS dot product, whose last bits may differ between CPUs; their CSV
 files print 12 significant digits, which hides those bits.
@@ -58,9 +59,12 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_output_bytes_equal_the_golden_file(name, tmp_path, monkeypatch):
+def test_output_bytes_equal_the_golden_file(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
+    with open(os.path.join(GOLDEN, name), "rb") as handle:
+        golden = handle.read()
     written = tmp_path / name
     assert main(COMMANDS[name] + ["--output", str(written)]) == 0
-    with open(os.path.join(GOLDEN, name), "rb") as handle:
-        assert written.read_bytes() == handle.read()
+    assert written.read_bytes() == golden
+    assert main(COMMANDS[name]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden
