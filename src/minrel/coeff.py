@@ -203,6 +203,19 @@ def _raw_indicator(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     return _tradeoff(np.count_nonzero(xv > -yv, axis=-1), np.count_nonzero(xv > yv, axis=-1))
 
 
+def _raw_squared(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_iota` with raw values as both transforms, scaled so no square overflows.
+
+    The scale is the exact power of two that puts the pair's largest |value| in
+    [0.5, 1); it cancels in the ratio.
+    """
+    (xv,), (yv,) = x, y
+    largest = np.maximum(np.abs(xv).max(axis=-1), np.abs(yv).max(axis=-1))
+    exponent = -np.frexp(largest)[1][..., None]
+    ys = np.ldexp(yv, exponent)
+    return _iota((np.ldexp(xv, exponent),), (ys, ys))
+
+
 class Metric(NamedTuple):
     """A metric as ``kernel(prepare(x), prepare(y))``; see the module docstring."""
 
@@ -228,8 +241,7 @@ METRIC_TABLE: dict[str, Metric] = {
     "minrel_simple": Metric(_values, _concordance, ranked=False),
     "p_leq_hat": Metric(_values, _p_leq, ranked=False),
     "iota_raw_indicator": Metric(_values, _raw_indicator, ranked=False),
-    # The raw values stand in for both transforms.
-    "iota_raw_squared": Metric(lambda values: (values, values), _iota, ranked=False),
+    "iota_raw_squared": Metric(_values, _raw_squared, ranked=False),
 }
 
 #: Metric identifiers usable with :func:`evaluate_metric` and the CLI.

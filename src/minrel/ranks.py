@@ -13,8 +13,8 @@ elementwise, bit for bit.
 
 :func:`column_transforms` is the one place that builds them. It sorts each
 column once: tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X)
-holds exactly, ties included, and needs no second sort. :func:`centred`
-prepares a column, or its ranks, for the Pearson and Spearman kernels.
+holds exactly, ties included, and needs no second sort; without ties the ranks
+are the sorted positions. Spearman centres ranks at their exact mean (m+1)/2.
 """
 
 from __future__ import annotations
@@ -91,17 +91,21 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     rank (2p+k-1)/2, which keeps the total rank mass at m(m+1)/2 exactly.
     The ranks depend only on the sorted values, never on the order within a
     run of ties (-0.0 and 0.0 compare equal), so the sort need not be stable.
+    Without ties a rank is its sorted position p, bit for bit (p + p)/2.
     """
     order = np.argsort(values)
     sorted_values = values[order]
     new_group = np.empty(values.size, dtype=bool)
     new_group[0] = True
     new_group[1:] = sorted_values[1:] != sorted_values[:-1]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    averages = (starts + ends) / 2.0
+    if new_group.all():
+        averages, group = np.arange(1.0, values.size + 1), slice(None)
+    else:
+        group = np.cumsum(new_group) - 1
+        counts = np.bincount(group)
+        ends = np.cumsum(counts)
+        starts = ends - counts + 1
+        averages = (starts + ends) / 2.0
     ranks = np.empty(values.size, dtype=float)
     ranks[order] = averages[group]
     return ranks
@@ -134,7 +138,11 @@ class ColumnTransforms:
     @cached_property
     def centred(self) -> tuple[np.ndarray, np.ndarray]:
         """The ranks as a :func:`centred` column (for Spearman), built on first use."""
-        return centred(self.ranks)
+        # Twice each rank is an integer and the ranks sum to m(m+1)/2, so while
+        # m(m+1) < 2^53 every partial sum of centred()'s pre-scaled mean is exact
+        # and the mean is exactly (m+1)/2 times the scale. Powers of two commute
+        # with the subtraction here: centring at (m+1)/2 gives the same bits.
+        return _centred_about(self.ranks, (self.ranks.size + 1) / 2)
 
     def oriented(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
         """The (decreasing, increasing) transforms of ``sign * X``."""
@@ -176,7 +184,11 @@ def centred(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same, bit for bit.
     """
     scaled = _unit_scaled(values)
-    column = _unit_scaled(scaled - scaled.mean())
+    return _centred_about(scaled, scaled.mean())
+
+
+def _centred_about(values: np.ndarray, centre: float) -> tuple[np.ndarray, np.ndarray]:
+    column = _unit_scaled(values - centre)
     return column, dots(column, column)
 
 

@@ -99,6 +99,20 @@ def test_coeff_orientation(capsys, tmp_path):
     assert code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_coeff_iota_raw_squared_of_huge_values_is_valid_json(capsys, tmp_path):
+    path = write_csv(tmp_path, "big.csv", "x,y\n1e300,1\n-1e300,2\n3,1e300\n")
+    code, out, err = run_cli(capsys, "coeff", path, "--metric", "iota_raw_squared")
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    direct = evaluate_metric([1e300, -1e300, 3.0], [1.0, 2.0, 1e300], "iota_raw_squared")
+    assert payload["value"] == direct.value and -1.0 <= direct.value <= 1.0
+    assert payload["degenerate"] is False
+
+
 def test_coeff_unknown_column(capsys, linear_csv):
     code, _, err = run_cli(capsys, "coeff", linear_csv, "--x", "zzz")
     assert code == 2 and "zzz" in err

@@ -80,6 +80,21 @@ def test_iota_raw_squared_examples():
     assert iota_raw_squared([0.4, -0.3], [-0.2, 0.1]).value == pytest.approx(-0.8)
 
 
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_iota_raw_squared_is_exact_under_power_of_two_scaling(exponent):
+    # Unscaled, these squares underflow to zero or overflow to inf.
+    x = np.array([0.4, -0.3, 0.25])
+    y = np.array([-0.2, 0.1, 0.5])
+    scaled = iota_raw_squared(np.ldexp(x, exponent), np.ldexp(y, exponent))
+    assert scaled == iota_raw_squared(x, y)
+
+
+def test_iota_raw_squared_of_huge_values_is_finite():
+    result = iota_raw_squared([1e300, -1e300, 3.0], [1.0, 2.0, 1e300])
+    assert result.value == pytest.approx(1 / 3, abs=1e-15)
+    assert not result.degenerate
+
+
 def test_iota_raw_squared_negation_is_exact():
     x = np.array([-0.1, -0.2])
     y = np.array([0.3, 0.4])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minrel import (
@@ -11,7 +11,7 @@ from minrel import (
     tri_increasing,
     uniform_norm,
 )
-from minrel.ranks import fractional_ranks
+from minrel.ranks import centred, column_transforms, fractional_ranks
 
 from oracles import naive_ranks
 
@@ -83,23 +83,54 @@ def _stable_sort_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-# Few distinct values, both signed zeros among them; lists longer than 16
-# reach the unstable sort's partitioning, not just its insertion sort.
+# Few distinct values, both signed zeros among them (they tie, so such lists
+# take the tie path); or distinct values, which take the tie-free shortcut.
+# Lists longer than 16 reach the unstable sort's partitioning, not just its
+# insertion sort.
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308]),
-            st.integers(-3, 3).map(float),
+    st.one_of(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308]),
+                st.integers(-3, 3).map(float),
+            ),
+            min_size=2,
+            max_size=400,
         ),
-        min_size=2,
-        max_size=400,
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=400, unique=True
+        ),
     )
 )
+@example(np.random.default_rng(3).normal(size=1000).tolist())
 def test_fractional_ranks_equal_stable_sort_ranks_bitwise(values):
     values = np.asarray(values)
     expected = _stable_sort_ranks(values)
     assert fractional_ranks(values).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 5000),
+    st.sampled_from(["distinct", "ties", "constant"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(4097, "distinct", 0)
+@example(4097, "ties", 0)
+@example(2, "distinct", 0)
+def test_spearman_centring_equals_centred_ranks_bitwise(m, kind, seed):
+    rng = np.random.default_rng(seed)
+    values = {
+        "distinct": rng.normal(size=m),
+        "ties": rng.integers(0, 4, m).astype(float),
+        "constant": np.full(m, 1.5),
+    }[kind]
+    transforms = column_transforms(values)
+    column, norm = transforms.centred
+    expected_column, expected_norm = centred(transforms.ranks)
+    assert column.tobytes() == expected_column.tobytes()
+    assert norm.tobytes() == expected_norm.tobytes()
 
 
 def test_uniform_norm_examples():
