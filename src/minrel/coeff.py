@@ -19,11 +19,11 @@ degenerate zero, never an error.
 
 Every metric, including the raw variants of the trade-off and the Pearson
 and Spearman baselines, is one :data:`METRIC_TABLE` entry
-``Metric(prepare, kernel, ranked)``:
+``Metric(prepare, kernel)``:
 
-- ``prepare`` maps one column to a tuple of arrays. A ``ranked`` metric's
-  column is its :class:`ColumnTransforms` (one sort, shared by every
-  ranked metric); any other metric's column is its values, never sorted.
+- ``prepare`` maps one column's :class:`ColumnTransforms` to a tuple of
+  arrays. A column is sorted, once, exactly when a ``prepare`` reads a
+  rank view; a metric on raw values reads ``values`` and never sorts.
 - ``kernel(x, y)`` takes two prepared columns and returns ``(values,
   degenerate)`` arrays. Either side may be a batch, each part stacked
   with one row per column. Every reduction runs over the last axis, and a
@@ -40,12 +40,13 @@ masses, not eight. All functions are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .ranks import ColumnLike, ColumnTransforms, as_values, centred, column_transforms, dots
+from .ranks import ColumnLike, ColumnTransforms, as_values, centred, dots
 
 
 @dataclass(frozen=True)
@@ -73,29 +74,15 @@ class MinrelProfile:
         return (self.iota_xy, self.iota_yx, self.iota_negx_y, self.iota_negy_x)
 
 
-def _pair_values(x: ColumnLike, y: ColumnLike) -> tuple[np.ndarray, np.ndarray]:
-    xv = as_values(x, "x")
-    yv = as_values(y, "y")
-    if xv.size != yv.size:
-        raise InvalidInputError(f"columns differ in length: {xv.size} vs {yv.size}")
-    return xv, yv
-
-
-def _pair_columns(x: ColumnLike, y: ColumnLike, ranked: bool) -> tuple:
-    """Both columns as a metric takes them: transforms when ``ranked``, else values.
-
-    A column given as its transforms is not re-ranked.
-    """
-    xv, yv = _pair_values(x, y)
-    if not ranked:
-        return xv, yv
-    return _transforms(x, xv), _transforms(y, yv)
-
-
-def _transforms(column: ColumnLike, values: np.ndarray) -> ColumnTransforms:
-    if isinstance(column, ColumnTransforms):
-        return column
-    return column_transforms(values)
+def _pair_columns(x: ColumnLike, y: ColumnLike) -> tuple[ColumnTransforms, ColumnTransforms]:
+    """Both columns as :class:`ColumnTransforms`; a column given as one is kept, views and all."""
+    if not isinstance(x, ColumnTransforms):
+        x = ColumnTransforms(as_values(x, "x"))
+    if not isinstance(y, ColumnTransforms):
+        y = ColumnTransforms(as_values(y, "y"))
+    if x.values.size != y.values.size:
+        raise InvalidInputError(f"columns differ in length: {x.values.size} vs {y.values.size}")
+    return x, y
 
 
 def _mass(s: np.ndarray) -> np.ndarray:
@@ -219,29 +206,28 @@ def _raw_squared(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
 class Metric(NamedTuple):
     """A metric as ``kernel(prepare(x), prepare(y))``; see the module docstring."""
 
-    prepare: Callable[..., tuple]
+    prepare: Callable[[ColumnTransforms], tuple]
     kernel: Callable[[tuple, tuple], tuple[np.ndarray, np.ndarray]]
-    ranked: bool
 
 
-def _values(values: np.ndarray) -> tuple[np.ndarray]:
-    return (values,)
+def _values(t: ColumnTransforms) -> tuple[np.ndarray]:
+    return (t.values,)
 
 
 #: The one metric table: every metric identifier, in CLI order.
 METRIC_TABLE: dict[str, Metric] = {
-    "pearson": Metric(centred, _correlation, ranked=False),
-    "spearman": Metric(lambda t: t.centred, _correlation, ranked=True),
-    "iota": Metric(lambda t: t.oriented(1), _iota, ranked=True),
+    "pearson": Metric(lambda t: centred(t.values), _correlation),
+    "spearman": Metric(lambda t: t.centred, _correlation),
+    "iota": Metric(lambda t: t.oriented(1), _iota),
     # iota2(X, Y) == iota(-Y, -X), on the transforms of -X.
-    "iota2": Metric(lambda t: t.oriented(-1), lambda x, y: _iota(y, x), ranked=True),
+    "iota2": Metric(lambda t: t.oriented(-1), lambda x, y: _iota(y, x)),
     "max_iota_sq": Metric(
-        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(*_orientations(x, y)), ranked=True
+        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(*_orientations(x, y))
     ),
-    "minrel_simple": Metric(_values, _concordance, ranked=False),
-    "p_leq_hat": Metric(_values, _p_leq, ranked=False),
-    "iota_raw_indicator": Metric(_values, _raw_indicator, ranked=False),
-    "iota_raw_squared": Metric(_values, _raw_squared, ranked=False),
+    "minrel_simple": Metric(_values, _concordance),
+    "p_leq_hat": Metric(_values, _p_leq),
+    "iota_raw_indicator": Metric(_values, _raw_indicator),
+    "iota_raw_squared": Metric(_values, _raw_squared),
 }
 
 #: Metric identifiers usable with :func:`evaluate_metric` and the CLI.
@@ -250,8 +236,8 @@ METRICS = tuple(METRIC_TABLE)
 
 def _pair(metric: str, x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """A metric of one column pair: one call of its kernel."""
-    prepare, kernel, ranked = METRIC_TABLE[metric]
-    x, y = _pair_columns(x, y, ranked)
+    prepare, kernel = METRIC_TABLE[metric]
+    x, y = _pair_columns(x, y)
     return _coefficient(*kernel(prepare(x), prepare(y)))
 
 
@@ -297,7 +283,7 @@ def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
 
 
 def _require_sign(sign: int, name: str) -> int:
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or not isinstance(sign, Integral) or sign not in (1, -1):
         raise InvalidInputError(f"{name} must be +1 or -1, got {sign!r}")
     return int(sign)
 
@@ -312,7 +298,7 @@ def iota_oriented(
     """
     sx = _require_sign(sign_x, "sign_x")
     sy = _require_sign(sign_y, "sign_y")
-    tx, ty = _pair_columns(x, y, ranked=True)
+    tx, ty = _pair_columns(x, y)
     return _coefficient(*_iota(tx.oriented(sx), ty.oriented(sy)))
 
 
@@ -331,7 +317,7 @@ def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
     One call of :func:`_orientations` and :func:`_max_iota_sq`, the
     ``max_iota_sq`` kernel, so the square equals :func:`max_iota_sq`.
     """
-    tx, ty = _pair_columns(x, y, ranked=True)
+    tx, ty = _pair_columns(x, y)
     values, degenerate = _orientations(tx.oriented(1), ty.oriented(1))
     best, _ = _max_iota_sq(values, degenerate)
     return MinrelProfile(*map(_coefficient, values, degenerate), float(best))

@@ -1,9 +1,9 @@
 """Pairwise coefficient matrices over whole datasets.
 
-Each column is prepared once with its metric's ``prepare`` (see
-:mod:`minrel.coeff`; a ranked metric's columns are ranked and transformed
-once by :func:`transform_cache`, one sort each), and the prepared parts are
-stacked into (n, ...) arrays. One function, :func:`_kernel_map`, fills the
+Each column's :class:`ColumnTransforms` (:func:`transform_cache`; sorted
+only if the metric reads its ranks) is prepared once by the metric's
+``prepare`` (see :mod:`minrel.coeff`), and the parts are stacked into
+(n, ...) arrays. One function, :func:`_kernel_map`, fills the
 n x n map with one call of the metric's ``kernel`` per matrix row per block
 of columns: the kernel a two-column call runs, so a matrix cell equals the
 direct call bit for bit by construction. Each cell is reduced on its own
@@ -31,7 +31,15 @@ import numpy as np
 
 from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_count
-from .ranks import ColumnTransforms, column_transforms
+from .ranks import ColumnTransforms, as_float_array
+
+
+def _index(names: tuple[str, ...], name: str) -> int:
+    """The position of column ``name``; :class:`InvalidInputError` if there is none."""
+    try:
+        return names.index(name)
+    except ValueError:
+        raise InvalidInputError(f"unknown column {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -51,7 +59,7 @@ class Dataset:
         if len(set(names)) != len(names):
             duplicate = next(name for i, name in enumerate(names) if name in names[:i])
             raise InvalidInputError(f"column names must be unique; {duplicate!r} repeats")
-        values = np.asarray(self.values, dtype=float)
+        values = as_float_array(self.values, "dataset values")
         if values.ndim != 2:
             raise InvalidInputError(f"dataset values must be 2-D, got shape {values.shape}")
         if values.shape[1] != len(names):
@@ -75,7 +83,7 @@ class Dataset:
         names = tuple(columns)
         if not names:
             raise InvalidInputError("a dataset needs at least one column")
-        arrays = [np.asarray(columns[name], dtype=float) for name in names]
+        arrays = [as_float_array(columns[name], f"column {name!r}") for name in names]
         lengths = {array.shape[0] if array.ndim else 0 for array in arrays}
         if len(lengths) > 1:
             raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
@@ -90,18 +98,15 @@ class Dataset:
         return self.values.shape[1]
 
     def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidInputError(f"unknown column {name!r}") from None
+        return _index(self.names, name)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index(name)]
 
 
 def transform_cache(dataset: Dataset) -> tuple[ColumnTransforms, ...]:
-    """Rank and transform every column once; O(n m log m) preprocessing."""
-    return tuple(column_transforms(dataset.values[:, j]) for j in range(dataset.n))
+    """Every column as a :class:`ColumnTransforms`; each view is built on first use."""
+    return tuple(ColumnTransforms(dataset.values[:, j]) for j in range(dataset.n))
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,7 @@ class CoefficientMatrix:
     degenerate: np.ndarray
 
     def value(self, x_name: str, y_name: str) -> float:
-        i = self.names.index(x_name)
-        j = self.names.index(y_name)
+        i, j = _index(self.names, x_name), _index(self.names, y_name)
         return float(self.values[i, j])
 
 
@@ -132,8 +136,7 @@ class ProfileMatrix:
     degenerate: np.ndarray  # shape (n, n, 4), one flag per orientation
 
     def profile(self, x_name: str, y_name: str) -> MinrelProfile:
-        i = self.names.index(x_name)
-        j = self.names.index(y_name)
+        i, j = _index(self.names, x_name), _index(self.names, y_name)
         flags = self.degenerate[i, j]
         return MinrelProfile(
             CoefficientValue(float(self.iota_xy[i, j]), bool(flags[0])),
@@ -227,10 +230,10 @@ def pairwise_matrix(
     if metric not in MATRIX_METRICS:
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
     workers = require_count(workers, "workers", 1)
-    prepare, kernel, ranked = METRIC_TABLE[metric]
-    if ranked and cache is None:
-        cache = transform_cache(dataset)
-    stacks = _stacks(prepare, cache if ranked else dataset.values.T)
+    prepare, kernel = METRIC_TABLE[metric]
+    # ``prepare`` builds every view it reads here, in the calling thread, before
+    # _kernel_map starts any thread; the threads read only the stacks.
+    stacks = _stacks(prepare, transform_cache(dataset) if cache is None else cache)
     values, degenerate = _kernel_map(kernel, stacks, workers, symmetric=metric in SYMMETRIC_METRICS)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)

@@ -119,7 +119,7 @@ def rank_variables(
     if cache is None:
         cache = transform_cache(dataset)
     metric, target_first, squared = _CRITERIA[criterion]
-    prepare, kernel, _ = METRIC_TABLE[metric]
+    prepare, kernel = METRIC_TABLE[metric]
     target_column = prepare(cache[target_index])
 
     def score(j: int) -> float:

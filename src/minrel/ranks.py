@@ -11,10 +11,10 @@ where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
 
-:func:`column_transforms` is the one place that builds them. It sorts each
-column once: tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X)
-holds exactly, ties included, and needs no second sort; without ties the ranks
-are the sorted positions. Spearman centres ranks at their exact mean (m+1)/2.
+:class:`ColumnTransforms` builds them, each on first use, from one sort:
+tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X) holds
+exactly, ties included; without ties the ranks are the sorted positions.
+Spearman centres ranks at their exact mean (m+1)/2.
 """
 
 from __future__ import annotations
@@ -32,8 +32,16 @@ Direction = Literal["decreasing", "increasing"]
 ColumnLike = Union["DataColumn", "ColumnTransforms", np.ndarray, Sequence[float]]
 
 
+def as_float_array(data, what: str) -> np.ndarray:
+    """``data`` as a float array; :class:`InvalidInputError` if a cell is not a number."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise InvalidInputError(f"{what} must hold numbers: {error}") from None
+
+
 def _validated_values(data, what: str = "column") -> np.ndarray:
-    values = np.asarray(data, dtype=float)
+    values = as_float_array(data, what)
     if values.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional, got shape {values.shape}")
     if values.size < 2:
@@ -113,19 +121,30 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColumnTransforms:
-    """Every rank-derived view of one column, from a single sort.
+    """Every view of one column, each built on first use and kept.
 
-    ``ranks`` are the fractional ranks r(X); the ranks of the negated column
-    are m + 1 - r(X), bit for bit, so they need no second sort. ``neg_dec``
-    and ``neg_inc`` are the transforms of -X: flipping a column's sign swaps
-    its two transforms and negates them (``neg_dec == -inc``,
-    ``neg_inc == -dec``); negation is exact, so they are not stored.
+    ``ranks`` are the fractional ranks r(X); the ranks of -X are m + 1 - r(X),
+    bit for bit, so they need no second sort. ``neg_dec`` and ``neg_inc``
+    are the transforms of -X: flipping a column's sign swaps its two
+    transforms and negates them (``neg_dec == -inc``, ``neg_inc == -dec``);
+    negation is exact, so they are not kept. Two threads that first read a
+    view at once may both build it, with the same bits.
     """
 
     values: np.ndarray
-    ranks: np.ndarray
-    dec: np.ndarray
-    inc: np.ndarray
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return fractional_ranks(self.values)
+
+    @cached_property
+    def dec(self) -> np.ndarray:
+        return decreasing_scores_from_ranks(self.ranks, self.values.size)
+
+    @cached_property
+    def inc(self) -> np.ndarray:
+        m = self.values.size
+        return increasing_scores_from_ranks((m + 1) - self.ranks, m)
 
     @property
     def neg_dec(self) -> np.ndarray:
@@ -137,7 +156,7 @@ class ColumnTransforms:
 
     @cached_property
     def centred(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ranks as a :func:`centred` column (for Spearman), built on first use."""
+        """The ranks as a :func:`centred` column (for Spearman)."""
         # Twice each rank is an integer and the ranks sum to m(m+1)/2, so while
         # m(m+1) < 2^53 every partial sum of centred()'s pre-scaled mean is exact
         # and the mean is exactly (m+1)/2 times the scale. Powers of two commute
@@ -149,15 +168,6 @@ class ColumnTransforms:
         if sign < 0:
             return self.neg_dec, self.neg_inc
         return self.dec, self.inc
-
-
-def column_transforms(values: np.ndarray) -> ColumnTransforms:
-    """Rank a validated column once and derive every transform from it."""
-    m = values.size
-    ranks = fractional_ranks(values)
-    dec = decreasing_scores_from_ranks(ranks, m)
-    inc = increasing_scores_from_ranks((m + 1) - ranks, m)
-    return ColumnTransforms(values=values, ranks=ranks, dec=dec, inc=inc)
 
 
 def _unit_scaled(values: np.ndarray) -> np.ndarray:
@@ -207,8 +217,8 @@ def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
 
 def uniform_norm(column: ColumnLike) -> np.ndarray:
     """Ranks rescaled to (0, 1]: r(X)/m, the uniform marginal normalization."""
-    ranked = compute_ranks(column)
-    return ranked.ranks / float(ranked.m)
+    vector = compute_ranks(column)
+    return vector.ranks / float(vector.m)
 
 
 def decreasing_scores_from_ranks(ranks: np.ndarray, m: int) -> np.ndarray:
@@ -223,11 +233,11 @@ def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarra
 
 def tri_decreasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered decreasing-triangular marginal."""
-    scores = column_transforms(as_values(column)).dec
+    scores = ColumnTransforms(as_values(column)).dec
     return TriangularScores(scores=scores, direction="decreasing")
 
 
 def tri_increasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered increasing-triangular marginal."""
-    scores = column_transforms(as_values(column)).inc
+    scores = ColumnTransforms(as_values(column)).inc
     return TriangularScores(scores=scores, direction="increasing")

@@ -124,6 +124,19 @@ def test_iota_oriented_identity_signs_and_validation():
         iota_oriented(x, y, 1, 2)
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, 0, 2, np.int64(-1)])
+def test_iota_oriented_accepts_only_integer_signs(sign):
+    x = [0.3, 1.2, -0.5, 2.0]
+    y = [1.0, 0.2, 0.4, -0.3]
+    if isinstance(sign, np.integer):
+        assert iota_oriented(x, y, sign, sign) == iota_oriented(x, y, -1, -1)
+        return
+    for signs, name in (((sign, 1), "sign_x"), ((1, sign), "sign_y")):
+        with pytest.raises(InvalidInputError) as error:
+            iota_oriented(x, y, *signs)
+        assert str(error.value) == f"{name} must be +1 or -1, got {sign!r}"
+
+
 def test_iota_oriented_sign_flip_negates_exactly():
     rng = np.random.default_rng(29)
     for _ in range(100):

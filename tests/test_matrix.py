@@ -57,6 +57,26 @@ def test_dataset_from_columns_rejects_ragged_input():
         Dataset.from_columns({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
 
 
+def test_dataset_rejects_non_numeric_cells():
+    with pytest.raises(InvalidInputError, match="dataset values must hold numbers: .*'x'"):
+        Dataset(("a", "b"), [["x", "1"], ["2", "3"]])
+    with pytest.raises(InvalidInputError, match="column 'a' must hold numbers: .*'x'"):
+        Dataset.from_columns({"a": ["1", "x"], "b": [1, 2]})
+
+
+def test_result_matrices_reject_an_unknown_column():
+    ds = _dataset(n=2)
+    lookups = (
+        lambda: pairwise_matrix(ds, "iota").value("c0", "zz"),
+        lambda: minrel_profile_matrix(ds).profile("zz", "c1"),
+        lambda: ds.index("zz"),
+    )
+    for lookup in lookups:
+        with pytest.raises(InvalidInputError) as error:
+            lookup()
+        assert str(error.value) == "unknown column 'zz'"
+
+
 def test_dataset_accessors_and_immutability():
     ds = Dataset.from_columns({"x": [1.0, 2.0, 3.0], "y": [4.0, 5.0, 6.0]})
     assert ds.m == 3 and ds.n == 2
@@ -173,15 +193,39 @@ def test_preprocessing_sorts_each_column_once(monkeypatch):
 def test_pairwise_pass_never_reranks_with_prebuilt_cache(monkeypatch):
     ds = _dataset(seed=13, m=30, n=5)
     cache = transform_cache(ds)
+    # The first pass builds the views; later passes on the cache reuse them.
+    first = pairwise_matrix(ds, "iota", cache=cache)
 
     def exploding(values):
         raise AssertionError("pairwise pass must not rank")
 
     monkeypatch.setattr(minrel.ranks, "fractional_ranks", exploding)
     matrix = pairwise_matrix(ds, "iota", cache=cache)
+    assert matrix.values.tobytes() == first.values.tobytes()
     profiles = minrel_profile_matrix(ds, cache=cache)
     assert matrix.values.shape == (5, 5)
     assert profiles.max_iota_sq.shape == (5, 5)
+
+
+def test_only_rank_metric_matrices_sort(monkeypatch):
+    ds = _dataset(seed=13, m=30, n=5)
+    original = minrel.ranks.fractional_ranks
+
+    def exploding(values):
+        raise AssertionError("a metric on raw values must not rank")
+
+    monkeypatch.setattr(minrel.ranks, "fractional_ranks", exploding)
+    for metric in ("pearson", "minrel_simple"):
+        assert pairwise_matrix(ds, metric).values.shape == (5, 5)
+    calls = {"count": 0}
+
+    def counting(values):
+        calls["count"] += 1
+        return original(values)
+
+    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
+    pairwise_matrix(ds, "spearman")
+    assert calls["count"] == ds.n
 
 
 def test_profile_matrix_matches_direct_profiles():

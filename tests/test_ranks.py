@@ -11,7 +11,7 @@ from minrel import (
     tri_increasing,
     uniform_norm,
 )
-from minrel.ranks import centred, column_transforms, fractional_ranks
+from minrel.ranks import ColumnTransforms, centred, fractional_ranks
 
 from oracles import naive_ranks
 
@@ -126,7 +126,7 @@ def test_spearman_centring_equals_centred_ranks_bitwise(m, kind, seed):
         "ties": rng.integers(0, 4, m).astype(float),
         "constant": np.full(m, 1.5),
     }[kind]
-    transforms = column_transforms(values)
+    transforms = ColumnTransforms(values)
     column, norm = transforms.centred
     expected_column, expected_norm = centred(transforms.ranks)
     assert column.tobytes() == expected_column.tobytes()

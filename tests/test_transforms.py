@@ -20,10 +20,13 @@ from minrel import (
     evaluate_metric,
     iota2,
     iota_oriented,
+    iota_raw_indicator,
+    iota_raw_squared,
     max_iota_sq,
     minrel_profile,
     minrel_profile_matrix,
     minrel_simple,
+    p_leq_hat,
     pairwise_matrix,
     pearson,
     rank_minrelation,
@@ -32,7 +35,7 @@ from minrel import (
 )
 from minrel.matrix import MATRIX_METRICS
 from minrel.ranks import (
-    column_transforms,
+    ColumnTransforms,
     decreasing_scores_from_ranks,
     fractional_ranks,
     increasing_scores_from_ranks,
@@ -76,6 +79,10 @@ def sort_counter(monkeypatch):
     return calls
 
 
+#: The metrics whose ``prepare`` reads a rank view; the rest use raw values.
+RANK_METRICS = frozenset({"spearman", "iota", "iota2", "max_iota_sq"})
+
+
 @pytest.mark.parametrize(
     "function, sorts",
     [
@@ -87,12 +94,22 @@ def sort_counter(monkeypatch):
         (spearman, 2),
         (pearson, 0),
         (minrel_simple, 0),
+        (p_leq_hat, 0),
+        (iota_raw_indicator, 0),
+        (iota_raw_squared, 0),
     ],
 )
 def test_direct_calls_sort_each_column_once(sort_counter, function, sorts):
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(2, 25))
     function(x, y)
+    assert sort_counter["count"] == sorts
+    # Given transforms, the first call sorts what it reads and the second
+    # reuses it; a metric on raw values never sorts.
+    prepared = ColumnTransforms(x), ColumnTransforms(y)
+    sort_counter["count"] = 0
+    function(*prepared)
+    function(*prepared)
     assert sort_counter["count"] == sorts
 
 
@@ -101,24 +118,30 @@ def test_direct_calls_take_prepared_transforms_without_sorting(sort_counter, met
     rng = np.random.default_rng(4)
     x, y = rng.normal(size=(2, 25))
     expected = evaluate_metric(x, y, metric)
-    prepared = column_transforms(x), column_transforms(y)
+    prepared = ColumnTransforms(x), ColumnTransforms(y)
     sort_counter["count"] = 0
-    result = evaluate_metric(*prepared, metric)
+    first = evaluate_metric(*prepared, metric)
+    assert sort_counter["count"] == (2 if metric in RANK_METRICS else 0)
+    sort_counter["count"] = 0
+    second = evaluate_metric(*prepared, metric)
     assert sort_counter["count"] == 0
-    assert _bits(result.value) == _bits(expected.value)
-    assert result.degenerate == expected.degenerate
+    for result in (first, second):
+        assert _bits(result.value) == _bits(expected.value)
+        assert result.degenerate == expected.degenerate
 
 
 def test_profile_and_spearman_take_prepared_transforms(sort_counter):
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(2, 25))
     expected = minrel_profile(x, y), spearman(x, y)
-    prepared = column_transforms(x), column_transforms(y)
+    prepared = ColumnTransforms(x), ColumnTransforms(y)
     sort_counter["count"] = 0
     assert (minrel_profile(*prepared), spearman(*prepared)) == expected
-    assert sort_counter["count"] == 0
+    assert sort_counter["count"] == 2
+    assert (minrel_profile(*prepared), spearman(*prepared)) == expected
+    assert sort_counter["count"] == 2
     with pytest.raises(InvalidInputError, match="length"):
-        spearman(prepared[0], column_transforms(y[:-1]))
+        spearman(prepared[0], ColumnTransforms(y[:-1]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,12 +149,12 @@ def test_profile_and_spearman_take_prepared_transforms(sort_counter):
 def test_builder_negation_matches_ranking_the_negated_column(cells):
     x = np.asarray(cells, dtype=float)
     m = x.size
-    built = column_transforms(x)
+    built = ColumnTransforms(x)
     negated_ranks = fractional_ranks(np.negative(x))
     assert compute_ranks(x, negate=True).ranks.tobytes() == negated_ranks.tobytes()
     assert built.inc.tobytes() == increasing_scores_from_ranks(negated_ranks, m).tobytes()
     assert built.neg_dec.tobytes() == decreasing_scores_from_ranks(negated_ranks, m).tobytes()
-    flipped = column_transforms(np.negative(x))
+    flipped = ColumnTransforms(np.negative(x))
     assert flipped.ranks.tobytes() == negated_ranks.tobytes()
     assert flipped.dec.tobytes() == built.neg_dec.tobytes()
     assert flipped.inc.tobytes() == built.neg_inc.tobytes()
