@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .ranks import ColumnLike, ColumnTransforms, as_values, centred, dots
+from .ranks import ColumnLike, ColumnTransforms, as_column, centred, dots
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,10 @@ class MinrelProfile:
 
 
 def _pair_columns(x: ColumnLike, y: ColumnLike) -> tuple[ColumnTransforms, ColumnTransforms]:
-    """Both columns as :class:`ColumnTransforms`; a column given as one is kept, views and all."""
-    if not isinstance(x, ColumnTransforms):
-        x = ColumnTransforms(as_values(x, "x"))
-    if not isinstance(y, ColumnTransforms):
-        y = ColumnTransforms(as_values(y, "y"))
-    if x.values.size != y.values.size:
-        raise InvalidInputError(f"columns differ in length: {x.values.size} vs {y.values.size}")
+    """Both columns through :func:`ranks.as_column`, checked for equal length."""
+    x, y = as_column(x, "x"), as_column(y, "y")
+    if x.m != y.m:
+        raise InvalidInputError(f"columns differ in length: {x.m} vs {y.m}")
     return x, y
 
 

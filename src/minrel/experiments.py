@@ -9,11 +9,11 @@ would rank first). A statistic name is a :data:`STATS` key: the public
 direct call that gives it.
 
 :func:`run_experiment` runs any table. Repetition ``rep`` uses seed
-``seed + rep`` and ranks each column once (:func:`transform_cache`). Each
-pair is scored by the direct calls of the table's ``stats`` alone, on the
-cached transforms, so every value is what a library user gets for that
-pair and nothing unprinted is computed. A cell reports the mean over
-repetitions and its standard error.
+``seed + rep`` and ranks each column once: each pair is scored by the
+direct calls of the table's ``stats`` alone, on the columns of the
+repetition's :attr:`Dataset.columns`, so every value is what a library
+user gets for that pair and nothing unprinted is computed. A cell reports
+the mean over repetitions and its standard error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeff import CoefficientValue, iota_oriented, rank_minrelation, spearman
 from .errors import InvalidInputError, require_count
-from .matrix import ColumnTransforms, transform_cache
+from .ranks import ColumnTransforms
 from .synth import GeneratedDataset, gen_combined, gen_linear, gen_multiplication
 
 
@@ -182,7 +182,7 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     values: dict[str, list[float]] = {}
     for rep in range(reps):
         dataset = table.generate(m, seed + rep).dataset
-        columns = dict(zip(dataset.names, transform_cache(dataset)))
+        columns = dict(zip(dataset.names, dataset.columns))
         for x, y, _, _ in table.rows:
             for stat in table.stats:
                 value = STATS[stat](columns[x], columns[y]).value

@@ -1,17 +1,19 @@
 """Pairwise coefficient matrices over whole datasets.
 
-Each column's :class:`ColumnTransforms` (:func:`transform_cache`; sorted
-only if the metric reads its ranks) is prepared once by the metric's
-``prepare`` (see :mod:`minrel.coeff`), and the parts are stacked into
-(n, ...) arrays. One function, :func:`_kernel_map`, fills the
-n x n map with one call of the metric's ``kernel`` per matrix row per block
-of columns: the kernel a two-column call runs, so a matrix cell equals the
-direct call bit for bit by construction. Each cell is reduced on its own
-(no matrix products), and each row is written into storage allocated
-before any thread starts, so results are bit-identical for any worker
-count. The kernels' large array operations release the interpreter lock,
-so ``workers`` threads (at most one per available CPU), dealt the rows in
-turn, run in parallel.
+A :class:`Dataset` owns its columns: :attr:`Dataset.columns` builds one
+:class:`ColumnTransforms` per column on first use and keeps it, so every
+pass over one dataset (matrices, rankings, experiments) reuses the same
+views and sorts each column at most once, and only if a metric reads its
+ranks. Each column is prepared once by the metric's ``prepare`` (see
+:mod:`minrel.coeff`), and the parts are stacked into (n, ...) arrays. One
+function, :func:`_kernel_map`, fills the n x n map with one call of the
+metric's ``kernel`` per matrix row per block of columns: the kernel a
+two-column call runs, so a matrix cell equals the direct call bit for bit
+by construction. Each cell is reduced on its own (no matrix products), and
+each row is written into storage allocated before any thread starts, so
+results are bit-identical for any worker count. The kernels' large array
+operations release the interpreter lock, so ``workers`` threads (at most
+one per available CPU), dealt the rows in turn, run in parallel.
 
 No metric has a path of its own. A metric of :data:`SYMMETRIC_METRICS`
 computes only the cells with j >= i and mirrors them. The
@@ -25,13 +27,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_count
-from .ranks import ColumnTransforms, as_float_array
+from .ranks import ColumnTransforms, _frozen, as_float_array
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -42,12 +45,13 @@ def _index(names: tuple[str, ...], name: str) -> int:
         raise InvalidInputError(f"unknown column {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Named columns of equal length m >= 2; stored as an (m, n) float array.
 
     ``rows_dropped`` counts input rows left out of ``values``, such as the
     incomplete rows the CLI reader drops under ``--na drop-rows``.
+    :attr:`columns` holds the columns as :class:`ColumnTransforms`.
     """
 
     names: tuple[str, ...]
@@ -68,15 +72,13 @@ class Dataset:
             )
         if values.shape[0] < 2:
             raise InvalidInputError(f"dataset needs at least 2 rows, got {values.shape[0]}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             row, col = (int(k[0]) for k in np.nonzero(~np.isfinite(values)))
             raise InvalidInputError(
                 f"non-finite value at row {row}, column {names[col]!r}"
             )
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values.copy()))
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[float]]) -> "Dataset":
@@ -103,13 +105,18 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index(name)]
 
+    @cached_property
+    def columns(self) -> tuple[ColumnTransforms, ...]:
+        """Every column as a :class:`ColumnTransforms`, built once and kept."""
+        return tuple(ColumnTransforms(self.values[:, j], name) for j, name in enumerate(self.names))
+
 
 def transform_cache(dataset: Dataset) -> tuple[ColumnTransforms, ...]:
-    """Every column as a :class:`ColumnTransforms`; each view is built on first use."""
-    return tuple(ColumnTransforms(dataset.values[:, j]) for j in range(dataset.n))
+    """The dataset's :attr:`Dataset.columns`."""
+    return dataset.columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """n x n coefficient values plus the mask of degenerate cells."""
 
@@ -123,7 +130,7 @@ class CoefficientMatrix:
         return float(self.values[i, j])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileMatrix:
     """Four-orientation coefficient maps for every ordered column pair."""
 
@@ -209,19 +216,7 @@ MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel
 SYMMETRIC_METRICS = frozenset({"pearson", "spearman", "max_iota_sq"})
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array = np.ascontiguousarray(array)
-    array.flags.writeable = False
-    return array
-
-
-def pairwise_matrix(
-    dataset: Dataset,
-    metric: str,
-    *,
-    cache: Sequence[ColumnTransforms] | None = None,
-    workers: int = 1,
-) -> CoefficientMatrix:
+def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> CoefficientMatrix:
     """Apply a two-column metric to every ordered pair of columns.
 
     Cell (i, j) holds metric(column_i, column_j) and equals a direct
@@ -233,24 +228,17 @@ def pairwise_matrix(
     prepare, kernel = METRIC_TABLE[metric]
     # ``prepare`` builds every view it reads here, in the calling thread, before
     # _kernel_map starts any thread; the threads read only the stacks.
-    stacks = _stacks(prepare, transform_cache(dataset) if cache is None else cache)
+    stacks = _stacks(prepare, dataset.columns)
     values, degenerate = _kernel_map(kernel, stacks, workers, symmetric=metric in SYMMETRIC_METRICS)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
 
 
-def minrel_profile_matrix(
-    dataset: Dataset,
-    *,
-    cache: Sequence[ColumnTransforms] | None = None,
-    workers: int = 1,
-) -> ProfileMatrix:
+def minrel_profile_matrix(dataset: Dataset, *, workers: int = 1) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
     workers = require_count(workers, "workers", 1)
-    if cache is None:
-        cache = transform_cache(dataset)
-    stacks = _stacks(lambda t: t.oriented(1), cache)
+    stacks = _stacks(lambda t: t.oriented(1), dataset.columns)
     values, degenerate = _kernel_map(_orientations, stacks, workers, cell=(4,))
     best, _ = _max_iota_sq(values, degenerate)
     # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.

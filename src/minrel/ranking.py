@@ -11,7 +11,9 @@ order, so results are fully deterministic):
 Each criterion is data (:data:`_CRITERIA`): a metric of
 :data:`coeff.METRIC_TABLE`, which side the target is on, and whether the
 value is squared. A score is one call of that metric's kernel on the two
-columns' cached transforms, so it equals the two-column call bit for bit.
+columns of :attr:`Dataset.columns`, so it equals the two-column call bit
+for bit, and every ranking of one dataset (all targets, both criteria of
+:func:`compare_criteria`) sorts each column at most once.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
@@ -29,7 +31,7 @@ import numpy as np
 
 from .coeff import METRIC_TABLE
 from .errors import InvalidInputError, require_count
-from .matrix import ColumnTransforms, Dataset, transform_cache
+from .matrix import Dataset
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
 #: score is the metric's kernel on (candidate, target), or on (target,
@@ -100,13 +102,7 @@ class WinLossRecord:
         return sum(1 for o in self.outcomes if o.outcome == "draw")
 
 
-def rank_variables(
-    dataset: Dataset,
-    target: str,
-    criterion: str,
-    *,
-    cache: Sequence[ColumnTransforms] | None = None,
-) -> RankingResult:
+def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResult:
     """Order every other column by its relevance score against the target.
 
     Degenerate coefficients score 0. Ties keep the dataset's column order.
@@ -116,16 +112,15 @@ def rank_variables(
     target_index = dataset.index(target)
     if dataset.n < 2:
         raise InvalidInputError("ranking needs at least 2 columns")
-    if cache is None:
-        cache = transform_cache(dataset)
+    columns = dataset.columns
     metric, target_first, squared = _CRITERIA[criterion]
     prepare, kernel = METRIC_TABLE[metric]
-    target_column = prepare(cache[target_index])
+    target_column = prepare(columns[target_index])
 
     def score(j: int) -> float:
         # One kernel call per candidate: on 50 000 tied rows, one call over
         # all candidates stacked took several times longer.
-        pair = (prepare(cache[j]), target_column)
+        pair = (prepare(columns[j]), target_column)
         value = float(kernel(*(pair[::-1] if target_first else pair))[0])
         return value * value if squared else value
 
@@ -166,7 +161,6 @@ def compare_criteria(
     ranking gives the predictors a strictly lower average position.
     """
     min_relevant = require_count(min_relevant, "min_relevant", 1)
-    cache = transform_cache(dataset)
     resolved = {name: tuple(relevant) for name, relevant in targets.items()}
     ordered_targets = sorted(resolved, key=dataset.index)
     outcomes = []
@@ -174,8 +168,8 @@ def compare_criteria(
         relevant = resolved[target]
         if len(relevant) < min_relevant:
             continue
-        ranking_a = rank_variables(dataset, target, criterion_a, cache=cache)
-        ranking_b = rank_variables(dataset, target, criterion_b, cache=cache)
+        ranking_a = rank_variables(dataset, target, criterion_a)
+        ranking_b = rank_variables(dataset, target, criterion_b)
         avg_a = average_position(ranking_a, relevant).avg_position
         avg_b = average_position(ranking_b, relevant).avg_position
         if avg_a < avg_b:

@@ -11,10 +11,14 @@ where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
 
-:class:`ColumnTransforms` builds them, each on first use, from one sort:
-tie-averaged ranks are half-integers, so r(-X) = m + 1 - r(X) holds
-exactly, ties included; without ties the ranks are the sorted positions.
-Spearman centres ranks at their exact mean (m+1)/2.
+:class:`ColumnTransforms` is the one column type. It checks a column's
+samples (finite, 1-D, at least two) and freezes a copy of them, then
+builds every view, each on first use, from one sort: tie-averaged ranks
+are half-integers, so r(-X) = m + 1 - r(X) holds exactly, ties included;
+without ties the ranks are the sorted positions. Spearman centres ranks at
+their exact mean (m+1)/2. Every function here that takes a column goes
+through :func:`as_column`, which keeps a given :class:`ColumnTransforms`,
+so a column read many times is sorted once.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import InvalidInputError
 
 Direction = Literal["decreasing", "increasing"]
 
-ColumnLike = Union["DataColumn", "ColumnTransforms", np.ndarray, Sequence[float]]
+ColumnLike = Union["ColumnTransforms", np.ndarray, Sequence[float]]
 
 
 def as_float_array(data, what: str) -> np.ndarray:
@@ -40,43 +44,26 @@ def as_float_array(data, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} must hold numbers: {error}") from None
 
 
-def _validated_values(data, what: str = "column") -> np.ndarray:
+def _validated_values(data, what: str) -> np.ndarray:
     values = as_float_array(data, what)
     if values.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional, got shape {values.shape}")
     if values.size < 2:
         raise InvalidInputError(f"{what} needs at least 2 samples, got {values.size}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise InvalidInputError(f"{what} contains a non-finite value at index {bad}")
     return values
 
 
-def as_values(data, what: str = "column") -> np.ndarray:
-    """Coerce a column-like object to a validated 1-D float array."""
-    if isinstance(data, (DataColumn, ColumnTransforms)):
-        return data.values
-    return _validated_values(data, what)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` as a read-only C-contiguous array, copied only if it is not contiguous."""
+    array = np.ascontiguousarray(array)
+    array.setflags(write=False)
+    return array
 
 
-@dataclass(frozen=True)
-class DataColumn:
-    """One variable's samples: finite reals, at least two of them."""
-
-    values: np.ndarray
-    name: str | None = None
-
-    def __post_init__(self) -> None:
-        values = _validated_values(self.values, self.name or "column").copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankVector:
     """Tie-averaged 1-based ranks of a column; their sum is always m(m+1)/2."""
 
@@ -84,7 +71,7 @@ class RankVector:
     m: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangularScores:
     """Squared-rank scores in [-0.5, 0.5] with a triangular marginal."""
 
@@ -119,32 +106,45 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnTransforms:
-    """Every view of one column, each built on first use and kept.
+    """One variable's samples, finite reals and at least two, and every view of them.
 
-    ``ranks`` are the fractional ranks r(X); the ranks of -X are m + 1 - r(X),
-    bit for bit, so they need no second sort. ``neg_dec`` and ``neg_inc``
-    are the transforms of -X: flipping a column's sign swaps its two
-    transforms and negates them (``neg_dec == -inc``, ``neg_inc == -dec``);
-    negation is exact, so they are not kept. Two threads that first read a
-    view at once may both build it, with the same bits.
+    The constructor checks ``values`` and keeps a read-only copy, so no
+    later change to the source array reaches a view; ``name`` labels the
+    column in error messages. Each view is built on first use and kept;
+    ``ranks``, ``dec`` and ``inc``, which :func:`compute_ranks` and
+    ``tri_*`` hand out, are read-only. ``ranks`` are the fractional ranks
+    r(X); the ranks of -X are m + 1 - r(X), bit for bit, so they need no
+    second sort. ``neg_dec`` and ``neg_inc`` are the transforms of -X:
+    flipping a column's sign swaps its two transforms and negates them
+    (``neg_dec == -inc``, ``neg_inc == -dec``); negation is exact, so they
+    are not kept. Two threads that first read a view at once may both build
+    it, with the same bits.
     """
 
     values: np.ndarray
+    name: str | None = None
+
+    def __post_init__(self) -> None:
+        values = _validated_values(self.values, self.name or "column")
+        object.__setattr__(self, "values", _frozen(values.copy()))
+
+    @property
+    def m(self) -> int:
+        return self.values.size
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        return fractional_ranks(self.values)
+        return _frozen(fractional_ranks(self.values))
 
     @cached_property
     def dec(self) -> np.ndarray:
-        return decreasing_scores_from_ranks(self.ranks, self.values.size)
+        return _frozen(decreasing_scores_from_ranks(self.ranks, self.m))
 
     @cached_property
     def inc(self) -> np.ndarray:
-        m = self.values.size
-        return increasing_scores_from_ranks((m + 1) - self.ranks, m)
+        return _frozen(increasing_scores_from_ranks((self.m + 1) - self.ranks, self.m))
 
     @property
     def neg_dec(self) -> np.ndarray:
@@ -161,13 +161,22 @@ class ColumnTransforms:
         # m(m+1) < 2^53 every partial sum of centred()'s pre-scaled mean is exact
         # and the mean is exactly (m+1)/2 times the scale. Powers of two commute
         # with the subtraction here: centring at (m+1)/2 gives the same bits.
-        return _centred_about(self.ranks, (self.ranks.size + 1) / 2)
+        return _centred_about(self.ranks, (self.m + 1) / 2)
 
     def oriented(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
         """The (decreasing, increasing) transforms of ``sign * X``."""
         if sign < 0:
             return self.neg_dec, self.neg_inc
         return self.dec, self.inc
+
+
+#: The one column type under its older name.
+DataColumn = ColumnTransforms
+
+
+def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:
+    """``data`` as a :class:`ColumnTransforms` named ``what``; a given one is kept as it is."""
+    return data if isinstance(data, ColumnTransforms) else ColumnTransforms(data, what)
 
 
 def _unit_scaled(values: np.ndarray) -> np.ndarray:
@@ -208,11 +217,9 @@ def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
     The negated ranks are r(-X) = m + 1 - r(X); tie averaging preserves that
     identity exactly.
     """
-    values = as_values(column)
-    ranks = fractional_ranks(values)
-    if negate:
-        ranks = (values.size + 1) - ranks
-    return RankVector(ranks=ranks, m=values.size)
+    column = as_column(column)
+    ranks = (column.m + 1) - column.ranks if negate else column.ranks
+    return RankVector(ranks=ranks, m=column.m)
 
 
 def uniform_norm(column: ColumnLike) -> np.ndarray:
@@ -233,11 +240,9 @@ def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarra
 
 def tri_decreasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered decreasing-triangular marginal."""
-    scores = ColumnTransforms(as_values(column)).dec
-    return TriangularScores(scores=scores, direction="decreasing")
+    return TriangularScores(scores=as_column(column).dec, direction="decreasing")
 
 
 def tri_increasing(column: ColumnLike) -> TriangularScores:
     """Map a column onto a centered increasing-triangular marginal."""
-    scores = ColumnTransforms(as_values(column)).inc
-    return TriangularScores(scores=scores, direction="increasing")
+    return TriangularScores(scores=as_column(column).inc, direction="increasing")

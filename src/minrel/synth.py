@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, require_count
 from .matrix import Dataset
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedDataset:
     """A synthetic dataset together with how it was produced."""
 
@@ -31,7 +31,7 @@ class GeneratedDataset:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevanceSuiteDataset:
     """A ranking benchmark dataset: targets with known relevant columns."""
 

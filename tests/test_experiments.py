@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-import minrel.ranks
 from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
 from minrel.experiments import (
     STATS,
@@ -63,20 +62,12 @@ def test_experiments_are_seed_deterministic():
     assert [c.mean for c in first.cells] == [c.mean for c in second.cells]
 
 
-def test_experiments_rank_each_column_once_per_repetition(monkeypatch):
-    calls = {"count": 0}
-    original = minrel.ranks.fractional_ranks
-
-    def counting(values):
-        calls["count"] += 1
-        return original(values)
-
-    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
+def test_experiments_rank_each_column_once_per_repetition(sort_counter):
     # Datasets of 3 (A, B, C), 4 (A..D) and 6 (A..E, G) columns.
     for run, columns in ((run_table2, 3), (run_table3, 4), (run_table4, 6)):
-        calls["count"] = 0
+        sort_counter["count"] = 0
         run(reps=2, m=30, seed=0)
-        assert calls["count"] == 2 * columns
+        assert sort_counter["count"] == 2 * columns
 
 
 def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeypatch):

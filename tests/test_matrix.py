@@ -7,6 +7,7 @@ import minrel.coeff
 import minrel.matrix
 import minrel.ranks
 from minrel import (
+    CRITERIA,
     Dataset,
     InvalidInputError,
     evaluate_metric,
@@ -15,6 +16,7 @@ from minrel import (
     minrel_profile,
     minrel_profile_matrix,
     pairwise_matrix,
+    rank_variables,
     transform_cache,
     tri_increasing,
 )
@@ -175,41 +177,41 @@ def test_worker_count_below_one_is_rejected():
             minrel_profile_matrix(ds, workers=workers)
 
 
-def test_preprocessing_sorts_each_column_once(monkeypatch):
+def test_preprocessing_sorts_each_column_once(sort_counter):
     ds = _dataset(seed=13, m=30, n=5)
-    calls = {"count": 0}
-    original = minrel.ranks.fractional_ranks
-
-    def counting(values):
-        calls["count"] += 1
-        return original(values)
-
-    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
     pairwise_matrix(ds, "iota")
     # One ranking per column (the negated order is derived), nothing per pair.
-    assert calls["count"] == ds.n
+    assert sort_counter["count"] == ds.n
 
 
-def test_pairwise_pass_never_reranks_with_prebuilt_cache(monkeypatch):
+def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
     ds = _dataset(seed=13, m=30, n=5)
-    cache = transform_cache(ds)
-    # The first pass builds the views; later passes on the cache reuse them.
-    first = pairwise_matrix(ds, "iota", cache=cache)
-
-    def exploding(values):
-        raise AssertionError("pairwise pass must not rank")
-
-    monkeypatch.setattr(minrel.ranks, "fractional_ranks", exploding)
-    matrix = pairwise_matrix(ds, "iota", cache=cache)
+    # The first pass builds the dataset's column views; every later pass on
+    # the same Dataset reuses them.
+    first = pairwise_matrix(ds, "iota")
+    profiles = minrel_profile_matrix(ds)
+    assert sort_counter["count"] == ds.n
+    sort_counter["count"] = 0
+    matrix = pairwise_matrix(ds, "iota")
     assert matrix.values.tobytes() == first.values.tobytes()
-    profiles = minrel_profile_matrix(ds, cache=cache)
-    assert matrix.values.shape == (5, 5)
-    assert profiles.max_iota_sq.shape == (5, 5)
+    assert minrel_profile_matrix(ds).max_iota_sq.tobytes() == profiles.max_iota_sq.tobytes()
+    pairwise_matrix(ds, "max_iota_sq")
+    pairwise_matrix(ds, "iota2")
+    for criterion in CRITERIA:
+        rank_variables(ds, "c2", criterion)
+    assert sort_counter["count"] == 0
+    assert transform_cache(ds) is ds.columns
+    assert [column.name for column in ds.columns] == list(ds.names)
+    # An equal but separate Dataset owns columns of its own.
+    copy = Dataset(names=ds.names, values=ds.values)
+    assert copy.columns[0].ranks.tobytes() == ds.columns[0].ranks.tobytes()
+    assert sort_counter["count"] == 1
 
 
-def test_only_rank_metric_matrices_sort(monkeypatch):
+def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
     ds = _dataset(seed=13, m=30, n=5)
-    original = minrel.ranks.fractional_ranks
+    pairwise_matrix(ds, "spearman")
+    assert sort_counter["count"] == ds.n
 
     def exploding(values):
         raise AssertionError("a metric on raw values must not rank")
@@ -217,15 +219,6 @@ def test_only_rank_metric_matrices_sort(monkeypatch):
     monkeypatch.setattr(minrel.ranks, "fractional_ranks", exploding)
     for metric in ("pearson", "minrel_simple"):
         assert pairwise_matrix(ds, metric).values.shape == (5, 5)
-    calls = {"count": 0}
-
-    def counting(values):
-        calls["count"] += 1
-        return original(values)
-
-    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
-    pairwise_matrix(ds, "spearman")
-    assert calls["count"] == ds.n
 
 
 def test_profile_matrix_matches_direct_profiles():

@@ -4,9 +4,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minrel import (
+    METRICS,
     DataColumn,
+    Dataset,
     InvalidInputError,
     compute_ranks,
+    evaluate_metric,
+    gen_linear,
+    gen_relevance_suite_dataset,
+    minrel_profile_matrix,
+    pairwise_matrix,
+    rank_minrelation,
     tri_decreasing,
     tri_increasing,
     uniform_norm,
@@ -207,3 +215,70 @@ def test_data_column_validation_and_immutability():
         DataColumn(np.array([1.0]))
     with pytest.raises(InvalidInputError):
         DataColumn(np.array([1.0, np.nan]))
+
+
+BAD_COLUMNS = {
+    "nan": ([0.0, np.nan, 1.0], "column contains a non-finite value at index 1"),
+    "inf": ([0.0, 1.0, np.inf], "column contains a non-finite value at index 2"),
+    "-inf": ([-np.inf, 1.0], "column contains a non-finite value at index 0"),
+    "one-sample": ([1.0], "column needs at least 2 samples, got 1"),
+    "2-d": (np.ones((3, 2)), "column must be one-dimensional, got shape (3, 2)"),
+    "strings": (["a", "b"], "column must hold numbers: could not convert string to float: 'a'"),
+}
+
+
+@pytest.mark.parametrize("data, message", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
+def test_column_rejects_what_the_array_path_rejects(data, message):
+    # The constructor, under both names, and every array entry point raise
+    # the same message; a direct call names its argument.
+    for build in (ColumnTransforms, DataColumn, compute_ranks, uniform_norm, tri_decreasing):
+        with pytest.raises(InvalidInputError) as error:
+            build(data)
+        assert str(error.value) == message
+    with pytest.raises(InvalidInputError) as error:
+        ColumnTransforms(data, name="A")
+    assert str(error.value) == message.replace("column", "A", 1)
+    with pytest.raises(InvalidInputError) as error:
+        rank_minrelation([0.0, 1.0, 2.0], data)
+    assert str(error.value) == message.replace("column", "y", 1)
+
+
+def test_column_is_a_read_only_copy_of_its_source():
+    source = np.array([3.0, 1.0, 2.0, 5.0])
+    other = np.array([1.0, 2.0, 3.0, 4.0])
+    column = ColumnTransforms(source)
+    views = column.values, column.ranks, column.dec, column.inc
+    before = [view.tobytes() for view in views]
+    expected = {metric: evaluate_metric(source.copy(), other, metric) for metric in METRICS}
+    assert {metric: evaluate_metric(column, other, metric) for metric in METRICS} == expected
+    for view in views:
+        assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        column.values[0] = 0.0
+    source[:] = -source
+    assert [view.tobytes() for view in views] == before
+    assert {metric: evaluate_metric(column, other, metric) for metric in METRICS} == expected
+
+
+def _small_dataset():
+    return Dataset.from_columns({"x": [1.0, 2.0, 3.0], "y": [2.0, 1.0, 0.5]})
+
+
+HOLDERS = {
+    "ColumnTransforms": lambda: ColumnTransforms([1.0, 2.0]),
+    "RankVector": lambda: compute_ranks([1.0, 2.0]),
+    "TriangularScores": lambda: tri_decreasing([1.0, 2.0]),
+    "Dataset": _small_dataset,
+    "CoefficientMatrix": lambda: pairwise_matrix(_small_dataset(), "iota"),
+    "ProfileMatrix": lambda: minrel_profile_matrix(_small_dataset()),
+    "GeneratedDataset": lambda: gen_linear(10, 0),
+    "RelevanceSuiteDataset": lambda: gen_relevance_suite_dataset(10, 0),
+}
+
+
+@pytest.mark.parametrize("build", HOLDERS.values(), ids=HOLDERS.keys())
+def test_array_holders_compare_by_identity_and_hash(build):
+    first, second = build(), build()
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import minrel.ranks
 from minrel import (
     CRITERIA,
     METRICS,
@@ -32,6 +31,9 @@ from minrel import (
     rank_minrelation,
     rank_variables,
     spearman,
+    tri_decreasing,
+    tri_increasing,
+    uniform_norm,
 )
 from minrel.matrix import MATRIX_METRICS
 from minrel.ranks import (
@@ -64,19 +66,6 @@ def datasets(draw, min_n=2, max_n=4):
     cells = draw(st.lists(VALUES, min_size=m * n, max_size=m * n))
     values = np.asarray(cells, dtype=float).reshape(m, n)
     return Dataset(names=tuple(f"c{j}" for j in range(n)), values=values)
-
-
-@pytest.fixture
-def sort_counter(monkeypatch):
-    calls = {"count": 0}
-    original = minrel.ranks.fractional_ranks
-
-    def counting(values):
-        calls["count"] += 1
-        return original(values)
-
-    monkeypatch.setattr(minrel.ranks, "fractional_ranks", counting)
-    return calls
 
 
 #: The metrics whose ``prepare`` reads a rank view; the rest use raw values.
@@ -142,6 +131,22 @@ def test_profile_and_spearman_take_prepared_transforms(sort_counter):
     assert sort_counter["count"] == 2
     with pytest.raises(InvalidInputError, match="length"):
         spearman(prepared[0], ColumnTransforms(y[:-1]))
+
+
+def test_ranks_and_transforms_reuse_a_given_column(sort_counter):
+    x = np.random.default_rng(6).integers(0, 9, 40).astype(float)
+    column = ColumnTransforms(x)
+    column.inc  # the one sort
+    calls = (
+        lambda c: tri_decreasing(c).scores,
+        lambda c: tri_increasing(c).scores,
+        lambda c: compute_ranks(c).ranks,
+        lambda c: compute_ranks(c, negate=True).ranks,
+        uniform_norm,
+    )
+    reused = [call(column) for call in calls]
+    assert sort_counter["count"] == 1
+    assert [array.tobytes() for array in reused] == [call(x).tobytes() for call in calls]
 
 
 @settings(max_examples=300, deadline=None)
