@@ -212,13 +212,13 @@ def _centred_about(values: np.ndarray, centre: float) -> tuple[np.ndarray, np.nd
 
 
 def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
-    """Fractional ranks of the column, or of its negation when ``negate``.
+    """Fractional ranks of the column, or of its negation when ``negate``; read-only.
 
     The negated ranks are r(-X) = m + 1 - r(X); tie averaging preserves that
     identity exactly.
     """
     column = as_column(column)
-    ranks = (column.m + 1) - column.ranks if negate else column.ranks
+    ranks = _frozen((column.m + 1) - column.ranks) if negate else column.ranks
     return RankVector(ranks=ranks, m=column.m)
 
 
@@ -239,10 +239,10 @@ def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarra
 
 
 def tri_decreasing(column: ColumnLike) -> TriangularScores:
-    """Map a column onto a centered decreasing-triangular marginal."""
+    """Map a column onto a centered decreasing-triangular marginal; read-only."""
     return TriangularScores(scores=as_column(column).dec, direction="decreasing")
 
 
 def tri_increasing(column: ColumnLike) -> TriangularScores:
-    """Map a column onto a centered increasing-triangular marginal."""
+    """Map a column onto a centered increasing-triangular marginal; read-only."""
     return TriangularScores(scores=as_column(column).inc, direction="increasing")

@@ -260,6 +260,23 @@ def test_column_is_a_read_only_copy_of_its_source():
     assert {metric: evaluate_metric(column, other, metric) for metric in METRICS} == expected
 
 
+@pytest.mark.parametrize("make", [np.array, list, ColumnTransforms], ids=["array", "list", "column"])
+def test_rank_and_score_results_are_read_only(make):
+    # One kind of array from every path: the views a column shares and the
+    # negated ranks built per call alike.
+    source = make([3.0, 1.0, 2.0])
+    results = (
+        compute_ranks(source).ranks,
+        compute_ranks(source, negate=True).ranks,
+        tri_decreasing(source).scores,
+        tri_increasing(source).scores,
+    )
+    for result in results:
+        assert not result.flags.writeable
+        with pytest.raises(ValueError):
+            result[0] = 0.0
+
+
 def _small_dataset():
     return Dataset.from_columns({"x": [1.0, 2.0, 3.0], "y": [2.0, 1.0, 0.5]})
 
