@@ -89,7 +89,7 @@ def _records(lines: list[str]):
     """(record, end) pairs, without comments: lines starting with '#' where a record starts.
 
     ``end`` indexes the line after the record: the reader reads no further
-    than the record it yields.
+    than the record it yields. A quoted field left open raises, naming its line.
     """
     end = 0
     at_record_start = True
@@ -103,8 +103,12 @@ def _records(lines: list[str]):
                 continue
             at_record_start = False
             yield line
+        end += 1  # past the input: a record ends here only if a quoted field never closed
 
     for row in csv.reader(uncommented()):
+        if end > len(lines):  # that field is the record's last; its text runs to the end
+            opened = end - max(1, len(row[-1].splitlines()))
+            raise InvalidInputError(f"line {opened}: a quoted field opens here and never closes")
         at_record_start = True
         yield row, end
 
@@ -283,8 +287,8 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         raise InvalidInputError("input has a single column; pass --y explicitly")
     x_name = args.x or dataset.names[0]
     y_name = args.y or dataset.names[1]
-    x = dataset.column(x_name)
-    y = dataset.column(y_name)
+    x = dataset.columns[dataset.index(x_name)]
+    y = dataset.columns[dataset.index(y_name)]
     if args.orientation:
         if args.metric != "iota":
             raise InvalidInputError("--orientation only applies to --metric iota")

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .ranks import ColumnLike, ColumnTransforms, as_column, centred, dots
+from .ranks import ColumnLike, ColumnTransforms, as_column, dots
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def _values(t: ColumnTransforms) -> tuple[np.ndarray]:
 
 #: The one metric table: every metric identifier, in CLI order.
 METRIC_TABLE: dict[str, Metric] = {
-    "pearson": Metric(lambda t: centred(t.values), _correlation),
+    "pearson": Metric(lambda t: t.centred_values, _correlation),
     "spearman": Metric(lambda t: t.centred, _correlation),
     "iota": Metric(lambda t: t.oriented(1), _iota),
     # iota2(X, Y) == iota(-Y, -X), on the transforms of -X.

@@ -1,10 +1,10 @@
 """Pairwise coefficient matrices over whole datasets.
 
-A :class:`Dataset` owns its columns: :attr:`Dataset.columns` builds one
-:class:`ColumnTransforms` per column on first use and keeps it, so every
-pass over one dataset (matrices, rankings, experiments) reuses the same
-views and sorts each column at most once, and only if a metric reads its
-ranks. Each column is prepared once by the metric's ``prepare`` (see
+A :class:`Dataset` is its columns: its constructor checks and copies each
+column once, as a :class:`ColumnTransforms` in :attr:`Dataset.columns`, so
+every pass over one dataset (matrices, rankings, experiments) reuses the
+same views and sorts each column at most once, and only if a metric reads
+its ranks. Each column is prepared once by the metric's ``prepare`` (see
 :mod:`minrel.coeff`), and the parts are stacked into (n, ...) arrays. One
 function, :func:`_kernel_map`, fills the n x n map with one call of the
 metric's ``kernel`` per matrix row per block of columns: the kernel a
@@ -45,70 +45,64 @@ def _index(names: tuple[str, ...], name: str) -> int:
         raise InvalidInputError(f"unknown column {name!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Named columns of equal length m >= 2; stored as an (m, n) float array.
+    """Named columns of equal length m >= 2: the constructor builds :attr:`columns`.
 
-    ``rows_dropped`` counts input rows left out of ``values``, such as the
-    incomplete rows the CLI reader drops under ``--na drop-rows``.
-    :attr:`columns` holds the columns as :class:`ColumnTransforms`.
+    Each column of the (m, n) ``values`` is checked and copied once, as a
+    :class:`ColumnTransforms`. ``rows_dropped`` counts input rows left out,
+    such as the incomplete rows the CLI reader drops under ``--na drop-rows``.
     """
 
     names: tuple[str, ...]
-    values: np.ndarray
+    columns: tuple[ColumnTransforms, ...]
     rows_dropped: int = 0
 
-    def __post_init__(self) -> None:
-        names = tuple(str(n) for n in self.names)
+    def __init__(self, names: Iterable[str], values, rows_dropped: int = 0) -> None:
+        names = tuple(str(n) for n in names)
         if len(set(names)) != len(names):
             duplicate = next(name for i, name in enumerate(names) if name in names[:i])
             raise InvalidInputError(f"column names must be unique; {duplicate!r} repeats")
-        values = as_float_array(self.values, "dataset values")
+        values = as_float_array(values, "dataset values")
         if values.ndim != 2:
             raise InvalidInputError(f"dataset values must be 2-D, got shape {values.shape}")
         if values.shape[1] != len(names):
-            raise InvalidInputError(
-                f"{len(names)} names but {values.shape[1]} columns of data"
-            )
+            raise InvalidInputError(f"{len(names)} names but {values.shape[1]} columns of data")
+        if not names:
+            raise InvalidInputError("a dataset needs at least one column")
         if values.shape[0] < 2:
             raise InvalidInputError(f"dataset needs at least 2 rows, got {values.shape[0]}")
-        if not np.isfinite(values).all():
-            row, col = (int(k[0]) for k in np.nonzero(~np.isfinite(values)))
-            raise InvalidInputError(
-                f"non-finite value at row {row}, column {names[col]!r}"
-            )
+        columns = tuple(ColumnTransforms(values[:, j], name) for j, name in enumerate(names))
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "values", _frozen(values.copy()))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows_dropped", rows_dropped)
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[float]]) -> "Dataset":
-        names = tuple(columns)
-        if not names:
-            raise InvalidInputError("a dataset needs at least one column")
-        arrays = [as_float_array(columns[name], f"column {name!r}") for name in names]
+        arrays = [as_float_array(columns[name], f"column {name!r}") for name in columns]
         lengths = {array.shape[0] if array.ndim else 0 for array in arrays}
         if len(lengths) > 1:
             raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
-        return cls(names=names, values=np.column_stack(arrays))
+        return cls(columns, np.column_stack(arrays) if arrays else np.empty((0, 0)))
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return self.columns[0].m
 
     @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return len(self.names)
 
     def index(self, name: str) -> int:
         return _index(self.names, name)
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.index(name)]
+        return self.columns[self.index(name)].values
 
     @cached_property
-    def columns(self) -> tuple[ColumnTransforms, ...]:
-        """Every column as a :class:`ColumnTransforms`, built once and kept."""
-        return tuple(ColumnTransforms(self.values[:, j], name) for j, name in enumerate(self.names))
+    def values(self) -> np.ndarray:
+        """The columns as one read-only (m, n) array, stacked on first use."""
+        return _frozen(np.column_stack([column.values for column in self.columns]))
 
 
 def transform_cache(dataset: Dataset) -> tuple[ColumnTransforms, ...]:

@@ -11,8 +11,8 @@ where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
 
-:class:`ColumnTransforms` is the one column type. It checks a column's
-samples (finite, 1-D, at least two) and freezes a copy of them, then
+:class:`ColumnTransforms` is the one column type and the one check of
+samples (finite, 1-D, at least two); it freezes one copy of them, then
 builds every view, each on first use, from one sort: tie-averaged ranks
 are half-integers, so r(-X) = m + 1 - r(X) holds exactly, ties included;
 without ties the ranks are the sorted positions. Spearman centres ranks at
@@ -45,7 +45,8 @@ def as_float_array(data, what: str) -> np.ndarray:
 
 
 def _validated_values(data, what: str) -> np.ndarray:
-    values = as_float_array(data, what)
+    """A contiguous copy of ``data``, checked: 1-D, at least 2 samples, all finite."""
+    values = as_float_array(data, what).copy()  # contiguous, so the scan below is too
     if values.ndim != 1:
         raise InvalidInputError(f"{what} must be one-dimensional, got shape {values.shape}")
     if values.size < 2:
@@ -128,7 +129,7 @@ class ColumnTransforms:
 
     def __post_init__(self) -> None:
         values = _validated_values(self.values, self.name or "column")
-        object.__setattr__(self, "values", _frozen(values.copy()))
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def m(self) -> int:
@@ -155,6 +156,11 @@ class ColumnTransforms:
         return -self.dec
 
     @cached_property
+    def centred_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """The values as a :func:`centred` column (for Pearson)."""
+        return centred(self.values)
+
+    @cached_property
     def centred(self) -> tuple[np.ndarray, np.ndarray]:
         """The ranks as a :func:`centred` column (for Spearman)."""
         # Twice each rank is an integer and the ranks sum to m(m+1)/2, so while
@@ -168,10 +174,6 @@ class ColumnTransforms:
         if sign < 0:
             return self.neg_dec, self.neg_inc
         return self.dec, self.inc
-
-
-#: The one column type under its older name.
-DataColumn = ColumnTransforms
 
 
 def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:

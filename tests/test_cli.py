@@ -10,12 +10,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import minrel.ranks
 from minrel import cli, evaluate_metric, max_iota_sq, rank_minrelation, spearman
 from minrel.cli import main, read_dataset
 from minrel.coeff import METRICS
 from minrel.errors import InvalidInputError
-from minrel.matrix import MATRIX_METRICS, Dataset
-from minrel.ranking import CRITERIA
+from minrel.experiments import EXPERIMENTS, run_experiment
+from minrel.matrix import MATRIX_METRICS, Dataset, minrel_profile_matrix, pairwise_matrix
+from minrel.ranking import CRITERIA, rank_variables
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +321,24 @@ def test_quoted_line_breaks_are_kept(capsys, tmp_path):
     assert "data row 1, column 'B'" in err
 
 
+def test_unclosed_quote_names_the_line_where_it_opens(capsys, monkeypatch):
+    cases = {
+        '"a,b\n1,2\n3,4\n': 1,  # the header would swallow the whole file
+        'a,b\n1,2\n3,"4\n5,6\n': 3,
+        '"x\ny","z\n1,2\n': 2,  # a closed multi-line field before the open one
+    }
+    for text, line in cases.items():
+        monkeypatch.setattr(sys, "stdin", _stdin(text))
+        code, out, err = run_cli(capsys, "matrix", "-")
+        assert code == 2 and out == ""
+        assert err == f"error: line {line}: a quoted field opens here and never closes\n"
+    # A quote after a closed quote is kept as data, as before.
+    monkeypatch.setattr(sys, "stdin", _stdin('a,"b"c\n1,2\n3,4\n'))
+    code, out, err = run_cli(capsys, "matrix", "-")
+    assert code == 0, err
+    assert json.loads(out)["names"] == ["a", "bc"]
+
+
 def test_comment_marker_inside_a_quoted_field_is_data(capsys, tmp_path):
     path = write_csv(
         tmp_path,
@@ -330,6 +350,39 @@ def test_comment_marker_inside_a_quoted_field_is_data(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["names"] == ["A\n#X", "B"]
     assert payload["values"]["A\n#X"]["B"] == pytest.approx(0.5)
+
+
+def test_each_column_is_validated_once_and_never_stacked(capsys, tmp_path, monkeypatch):
+    path = write_csv(tmp_path, "four.csv", "a,b,c,d\n1,2,3,4\n2,1,4,3\n3,3,1,1\n5,4,2,6\n")
+    validated = []
+    original = minrel.ranks._validated_values
+
+    def counting(data, what):
+        validated.append(what)
+        return original(data, what)
+
+    monkeypatch.setattr(minrel.ranks, "_validated_values", counting)
+    for argv in (
+        ("coeff", path),
+        ("coeff", path, "--x", "c", "--y", "a", "--metric", "pearson"),
+        ("coeff", path, "--orientation", "+-"),
+        ("matrix", path, "--metric", "spearman"),
+        ("rank", path, "--target", "d"),
+    ):
+        validated.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert sorted(validated) == ["a", "b", "c", "d"], argv
+    # No matrix, ranking or experiment path builds the (m, n) stack.
+    ds = read_dataset(path, "error")
+    pairwise_matrix(ds, "iota")
+    minrel_profile_matrix(ds)
+    for criterion in CRITERIA:
+        rank_variables(ds, "a", criterion)
+    assert "values" not in vars(ds)
+    monkeypatch.setattr(Dataset, "values", property(lambda ds: pytest.fail("values was read")))
+    for name in EXPERIMENTS:
+        run_experiment(name, 2, 20, 0)
 
 
 def test_matrix_workers_below_one_exits_2(capsys, linear_csv):

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import minrel.ranks
 from minrel import (
     InvalidInputError,
     iota2,
@@ -18,6 +19,7 @@ from minrel import (
     spearman,
 )
 from minrel.ranks import (
+    ColumnTransforms,
     decreasing_scores_from_ranks,
     fractional_ranks,
     increasing_scores_from_ranks,
@@ -325,6 +327,21 @@ def test_pearson_examples():
     assert pearson([1.0, 2.0, 3.0], [1.0, 3.0, 2.0]).value == pytest.approx(0.5)
     constant = pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     assert constant.degenerate and constant.value == 0.0
+
+
+def test_pearson_reuses_a_columns_centred_values(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=50), rng.normal(size=50)
+    x, y = ColumnTransforms(a), ColumnTransforms(b)
+    calls = []
+    original = minrel.ranks.centred
+    monkeypatch.setattr(minrel.ranks, "centred", lambda v: calls.append(v) or original(v))
+    first = pearson(x, y)
+    assert len(calls) == 2
+    cached = x.centred_values
+    second = pearson(x, y)
+    assert len(calls) == 2 and x.centred_values is cached
+    assert second == first == pearson(a, b)
 
 
 def test_pearson_survives_an_underflowing_variance_product():

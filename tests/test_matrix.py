@@ -36,8 +36,11 @@ def test_dataset_validation():
         Dataset(names=("a", "b"), values=np.zeros((1, 2)))
     with pytest.raises(InvalidInputError, match="columns"):
         Dataset(names=("a", "b", "c"), values=np.zeros((3, 2)))
-    with pytest.raises(InvalidInputError, match="row 1, column 'b'"):
+    with pytest.raises(InvalidInputError) as error:
         Dataset(names=("a", "b"), values=np.array([[0.0, 1.0], [2.0, np.nan]]))
+    assert str(error.value) == "b contains a non-finite value at index 1"
+    with pytest.raises(InvalidInputError, match="a dataset needs at least one column"):
+        Dataset((), np.zeros((3, 0)))
 
 
 def test_dataset_from_columns_rejects_no_columns():

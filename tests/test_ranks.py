@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from minrel import (
     METRICS,
-    DataColumn,
     Dataset,
     InvalidInputError,
     compute_ranks,
@@ -207,14 +206,14 @@ def test_ranks_invariant_under_strictly_increasing_transforms():
     np.testing.assert_array_equal(compute_ranks(values**3).ranks, base)
 
 
-def test_data_column_validation_and_immutability():
-    column = DataColumn(np.array([1.0, 2.0, 3.0]), name="x")
+def test_column_transforms_validation_and_immutability():
+    column = ColumnTransforms(np.array([1.0, 2.0, 3.0]), name="x")
     assert column.m == 3
     assert not column.values.flags.writeable
     with pytest.raises(InvalidInputError):
-        DataColumn(np.array([1.0]))
+        ColumnTransforms(np.array([1.0]))
     with pytest.raises(InvalidInputError):
-        DataColumn(np.array([1.0, np.nan]))
+        ColumnTransforms(np.array([1.0, np.nan]))
 
 
 BAD_COLUMNS = {
@@ -229,9 +228,9 @@ BAD_COLUMNS = {
 
 @pytest.mark.parametrize("data, message", BAD_COLUMNS.values(), ids=BAD_COLUMNS.keys())
 def test_column_rejects_what_the_array_path_rejects(data, message):
-    # The constructor, under both names, and every array entry point raise
-    # the same message; a direct call names its argument.
-    for build in (ColumnTransforms, DataColumn, compute_ranks, uniform_norm, tri_decreasing):
+    # The constructor and every array entry point raise the same message; a
+    # direct call names its argument.
+    for build in (ColumnTransforms, compute_ranks, uniform_norm, tri_decreasing):
         with pytest.raises(InvalidInputError) as error:
             build(data)
         assert str(error.value) == message
