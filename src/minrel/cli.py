@@ -22,13 +22,14 @@ one sorted-key object with a ``config`` key; CSV is a ``# config: key=value
 is written there as its JSON string literal, so the config stays on one line.
 
 The header goes through the record reader. A data body of plain numbers
-is parsed in one ``np.loadtxt`` call; any other body (quoted cells, NA
-tokens, comment records, whitespace-only lines, ragged rows, errors) goes
-through the record loop from the same line. Both give the same values bit
-for bit, or the same error (see :func:`_bulk_values`).
+is parsed in one ``np.loadtxt`` call, and :class:`Dataset` decides whether
+it is accepted; any other body (quoted cells, NA tokens, comment records,
+whitespace-only lines, ragged rows, errors) goes through the record loop
+from the same line. Both give the same values bit for bit, or the same
+error (see :func:`_bulk_dataset`).
 
 Exit codes: 0 success, 2 parse/validation failure, 3 degenerate result
-under --strict, 4 I/O failure.
+under --strict, 4 I/O failure (a stdout closed early exits 4 silently).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, astuple
@@ -113,14 +115,15 @@ def _records(lines: list[str]):
         yield row, end
 
 
-def _bulk_values(lines: list[str], width: int) -> np.ndarray | None:
+def _bulk_dataset(lines: list[str], names: list[str]) -> Dataset | None:
     """The data lines parsed in one call, or None where the record loop must parse them.
 
     ``np.loadtxt`` converts with the same correctly rounded parser as
     ``float()`` and accepts the same surrounding whitespace. Every token it
     reads differently (quoted cells, NA tokens, '#', '1_0', non-ASCII
     digits) makes it raise, so an array it returns equals the record loop's
-    bit for bit.
+    bit for bit; :class:`Dataset` decides whether it is accepted. With
+    ``quotechar='"'``, loadtxt would close a quote left open at the end.
     """
     try:
         with warnings.catch_warnings():
@@ -129,11 +132,9 @@ def _bulk_values(lines: list[str], width: int) -> np.ndarray | None:
             values = np.loadtxt(
                 lines, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float
             )
-    except ValueError:
+        return Dataset(names, values)
+    except ValueError:  # InvalidInputError included
         return None
-    if values.shape[1] != width or values.shape[0] < 2 or not np.isfinite(values).all():
-        return None
-    return values
 
 
 def _record_values(rows, names: list[str], na_policy: str) -> tuple[list[list[float]], int]:
@@ -191,9 +192,9 @@ def read_dataset(path: str, na_policy: str) -> Dataset:
     names = [cell.strip() for cell in header]
     if any(not name for name in names):
         raise InvalidInputError("header contains an empty column name")
-    values = _bulk_values(lines[body_start:], len(names))
-    if values is not None:
-        return Dataset(names=tuple(names), values=values)
+    dataset = _bulk_dataset(lines[body_start:], names)
+    if dataset is not None:
+        return dataset
     parsed, rows_read = _record_values((row for row, _ in records), names, na_policy)
     if len(parsed) < 2:
         raise InvalidInputError(f"need at least 2 usable data rows, got {len(parsed)}")
@@ -495,6 +496,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader of stdout went away (as under `| head`): stop quietly, and
+        # point stdout at devnull so the interpreter's final flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

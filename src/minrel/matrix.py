@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, CoefficientValue, MinrelProfile, _max_iota_sq, _orientations
+from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_count
 from .ranks import ColumnTransforms, _frozen, as_float_array
 
@@ -138,14 +138,9 @@ class ProfileMatrix:
 
     def profile(self, x_name: str, y_name: str) -> MinrelProfile:
         i, j = _index(self.names, x_name), _index(self.names, y_name)
-        flags = self.degenerate[i, j]
-        return MinrelProfile(
-            CoefficientValue(float(self.iota_xy[i, j]), bool(flags[0])),
-            CoefficientValue(float(self.iota_yx[i, j]), bool(flags[1])),
-            CoefficientValue(float(self.iota_negx_y[i, j]), bool(flags[2])),
-            CoefficientValue(float(self.iota_negy_x[i, j]), bool(flags[3])),
-            float(self.max_iota_sq[i, j]),
-        )
+        maps = (self.iota_xy, self.iota_yx, self.iota_negx_y, self.iota_negy_x)
+        oriented = map(_coefficient, (values[i, j] for values in maps), self.degenerate[i, j])
+        return MinrelProfile(*oriented, float(self.max_iota_sq[i, j]))
 
 
 #: The size of one kernel call's (columns, m) temporaries, in bytes.

@@ -8,12 +8,12 @@ order, so results are fully deterministic):
     max_iota_sq -- largest squared oriented minrelation value
     iota_sq     -- squared minrelation of the target to the candidate only
 
-Each criterion is data (:data:`_CRITERIA`): a metric of
-:data:`coeff.METRIC_TABLE`, which side the target is on, and whether the
-value is squared. A score is one call of that metric's kernel on the two
-columns of :attr:`Dataset.columns`, so it equals the two-column call bit
-for bit, and every ranking of one dataset (all targets, both criteria of
-:func:`compare_criteria`) sorts each column at most once.
+Each criterion is data (:data:`_CRITERIA`): a metric, which side the
+target is on, and whether the value is squared. A score is one direct call,
+:func:`coeff.evaluate_metric`, on two columns of :attr:`Dataset.columns`, so
+it is the two-column call by construction, and every ranking of one dataset
+(all targets, both criteria of :func:`compare_criteria`) sorts each column
+at most once.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
@@ -29,13 +29,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .coeff import METRIC_TABLE
+from .coeff import evaluate_metric
 from .errors import InvalidInputError, require_count
 from .matrix import Dataset
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
-#: score is the metric's kernel on (candidate, target), or on (target,
-#: candidate) when ``target_first``, squared when ``squared``.
+#: score is the metric of (candidate, target), or of (target, candidate)
+#: when ``target_first``, squared when ``squared``.
 _CRITERIA = {
     "rho2": ("spearman", False, True),
     "max_iota_sq": ("max_iota_sq", False, False),
@@ -114,14 +114,12 @@ def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResu
         raise InvalidInputError("ranking needs at least 2 columns")
     columns = dataset.columns
     metric, target_first, squared = _CRITERIA[criterion]
-    prepare, kernel = METRIC_TABLE[metric]
-    target_column = prepare(columns[target_index])
 
     def score(j: int) -> float:
-        # One kernel call per candidate: on 50 000 tied rows, one call over
-        # all candidates stacked took several times longer.
-        pair = (prepare(columns[j]), target_column)
-        value = float(kernel(*(pair[::-1] if target_first else pair))[0])
+        # One call per candidate: on 50 000 tied rows, one call over all
+        # candidates stacked took several times longer.
+        pair = (columns[j], columns[target_index])
+        value = evaluate_metric(*(pair[::-1] if target_first else pair), metric).value
         return value * value if squared else value
 
     scored = [(j, score(j)) for j in range(dataset.n) if j != target_index]

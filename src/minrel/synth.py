@@ -6,9 +6,10 @@ dataset on this implementation. Structural identities (A = B*C and the
 like) hold exactly, not just statistically. Repetition harnesses derive
 per-repetition seeds as ``seed + repetition_index``.
 
-The four toy families share one prologue, :func:`_generate`: it checks m
-(>= 2) and seed (>= 0) with :func:`errors.require_count`, seeds the
-generator and wraps the drawn columns, so each family is only its draws.
+Every generator, the four toy families and the relevance suite, shares
+one prologue, :func:`_generate`: it checks m (>= 2) and seed (>= 0) with
+:func:`errors.require_count`, seeds the generator and wraps the drawn
+columns, so each generator is only its draws.
 """
 
 from __future__ import annotations
@@ -135,34 +136,25 @@ def gen_relevance_suite_dataset(
     20 columns: T1 = product of F01..F04, T2 of F05..F09, T3 of F10..F15,
     noise N1, N2. The factor and noise columns are drawn in column order.
     """
-    m = require_count(m, "m", 2)
-    seed = require_count(seed, "seed", 0)
-    factor_counts = tuple(require_count(k, "factor count", 1) for k in factor_counts)
-    if not factor_counts:
-        raise InvalidInputError("factor_counts must not be empty")
-    n_noise = require_count(n_noise, "n_noise", 0)
-    rng = np.random.default_rng(seed)
-    columns: dict[str, np.ndarray] = {}
     targets: dict[str, tuple[str, ...]] = {}
-    factor_index = 0
-    for t, k in enumerate(factor_counts, start=1):
-        block = []
-        for _ in range(k):
-            factor_index += 1
-            name = f"F{factor_index:02d}"
-            columns[name] = rng.random(m)
-            block.append(name)
-        product = np.ones(m)
-        for name in block:
-            product = product * columns[name]
-        columns[f"T{t}"] = product
-        targets[f"T{t}"] = tuple(block)
-    for i in range(1, n_noise + 1):
-        columns[f"N{i}"] = rng.random(m)
-    ordered = {f"T{t}": columns[f"T{t}"] for t in range(1, len(factor_counts) + 1)}
-    ordered.update(
-        (name, columns[name]) for name in columns if not name.startswith("T")
-    )
-    return RelevanceSuiteDataset(
-        dataset=Dataset.from_columns(ordered), targets=targets, m=m, seed=seed
-    )
+
+    def draw(rng, m):
+        counts = tuple(require_count(k, "factor count", 1) for k in factor_counts)
+        if not counts:
+            raise InvalidInputError("factor_counts must not be empty")
+        noise = require_count(n_noise, "n_noise", 0)
+        products: dict[str, np.ndarray] = {}
+        drawn: dict[str, np.ndarray] = {}
+        for t, k in enumerate(counts, start=1):
+            product = np.ones(m)
+            block = tuple(f"F{len(drawn) + i:02d}" for i in range(1, k + 1))
+            for name in block:
+                drawn[name] = rng.random(m)
+                product = product * drawn[name]
+            products[f"T{t}"] = product
+            targets[f"T{t}"] = block
+        drawn.update((f"N{i}", rng.random(m)) for i in range(1, noise + 1))
+        return {**products, **drawn}
+
+    generated = _generate("relevance_suite", m, seed, draw)
+    return RelevanceSuiteDataset(generated.dataset, targets, generated.m, generated.seed)

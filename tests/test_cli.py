@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
 import sys
 from unittest import mock
 
@@ -325,6 +327,7 @@ def test_unclosed_quote_names_the_line_where_it_opens(capsys, monkeypatch):
     cases = {
         '"a,b\n1,2\n3,4\n': 1,  # the header would swallow the whole file
         'a,b\n1,2\n3,"4\n5,6\n': 3,
+        'a,b\n1,2\n3,"4\n': 3,  # np.loadtxt(quotechar='"') would read this as 4
         '"x\ny","z\n1,2\n': 2,  # a closed multi-line field before the open one
     }
     for text, line in cases.items():
@@ -398,6 +401,20 @@ def test_output_io_failure_exits_4(capsys, linear_csv, tmp_path):
     assert code == 4 and "i/o error" in err
 
 
+def test_closed_stdout_exits_4_without_a_message():
+    # About 1 MB of output, far above a pipe's buffer: the writer meets the
+    # closed pipe whatever the timing.
+    package_root = os.path.dirname(os.path.dirname(minrel.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    argv = [sys.executable, "-m", "minrel.cli", "gen", "combined", "--m", "20000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"# config: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 4
+    assert err == b""
+
+
 def test_missing_input_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "coeff", str(tmp_path / "absent.csv"))
     assert code == 4
@@ -438,7 +455,7 @@ NUMBERS = st.one_of(
     ),
 )
 ODD_CELLS = st.sampled_from(
-    ["", "NA", "nan", "null", " NaN ", "inf", "-inf", "1e999", '"1.5"', '"1\n2"',
+    ["", "NA", "nan", "null", " NaN ", "inf", "-inf", "1e999", '"1.5"', '"1\n2"', '"1',
      "1_0", "\uff11", "1#5", "abc"]
 )
 PADDING = st.sampled_from(["", " ", "\t", "\xa0", "\u2003"])
@@ -482,9 +499,10 @@ def _read(text, na_policy):
 @example("x\n1#5\n2\n3\n", "error")
 @example("x\n1,2\n3,4\n", "drop-rows")
 @example("x,y\n1,inf\n2,3\n3,4\n", "drop-rows")
+@example('x,y\n1,2\n3,"4\n', "error")
 def test_bulk_parse_equals_the_record_loop(text, na_policy):
     read = _read(text, na_policy)
-    with mock.patch.object(cli, "_bulk_values", lambda *args: None):
+    with mock.patch.object(cli, "_bulk_dataset", lambda *args: None):
         assert read == _read(text, na_policy)
 
 

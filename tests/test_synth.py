@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,24 @@ def test_relevance_suite_layout():
             seen.add(name)
         np.testing.assert_array_equal(ds.column(target), product)
     assert {"N1", "N2"}.issubset(ds.names)
+
+
+@pytest.mark.parametrize(
+    "factor_counts, n_noise, digests",
+    [
+        ((4, 5, 6), 2, ("803fc458da68d084", "de61e2a993914405", "320f91472b7c1f25")),
+        ((1,), 0, ("2966729e53b92b75", "9c512f12486883d5", "81e0862a3f170fd6")),
+        ((3, 2), 4, ("5994cb86f929e2f0", "3c9cb2d492f6da06", "e8c23080abbb121b")),
+    ],
+)
+def test_relevance_suite_bits_are_pinned(factor_counts, n_noise, digests):
+    # The first 16 hex digits of the sha256 of the names, the values' bytes
+    # and the targets, for seeds 0, 1 and 2: any change to the draws shows.
+    for seed, digest in enumerate(digests):
+        bench = gen_relevance_suite_dataset(60, seed, factor_counts, n_noise)
+        parts = (
+            repr(bench.dataset.names).encode(),
+            bench.dataset.values.tobytes(),
+            repr(list(bench.targets.items())).encode(),
+        )
+        assert hashlib.sha256(b"".join(parts)).hexdigest()[:16] == digest, seed
