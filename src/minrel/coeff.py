@@ -29,8 +29,9 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
   with one row per column. Every reduction runs over the last axis, and a
   row reduces the same alone as in a batch.
 
-A two-column call, a matrix cell (:mod:`minrel.matrix`) and a ranking
-score (:mod:`minrel.ranking`) are each one call of that kernel, so they
+A two-column call, a matrix cell (:mod:`minrel.matrix`), a ranking
+score (:mod:`minrel.ranking`) and an experiment's block of repetitions
+(:mod:`minrel.experiments`) are each one call of that kernel, so they
 agree bit for bit by construction. Every mass is one :func:`_mass`
 reduction. The ``max_iota_sq`` kernel, :func:`minrel_profile` and the
 profile matrix share :func:`_orientations`: four orientations from four
@@ -231,11 +232,16 @@ METRIC_TABLE: dict[str, Metric] = {
 METRICS = tuple(METRIC_TABLE)
 
 
-def _pair(metric: str, x: ColumnLike, y: ColumnLike) -> CoefficientValue:
-    """A metric of one column pair: one call of its kernel."""
+def _evaluate(
+    metric: str, x: ColumnTransforms, y: ColumnTransforms
+) -> tuple[np.ndarray, np.ndarray]:
+    """One call of a metric's kernel, on two columns or two batches of them."""
     prepare, kernel = METRIC_TABLE[metric]
-    x, y = _pair_columns(x, y)
-    return _coefficient(*kernel(prepare(x), prepare(y)))
+    return kernel(prepare(x), prepare(y))
+
+
+def _pair(metric: str, x: ColumnLike, y: ColumnLike) -> CoefficientValue:
+    return _coefficient(*_evaluate(metric, *_pair_columns(x, y)))
 
 
 def evaluate_metric(x: ColumnLike, y: ColumnLike, metric: str) -> CoefficientValue:
@@ -295,8 +301,14 @@ def iota_oriented(
     """
     sx = _require_sign(sign_x, "sign_x")
     sy = _require_sign(sign_y, "sign_y")
-    tx, ty = _pair_columns(x, y)
-    return _coefficient(*_iota(tx.oriented(sx), ty.oriented(sy)))
+    return _coefficient(*_oriented(*_pair_columns(x, y), sx, sy))
+
+
+def _oriented(
+    x: ColumnTransforms, y: ColumnTransforms, sx: int, sy: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The iota kernel on (sx * X, sy * Y), columns or batches."""
+    return _iota(x.oriented(sx), y.oriented(sy))
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:

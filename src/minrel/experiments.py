@@ -5,15 +5,16 @@ repetition's dataset; each row ``(x, y, references, tolerances)`` is a
 pair it scores, with one printed cell ``stat(x,y)`` per statistic in
 ``stats``, in output order; ``checks`` maps the per-label means to the
 ordering checks, the qualitative claims (which variable each criterion
-would rank first). A statistic name is a :data:`STATS` key: the public
-direct call that gives it.
+would rank first). A statistic name is a :data:`STATS` key: the kernel
+of the public direct call that gives it.
 
-:func:`run_experiment` runs any table. Repetition ``rep`` uses seed
-``seed + rep`` and ranks each column once: each pair is scored by the
-direct calls of the table's ``stats`` alone, on the columns of the
-repetition's :attr:`Dataset.columns`, so every value is what a library
-user gets for that pair and nothing unprinted is computed. A cell reports
-the mean over repetitions and its standard error.
+:func:`run_experiment` runs any table, repetition ``rep`` with seed
+``seed + rep``, in blocks: each column of a block's datasets is one batch
+(:class:`ColumnTransforms`, a row per repetition) sorted once, and each
+printed statistic of a pair is one kernel call on two batches. A row
+reduces as it does alone, so every value has the bits of the direct call
+on that repetition's columns. Nothing unprinted is computed. A cell
+reports the mean over repetitions and its standard error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coeff import CoefficientValue, iota_oriented, rank_minrelation, spearman
+from .coeff import _evaluate, _oriented
 from .errors import InvalidInputError, require_count
 from .ranks import ColumnTransforms
 from .synth import GeneratedDataset, gen_combined, gen_linear, gen_multiplication
@@ -154,15 +155,18 @@ TABLES: dict[str, _Table] = {
 EXPERIMENTS = tuple(TABLES)
 
 #: Each statistic a table may print, by the name its labels use, as the
-#: public direct call that gives it. Called through this module's
-#: bindings, as the generators are.
-STATS: dict[str, Callable[[ColumnTransforms, ColumnTransforms], CoefficientValue]] = {
-    "rho": lambda x, y: spearman(x, y),
-    "iota": lambda x, y: rank_minrelation(x, y),
-    "iota_yx": lambda x, y: rank_minrelation(y, x),
-    "iota_negx": lambda x, y: iota_oriented(x, y, -1, 1),
-    "iota_negy": lambda x, y: iota_oriented(y, x, -1, 1),
+#: kernel call of the direct call giving it (``spearman``, ``rank_minrelation``
+#: or ``iota_oriented``): ``(values, degenerate)`` arrays on two batches.
+STATS: dict[str, Callable[[ColumnTransforms, ColumnTransforms], tuple]] = {
+    "rho": lambda x, y: _evaluate("spearman", x, y),
+    "iota": lambda x, y: _evaluate("iota", x, y),
+    "iota_yx": lambda x, y: _evaluate("iota", y, x),
+    "iota_negx": lambda x, y: _oriented(x, y, -1, 1),
+    "iota_negy": lambda x, y: _oriented(y, x, -1, 1),
 }
+
+#: Bytes of one stacked (repetitions, m) batch: 32 repetitions at m = 1000.
+_BLOCK_BYTES = 256 * 1024
 
 
 def _stderr(values: list[float]) -> float:
@@ -179,14 +183,17 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     m = require_count(m, "m", 2)
     seed = require_count(seed, "seed", 0)
     table = TABLES[name]
+    seeds = range(seed, seed + reps)
+    block = max(1, _BLOCK_BYTES // (8 * m))
     values: dict[str, list[float]] = {}
-    for rep in range(reps):
-        dataset = table.generate(m, seed + rep).dataset
-        columns = dict(zip(dataset.names, dataset.columns))
+    for start in range(0, reps, block):
+        datasets = [table.generate(m, s).dataset for s in seeds[start : start + block]]
+        batches = map(ColumnTransforms._stacked, zip(*(d.columns for d in datasets)))
+        columns = dict(zip(datasets[0].names, batches))
         for x, y, _, _ in table.rows:
             for stat in table.stats:
-                value = STATS[stat](columns[x], columns[y]).value
-                values.setdefault(f"{stat}({x},{y})", []).append(value)
+                per_rep, _ = STATS[stat](columns[x], columns[y])
+                values.setdefault(f"{stat}({x},{y})", []).extend(per_rep.tolist())
     means = {label: float(np.mean(series)) for label, series in values.items()}
     cells = []
     for x, y, references, tolerances in table.rows:

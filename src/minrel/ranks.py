@@ -18,7 +18,9 @@ are half-integers, so r(-X) = m + 1 - r(X) holds exactly, ties included;
 without ties the ranks are the sorted positions. Spearman centres ranks at
 their exact mean (m+1)/2. Every function here that takes a column goes
 through :func:`as_column`, which keeps a given :class:`ColumnTransforms`,
-so a column read many times is sorted once.
+so a column read many times is sorted once. Every view works along the
+last axis: a batch of columns, one per row, takes one sort, and each row
+has the bits of its column's own views.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class TriangularScores:
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks in increasing order; tied values share the average rank.
+    """1-based ranks along the last axis, each row alone; tied values share the average rank.
 
     A run of k equal values occupying sorted positions p..p+k-1 all receive
     rank (2p+k-1)/2, which keeps the total rank mass at m(m+1)/2 exactly.
@@ -89,21 +91,23 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     run of ties (-0.0 and 0.0 compare equal), so the sort need not be stable.
     Without ties a rank is its sorted position p, bit for bit (p + p)/2.
     """
-    order = np.argsort(values)
-    sorted_values = values[order]
-    new_group = np.empty(values.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_values[1:] != sorted_values[:-1]
+    m = values.shape[-1]
+    order = np.argsort(values, axis=-1)
+    if values.ndim > 1:  # indices into the flat values, row after row
+        order += np.arange(0, values.size, m).reshape(values.shape[:-1] + (1,))
+    sorted_values = values.reshape(-1)[order]
+    new_group = np.empty(order.shape, dtype=bool)
+    new_group[..., 0] = True
+    np.not_equal(sorted_values[..., 1:], sorted_values[..., :-1], out=new_group[..., 1:])
     if new_group.all():
-        averages, group = np.arange(1.0, values.size + 1), slice(None)
+        averages, group = np.arange(1.0, m + 1), slice(None)
     else:
         group = np.cumsum(new_group) - 1
         counts = np.bincount(group)
-        ends = np.cumsum(counts)
-        starts = ends - counts + 1
-        averages = (starts + ends) / 2.0
-    ranks = np.empty(values.size, dtype=float)
-    ranks[order] = averages[group]
+        first = np.cumsum(counts) - counts  # flat index; rows start groups, so p = first % m + 1
+        averages, group = (2 * (first % m) + counts + 1) / 2.0, group.reshape(order.shape)
+    ranks = np.empty(values.shape)
+    ranks.reshape(-1)[order] = averages[group]
     return ranks
 
 
@@ -121,7 +125,7 @@ class ColumnTransforms:
     flipping a column's sign swaps its two transforms and negates them
     (``neg_dec == -inc``, ``neg_inc == -dec``); negation is exact, so they
     are not kept. Two threads that first read a view at once may both build
-    it, with the same bits.
+    it, with the same bits. ``_stacked`` makes a batch, a column per row.
     """
 
     values: np.ndarray
@@ -131,9 +135,17 @@ class ColumnTransforms:
         values = _validated_values(self.values, self.name or "column")
         object.__setattr__(self, "values", _frozen(values))
 
+    @classmethod
+    def _stacked(cls, columns: Sequence[ColumnTransforms]) -> ColumnTransforms:
+        """Checked columns of one length as a batch, one row each, not checked again."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "values", _frozen(np.stack([c.values for c in columns])))
+        object.__setattr__(batch, "name", None)
+        return batch
+
     @property
     def m(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @cached_property
     def ranks(self) -> np.ndarray:
@@ -182,8 +194,8 @@ def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:
 
 
 def _unit_scaled(values: np.ndarray) -> np.ndarray:
-    """``values`` times the exact power of two that puts max |v| in [0.5, 1)."""
-    return np.ldexp(values, -np.frexp(np.abs(values).max())[1])
+    """Each row of ``values`` times the exact power of two that puts its max |v| in [0.5, 1)."""
+    return np.ldexp(values, -np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1])
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +208,7 @@ def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def centred(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A column minus its mean, scaled, and its squared norm (for correlations).
+    """A column, or each row of a batch, minus its mean, scaled, and its squared norm.
 
     The scaling is by exact powers of two that put max |v| in [0.5, 1):
     before centring, so the mean cannot overflow, and after it, so no
@@ -205,7 +217,7 @@ def centred(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same, bit for bit.
     """
     scaled = _unit_scaled(values)
-    return _centred_about(scaled, scaled.mean())
+    return _centred_about(scaled, scaled.mean(axis=-1, keepdims=True))
 
 
 def _centred_about(values: np.ndarray, centre: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import minrel.experiments
 from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
 from minrel.experiments import (
     STATS,
@@ -62,48 +63,88 @@ def test_experiments_are_seed_deterministic():
     assert [c.mean for c in first.cells] == [c.mean for c in second.cells]
 
 
-def test_experiments_rank_each_column_once_per_repetition(sort_counter):
-    # Datasets of 3 (A, B, C), 4 (A..D) and 6 (A..E, G) columns.
-    for run, columns in ((run_table2, 3), (run_table3, 4), (run_table4, 6)):
-        sort_counter["count"] = 0
-        run(reps=2, m=30, seed=0)
-        assert sort_counter["count"] == 2 * columns
+def test_experiments_rank_each_column_once_per_repetition(sort_counter, monkeypatch):
+    # Datasets of 3 (A, B, C), 4 (A..D) and 6 (A..E, G) columns. A column of
+    # a block is one batch, a row per repetition, sorted by one call.
+    m = 30
+    for reps, blocks in ((2, 1), (5, 3)):
+        if blocks > 1:
+            monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)  # 2 + 2 + 1
+        for run, columns in ((run_table2, 3), (run_table3, 4), (run_table4, 6)):
+            sort_counter["count"] = sort_counter["rows"] = 0
+            run(reps=reps, m=m, seed=0)
+            assert sort_counter["rows"] == reps * columns
+            assert sort_counter["count"] == blocks * columns
+
+
+#: The public direct call that gives each statistic.
+DIRECT = {
+    "rho": lambda x, y: spearman(x, y),
+    "iota": lambda x, y: rank_minrelation(x, y),
+    "iota_yx": lambda x, y: rank_minrelation(y, x),
+    "iota_negx": lambda x, y: iota_oriented(x, y, -1, 1),
+    "iota_negy": lambda x, y: iota_oriented(y, x, -1, 1),
+}
+
+
+def _direct_series(table, reps, m, seed):
+    """Each cell's direct calls, one per repetition on that repetition's columns."""
+    datasets = [table.generate(m, seed + rep).dataset for rep in range(reps)]
+    return {
+        f"{stat}({x},{y})": [DIRECT[stat](d.column(x), d.column(y)).value for d in datasets]
+        for x, y, _, _ in table.rows
+        for stat in table.stats
+    }
+
+
+def _bits(value):
+    return struct.pack("<d", value)
 
 
 def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeypatch):
-    # Each printed statistic is one public direct call per pair and
-    # repetition, and nothing unprinted is computed: a wrapper of each STATS
-    # entry sees exactly reps x rows x len(stats) calls, and every mean is
-    # bitwise the mean of the direct calls on that repetition's columns.
+    # Each printed statistic is one value per pair and repetition, and
+    # nothing unprinted is computed: the wrappers of the STATS entries
+    # return exactly reps x rows values for each printed statistic, and
+    # every mean is bitwise the mean of the direct calls on that
+    # repetition's columns.
     reps, m, seed = 2, 30, 0
     for name, table in TABLES.items():
-        calls = dict.fromkeys(STATS, 0)
+        returned = dict.fromkeys(STATS, 0)
         for stat, original in STATS.items():
 
             def counting(x, y, stat=stat, original=original):
-                calls[stat] += 1
-                return original(x, y)
+                result = original(x, y)
+                returned[stat] += np.size(result[0])
+                return result
 
             monkeypatch.setitem(STATS, stat, counting)
         result = run_experiment(name, reps, m, seed)
         monkeypatch.undo()
         expected = len(table.rows) * reps
-        assert calls == {stat: expected if stat in table.stats else 0 for stat in STATS}
-        assert sum(calls.values()) == reps * len(table.rows) * len(table.stats)
+        assert returned == {stat: expected if stat in table.stats else 0 for stat in STATS}
+        assert sum(returned.values()) == reps * len(table.rows) * len(table.stats)
 
-        datasets = [table.generate(m, seed + rep).dataset for rep in range(reps)]
-        direct = {
-            "rho": lambda x, y: spearman(x, y),
-            "iota": lambda x, y: rank_minrelation(x, y),
-            "iota_yx": lambda x, y: rank_minrelation(y, x),
-            "iota_negx": lambda x, y: iota_oriented(x, y, -1, 1),
-            "iota_negy": lambda x, y: iota_oriented(y, x, -1, 1),
-        }
-        means = {}
-        for x, y, _, _ in table.rows:
-            for stat in table.stats:
-                series = [direct[stat](d.column(x), d.column(y)).value for d in datasets]
-                means[f"{stat}({x},{y})"] = float(np.mean(series))
+        series = _direct_series(table, reps, m, seed)
+        means = {label: float(np.mean(direct)) for label, direct in series.items()}
         assert [cell.label for cell in result.cells] == list(means)
         for cell in result.cells:
-            assert struct.pack("<d", cell.mean) == struct.pack("<d", means[cell.label])
+            assert _bits(cell.mean) == _bits(means[cell.label])
+
+
+def test_blocks_give_every_cell_the_bits_of_the_direct_calls(monkeypatch, sort_counter):
+    # Blocks of 2 repetitions, so 5 run as 2 + 2 + 1: each mean and standard
+    # error is bitwise that of the per-repetition direct calls.
+    reps, seed = 5, 3
+    for m in (7, 31):
+        monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)
+        for name, table in TABLES.items():
+            sort_counter["count"] = 0
+            result = run_experiment(name, reps, m, seed)
+            assert sort_counter["count"] == 3 * len(table.generate(m, 0).dataset.names)
+            series = _direct_series(table, reps, m, seed)
+            assert [cell.label for cell in result.cells] == list(series)
+            for cell in result.cells:
+                direct = series[cell.label]
+                stderr = np.std(direct, ddof=1) / np.sqrt(reps)
+                assert _bits(cell.mean) == _bits(float(np.mean(direct)))
+                assert _bits(cell.stderr) == _bits(float(stderr))

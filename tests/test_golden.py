@@ -38,6 +38,10 @@ COMMANDS = {
     "experiment_table3.csv": [
         "experiment", "table3", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
     ],
+    # 40 repetitions of 1000 rows span two blocks of repetitions; CSV hides BLAS last bits.
+    "experiment_table4_blocks.csv": [
+        "experiment", "table4", "--reps", "40", "--m", "1000", "--seed", "1", "--format", "csv",
+    ],
     "gen.csv": ["gen", "triangle", "--m", "5", "--seed", "3"],
     **{
         f"matrix_{metric}.csv": ["matrix", "input.csv", "--metric", metric, "--format", "csv"]

@@ -140,6 +140,61 @@ def test_spearman_centring_equals_centred_ranks_bitwise(m, kind, seed):
     assert norm.tobytes() == expected_norm.tobytes()
 
 
+def _batch(m, seed, kinds, exponents):
+    """A (len(kinds), m) batch, a row per kind, each row times 2**exponent.
+
+    "ties" rows hold heavy ties and both signed zeros. Rows scaled by
+    2**-520 and 2**520 differ in magnitude by 2**1040.
+    """
+    rng = np.random.default_rng(seed)
+    rows = {
+        "ties": lambda: rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -3.0], m),
+        "distinct": lambda: rng.normal(size=m),
+        "constant": lambda: np.full(m, -0.0 if rng.random() < 0.5 else 1.5),
+    }
+    return np.array([np.ldexp(rows[kind](), e) for kind, e in zip(kinds, exponents)])
+
+
+BATCHES = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        st.integers(2, 400),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["ties", "distinct", "constant"]), min_size=k, max_size=k),
+        st.lists(st.sampled_from([-520, 0, 520]), min_size=k, max_size=k),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(BATCHES)
+@example((400, 0, ["ties", "distinct", "constant", "ties", "distinct"], [520, -520, 0, -520, 520]))
+@example((2, 1, ["distinct"] * 3, [0, 520, -520]))
+def test_a_batch_ranks_each_row_as_it_ranks_alone(batch):
+    values = _batch(*batch)
+    ranks = fractional_ranks(values)
+    assert ranks.shape == values.shape
+    for row, alone in zip(ranks, values):
+        assert row.tobytes() == fractional_ranks(alone).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(BATCHES)
+@example((400, 0, ["ties", "distinct", "constant", "ties", "distinct"], [520, -520, 0, -520, 520]))
+def test_a_batch_column_has_each_rows_views(batch):
+    columns = [ColumnTransforms(row) for row in _batch(*batch)]
+    stacked = ColumnTransforms._stacked(columns)
+    assert stacked.m == columns[0].m and not stacked.values.flags.writeable
+    for i, column in enumerate(columns):
+        for view in ("values", "ranks", "dec", "inc"):
+            assert getattr(stacked, view)[i].tobytes() == getattr(column, view).tobytes()
+        for view in ("centred", "centred_values"):
+            (batch_column, batch_norm), (own_column, own_norm) = (
+                getattr(stacked, view), getattr(column, view)
+            )
+            assert batch_column[i].tobytes() == own_column.tobytes()
+            assert batch_norm[i].tobytes() == own_norm.tobytes()
+
+
 def test_uniform_norm_examples():
     np.testing.assert_allclose(uniform_norm([10.0, 20.0]), [0.5, 1.0])
     np.testing.assert_allclose(uniform_norm([7.0, 3.0, 5.0]), [1.0, 1 / 3, 2 / 3])
