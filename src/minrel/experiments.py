@@ -1,16 +1,17 @@
 """Monte-Carlo reproduction of the three toy-experiment tables, as data.
 
-Each table is one :data:`TABLES` entry: ``generate(m, seed)`` draws one
-repetition's dataset; each row ``(x, y, references, tolerances)`` is a
-pair it scores, with one printed cell ``stat(x,y)`` per statistic in
-``stats``, in output order; ``checks`` maps the per-label means to the
-ordering checks, the qualitative claims (which variable each criterion
-would rank first). A statistic name is a :data:`STATS` key: the kernel
-of the public direct call that gives it.
+Each table is one :data:`TABLES` entry: ``family`` names the
+:data:`synth.DRAWS` function that draws one repetition's columns; each row
+``(x, y, references, tolerances)`` is a pair it scores, with one printed
+cell ``stat(x,y)`` per statistic in ``stats``, in output order; ``checks``
+maps the per-label means to the ordering checks, the qualitative claims
+(which variable each criterion would rank first). A statistic name is a
+:data:`STATS` key: the kernel of the public direct call that gives it.
 
 :func:`run_experiment` runs any table, repetition ``rep`` with seed
-``seed + rep``, in blocks: each column of a block's datasets is one batch
-(:class:`ColumnTransforms`, a row per repetition) sorted once, and each
+``seed + rep``, in blocks: each column's draws in a block are stacked
+straight into one batch (:class:`ColumnTransforms`, a row per repetition,
+with no per-repetition ``Dataset``), checked and sorted once, and each
 printed statistic of a pair is one kernel call on two batches. A row
 reduces as it does alone, so every value has the bits of the direct call
 on that repetition's columns. Nothing unprinted is computed. A cell
@@ -27,7 +28,7 @@ import numpy as np
 from .coeff import _evaluate, _oriented
 from .errors import InvalidInputError, require_count
 from .ranks import ColumnTransforms
-from .synth import GeneratedDataset, gen_combined, gen_linear, gen_multiplication
+from .synth import DRAWS
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class ExperimentResult:
 class _Table:
     """One toy table: how to draw it, which pairs it scores and what it expects."""
 
-    generate: Callable[[int, int], GeneratedDataset]
+    family: str
     stats: tuple[str, ...]
     rows: tuple[tuple[str, str, tuple[float, ...], tuple[float, ...]], ...]
     checks: Callable[[Mapping[str, float]], tuple[OrderingCheck, ...]] = lambda means: ()
@@ -115,12 +116,10 @@ def _table4_checks(means: Mapping[str, float]) -> tuple[OrderingCheck, ...]:
     )
 
 
-#: Each table, by the name of the paper's table it reproduces. The
-#: generators are called through this module's bindings, so a wrapper
-#: installed on them (as the benchmark's tracer does) sees each call.
+#: Each table, by the name of the paper's table it reproduces.
 TABLES: dict[str, _Table] = {
     "table2": _Table(
-        generate=lambda m, seed: gen_multiplication(m, seed),
+        family="multiplication",
         stats=("rho", "iota", "iota_negy", "iota_negx", "iota_yx"),
         rows=(
             ("A", "B", (0.66, 0.99, -0.99, -0.79, 0.77), (0.02, 0.01, 0.01, 0.03, 0.03)),
@@ -129,7 +128,7 @@ TABLES: dict[str, _Table] = {
         ),
     ),
     "table3": _Table(
-        generate=lambda m, seed: gen_linear(m, seed),
+        family="linear",
         stats=("rho", "iota", "iota_yx"),
         rows=(
             ("A", "B", (0.79, 0.98, 0.98), (0.02, 0.03, 0.03)),
@@ -139,7 +138,7 @@ TABLES: dict[str, _Table] = {
         checks=_table3_checks,
     ),
     "table4": _Table(
-        generate=lambda m, seed: gen_combined(m, seed),
+        family="combined",
         stats=("rho", "iota"),
         rows=(
             ("A", "B", (0.53, 0.97), (0.03, 0.02)),
@@ -183,13 +182,13 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     m = require_count(m, "m", 2)
     seed = require_count(seed, "seed", 0)
     table = TABLES[name]
+    draw = DRAWS[table.family]
     seeds = range(seed, seed + reps)
     block = max(1, _BLOCK_BYTES // (8 * m))
     values: dict[str, list[float]] = {}
     for start in range(0, reps, block):
-        datasets = [table.generate(m, s).dataset for s in seeds[start : start + block]]
-        batches = map(ColumnTransforms._stacked, zip(*(d.columns for d in datasets)))
-        columns = dict(zip(datasets[0].names, batches))
+        draws = [draw(np.random.default_rng(s), m) for s in seeds[start : start + block]]
+        columns = {x: ColumnTransforms._stacked([d[x] for d in draws], x) for x in draws[0]}
         for x, y, _, _ in table.rows:
             for stat in table.stats:
                 per_rep, _ = STATS[stat](columns[x], columns[y])

@@ -20,7 +20,8 @@ their exact mean (m+1)/2. Every function here that takes a column goes
 through :func:`as_column`, which keeps a given :class:`ColumnTransforms`,
 so a column read many times is sorted once. Every view works along the
 last axis: a batch of columns, one per row, takes one sort, and each row
-has the bits of its column's own views.
+has the bits of its column's own views. A batch is stacked from the rows
+once, with one copy and one finiteness check (``ColumnTransforms._stacked``).
 """
 
 from __future__ import annotations
@@ -136,11 +137,14 @@ class ColumnTransforms:
         object.__setattr__(self, "values", _frozen(values))
 
     @classmethod
-    def _stacked(cls, columns: Sequence[ColumnTransforms]) -> ColumnTransforms:
-        """Checked columns of one length as a batch, one row each, not checked again."""
+    def _stacked(cls, rows: Sequence[np.ndarray], name: str) -> ColumnTransforms:
+        """Float rows of one length m >= 2 as batch ``name``: one copy, one finiteness check."""
+        values = np.stack(rows)
+        if not np.isfinite(values).all():
+            raise InvalidInputError(f"column {name!r} contains a non-finite value")
         batch = object.__new__(cls)
-        object.__setattr__(batch, "values", _frozen(np.stack([c.values for c in columns])))
-        object.__setattr__(batch, "name", None)
+        object.__setattr__(batch, "values", _frozen(values))
+        object.__setattr__(batch, "name", name)
         return batch
 
     @property

@@ -6,10 +6,10 @@ dataset on this implementation. Structural identities (A = B*C and the
 like) hold exactly, not just statistically. Repetition harnesses derive
 per-repetition seeds as ``seed + repetition_index``.
 
-Every generator, the four toy families and the relevance suite, shares
-one prologue, :func:`_generate`: it checks m (>= 2) and seed (>= 0) with
-:func:`errors.require_count`, seeds the generator and wraps the drawn
-columns, so each generator is only its draws.
+Each toy family's draw is one function, its :data:`DRAWS` entry, called
+by its ``gen_*`` generator and by the experiments, which stack the draws
+straight into batches. Every generator shares one prologue, :func:`_generate`:
+it checks m (>= 2) and seed (>= 0), seeds the generator and wraps the draws.
 """
 
 from __future__ import annotations
@@ -50,18 +50,44 @@ def _generate(family: str, m: int, seed: int, draw: Callable[..., dict]) -> Gene
     return GeneratedDataset(dataset=dataset, family=family, m=m, seed=seed)
 
 
+def _draw_multiplication(rng: np.random.Generator, m: int) -> dict:
+    b, c = rng.random((2, m))
+    return {"A": b * c, "B": b, "C": c}
+
+
+def _draw_linear(rng: np.random.Generator, m: int) -> dict:
+    b, c, d = rng.standard_normal((3, m))
+    return {"A": 3.0 * b + 2.0 * c + d, "B": b, "C": c, "D": d}
+
+
+def _draw_combined(rng: np.random.Generator, m: int) -> dict:
+    b, c, d = rng.random((3, m))
+    e = rng.normal(0.0, 0.15, m)
+    a = b * c * d
+    return {"A": a, "B": b, "C": c, "D": d, "E": e, "G": a + e}
+
+
+def _draw_triangle(rng: np.random.Generator, m: int) -> dict:
+    u, v = rng.random((2, m))
+    return {"X": np.minimum(u, v) - 0.5, "Y": np.maximum(u, v) - 0.5}
+
+
+#: Each toy family's draw(rng, m): its (m,) columns by name, in column order.
+DRAWS = {
+    "multiplication": _draw_multiplication,
+    "linear": _draw_linear,
+    "combined": _draw_combined,
+    "triangle": _draw_triangle,
+}
+
+
 def gen_multiplication(m: int, seed: int) -> GeneratedDataset:
     """A = B * C with B, C independent U(0, 1).
 
     A is dominated by both factors componentwise, the cleanest way to
     produce a strong one-directional dependence. Draw order: B, then C.
     """
-    def draw(rng, m):
-        b = rng.random(m)
-        c = rng.random(m)
-        return {"A": b * c, "B": b, "C": c}
-
-    return _generate("multiplication", m, seed, draw)
+    return _generate("multiplication", m, seed, _draw_multiplication)
 
 
 def gen_linear(m: int, seed: int) -> GeneratedDataset:
@@ -69,13 +95,7 @@ def gen_linear(m: int, seed: int) -> GeneratedDataset:
 
     Draw order: B, C, D.
     """
-    def draw(rng, m):
-        b = rng.standard_normal(m)
-        c = rng.standard_normal(m)
-        d = rng.standard_normal(m)
-        return {"A": 3.0 * b + 2.0 * c + d, "B": b, "C": c, "D": d}
-
-    return _generate("linear", m, seed, draw)
+    return _generate("linear", m, seed, _draw_linear)
 
 
 def gen_combined(m: int, seed: int) -> GeneratedDataset:
@@ -84,15 +104,7 @@ def gen_combined(m: int, seed: int) -> GeneratedDataset:
     E is normal with mean 0 and standard deviation 0.15. Draw order:
     B, C, D, then E.
     """
-    def draw(rng, m):
-        b = rng.random(m)
-        c = rng.random(m)
-        d = rng.random(m)
-        e = rng.normal(0.0, 0.15, m)
-        a = b * c * d
-        return {"A": a, "B": b, "C": c, "D": d, "E": e, "G": a + e}
-
-    return _generate("combined", m, seed, draw)
+    return _generate("combined", m, seed, _draw_combined)
 
 
 def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
@@ -103,12 +115,7 @@ def gen_triangle_pair(m: int, seed: int) -> GeneratedDataset:
     triangular marginal (mean -1/6) and Y an increasing one (mean +1/6).
     Draw order: the min/max source pair.
     """
-    def draw(rng, m):
-        u = rng.random(m)
-        v = rng.random(m)
-        return {"X": np.minimum(u, v) - 0.5, "Y": np.maximum(u, v) - 0.5}
-
-    return _generate("triangle", m, seed, draw)
+    return _generate("triangle", m, seed, _draw_triangle)
 
 
 #: Each toy family's generator, by the name the command line uses.

@@ -5,6 +5,7 @@ import pytest
 
 import minrel.experiments
 from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
+from minrel.cli import main
 from minrel.experiments import (
     STATS,
     TABLES,
@@ -13,6 +14,8 @@ from minrel.experiments import (
     run_table3,
     run_table4,
 )
+from minrel.ranks import ColumnTransforms
+from minrel.synth import DRAWS, GENERATORS
 
 
 def test_cell_pass_fail():
@@ -89,7 +92,7 @@ DIRECT = {
 
 def _direct_series(table, reps, m, seed):
     """Each cell's direct calls, one per repetition on that repetition's columns."""
-    datasets = [table.generate(m, seed + rep).dataset for rep in range(reps)]
+    datasets = [GENERATORS[table.family](m, seed + rep).dataset for rep in range(reps)]
     return {
         f"{stat}({x},{y})": [DIRECT[stat](d.column(x), d.column(y)).value for d in datasets]
         for x, y, _, _ in table.rows
@@ -140,7 +143,7 @@ def test_blocks_give_every_cell_the_bits_of_the_direct_calls(monkeypatch, sort_c
         for name, table in TABLES.items():
             sort_counter["count"] = 0
             result = run_experiment(name, reps, m, seed)
-            assert sort_counter["count"] == 3 * len(table.generate(m, 0).dataset.names)
+            assert sort_counter["count"] == 3 * len(GENERATORS[table.family](m, 0).dataset.names)
             series = _direct_series(table, reps, m, seed)
             assert [cell.label for cell in result.cells] == list(series)
             for cell in result.cells:
@@ -148,3 +151,58 @@ def test_blocks_give_every_cell_the_bits_of_the_direct_calls(monkeypatch, sort_c
                 stderr = np.std(direct, ddof=1) / np.sqrt(reps)
                 assert _bits(cell.mean) == _bits(float(np.mean(direct)))
                 assert _bits(cell.stderr) == _bits(float(stderr))
+
+
+def test_block_draws_are_the_public_generators_columns(monkeypatch):
+    # Each batch the experiments stack holds, row r, the column that the
+    # public generator gives for seed + r, bitwise: blocks of 2 repetitions,
+    # so 5 run as 2 + 2 + 1, and the largest seed.
+    stacked = []
+    original = ColumnTransforms._stacked
+
+    def recording(rows, name):
+        stacked.append((name, [np.array(row) for row in rows]))
+        return original(rows, name)
+
+    monkeypatch.setattr(ColumnTransforms, "_stacked", recording)
+    reps = 5
+    for m in (2, 7):
+        monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)
+        for seed in (0, 2**63 - 1):
+            for name, table in TABLES.items():
+                stacked.clear()
+                run_experiment(name, reps, m, seed)
+                names = GENERATORS[table.family](m, seed).dataset.names
+                assert [column for column, _ in stacked] == list(names) * 3
+                batches = {column: [] for column in names}
+                for column, rows in stacked:
+                    batches[column].extend(rows)
+                for r in range(reps):
+                    dataset = GENERATORS[table.family](m, seed + r).dataset
+                    for column in names:
+                        row = batches[column][r]
+                        assert row.tobytes() == dataset.column(column).tobytes()
+
+
+def test_a_non_finite_draw_is_rejected_naming_its_column(monkeypatch, tmp_path, capsys):
+    # One repetition's E holds nan: the batch check rejects it, and the
+    # command writes no output file.
+    draw = DRAWS["combined"]
+    calls = []
+
+    def bad(rng, m):
+        columns = draw(rng, m)
+        calls.append(None)
+        if len(calls) == 3:  # the third repetition, in the second block
+            columns["E"] = np.where(np.arange(m) == 1, np.nan, columns["E"])
+        return columns
+
+    monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * 7)
+    monkeypatch.setitem(DRAWS, "combined", bad)
+    with pytest.raises(InvalidInputError, match="'E'"):
+        run_experiment("table4", reps=5, m=7, seed=0)
+    calls.clear()
+    output = tmp_path / "out.csv"
+    assert main(["experiment", "table4", "--reps", "5", "--m", "7", "--output", str(output)]) == 2
+    assert "'E'" in capsys.readouterr().err
+    assert not output.exists()

@@ -39,10 +39,17 @@ COMMANDS = {
         "experiment", "table3", "--reps", "2", "--m", "7", "--seed", "1", "--format", "csv",
     ],
     # 40 repetitions of 1000 rows span two blocks of repetitions; CSV hides BLAS last bits.
-    "experiment_table4_blocks.csv": [
-        "experiment", "table4", "--reps", "40", "--m", "1000", "--seed", "1", "--format", "csv",
-    ],
+    **{
+        f"experiment_{table}_blocks.csv": [
+            "experiment", table, "--reps", "40", "--m", "1000", "--seed", "1", "--format", "csv",
+        ]
+        for table in ("table2", "table3", "table4")
+    },
     "gen.csv": ["gen", "triangle", "--m", "5", "--seed", "3"],
+    **{
+        f"gen_{family}.csv": ["gen", family, "--m", "5", "--seed", "3"]
+        for family in ("multiplication", "linear", "combined")
+    },
     **{
         f"matrix_{metric}.csv": ["matrix", "input.csv", "--metric", metric, "--format", "csv"]
         for metric in ("iota2", "minrel_simple", "pearson", "spearman")

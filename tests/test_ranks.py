@@ -181,9 +181,11 @@ def test_a_batch_ranks_each_row_as_it_ranks_alone(batch):
 @given(BATCHES)
 @example((400, 0, ["ties", "distinct", "constant", "ties", "distinct"], [520, -520, 0, -520, 520]))
 def test_a_batch_column_has_each_rows_views(batch):
-    columns = [ColumnTransforms(row) for row in _batch(*batch)]
-    stacked = ColumnTransforms._stacked(columns)
+    rows = _batch(*batch)
+    columns = [ColumnTransforms(row) for row in rows]
+    stacked = ColumnTransforms._stacked(list(rows), "x")
     assert stacked.m == columns[0].m and not stacked.values.flags.writeable
+    assert stacked.name == "x" and not np.shares_memory(stacked.values, rows)
     for i, column in enumerate(columns):
         for view in ("values", "ranks", "dec", "inc"):
             assert getattr(stacked, view)[i].tobytes() == getattr(column, view).tobytes()
