@@ -13,13 +13,15 @@ be reproduced from the artifact alone, with the rows behind the result:
 ``rows_read`` data rows, ``rows_dropped`` of them dropped, ``m`` kept.
 
 Each command builds its config (:func:`_dataset_config` for the commands
-that read a dataset) and hands it, with its JSON fields and CSV sections of
-typed rows, to :func:`_write`, the one writer. It spells every CSV cell and
-builds the whole result before it opens the output, so stdout and
-``--output`` get the same bytes and a failed command leaves no file. JSON is
-one sorted-key object with a ``config`` key; CSV is a ``# config: key=value
-...`` line, then tables and comment lines. A config value with a line break
-is written there as its JSON string literal, so the config stays on one line.
+that read a dataset) and hands it, with its JSON fields and CSV sections,
+to :func:`_write`, the one writer, which builds the whole result before it
+opens the output, so stdout and ``--output`` get the same bytes and a failed
+command leaves no file. JSON is the bytes of ``json.dumps(indent=2,
+sort_keys=True)`` on one object with a ``config`` key; CSV is a ``# config:
+key=value ...`` line, then tables and comment lines. A config value with a
+line break is written there as its JSON string literal, so the config stays
+on one line. A matrix is two typed grids, not n^2 Python floats: each row
+is spelled at once by its cell type, and each name encoded once.
 
 The header goes through the record reader. A data body of plain numbers
 is parsed in one ``np.loadtxt`` call, and :class:`Dataset` decides whether
@@ -35,15 +37,15 @@ under --strict, 4 I/O failure (a stdout closed early exits 4 silently).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import functools
 import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import asdict, astuple
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -235,41 +237,78 @@ def _config_line(config: dict) -> str:
     return f"# config: {joined}\n"
 
 
+def _csv_spelling(kind: type):
+    """How CSV spells a ``kind`` cell: bool as ``true``/``false``, float to 12 digits, else str."""
+    if issubclass(kind, bool):
+        return ("false", "true").__getitem__
+    return "{:.12g}".format if issubclass(kind, float) else str
+
+
 def _csv_cell(value) -> str:
-    """A CSV cell: a bool as ``true``/``false``, a float to 12 significant digits, else ``str``."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    """One CSV cell, spelled for its own type (a grid spells each row for its cell type)."""
+    return _csv_spelling(type(value))(value)
 
 
-def _opened(output: str | None):
-    """The output handle: stdout for None or '-', else the file ``output``."""
-    if output in (None, "-"):
-        return contextlib.nullcontext(sys.stdout)
-    return open(output, "w", encoding="utf-8", newline="")
+#: An n x n array of floats or bools whose rows and columns are both keyed by ``names``.
+_Grid = NamedTuple("_Grid", [("names", tuple), ("cells", np.ndarray)])
 
 
-def _write(args: argparse.Namespace, config: dict, fields, sections) -> None:
+def _json_parts(payload: dict):
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, in parts.
+
+    A :data:`_Grid` is a dict of row dicts, written row by row: names encoded
+    once, floats by ``float.__repr__`` (as ``json`` does), flags ``true``/``false``.
+    """
+    for k, (key, value) in enumerate(sorted(payload.items())):
+        yield f"{',' if k else '{'}\n  {json.dumps(key)}: "
+        if not isinstance(value, _Grid):
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            continue
+        order = sorted(range(len(value.names)), key=value.names.__getitem__)
+        keys = [json.dumps(value.names[i]) for i in order]
+        prefixes = [f"\n      {name}: " for name in keys]
+        spell = float.__repr__ if value.cells.dtype == float else _csv_spelling(bool)
+        for i, row in enumerate(value.cells[np.ix_(order, order)]):
+            cells = ",".join(map(str.__add__, prefixes, map(spell, row.tolist())))
+            yield f"{',' if i else '{'}\n    {keys[i]}: {{{cells}\n    }}"
+        yield "\n  }"
+    yield "\n}\n"
+
+
+class _Parts(list):
+    write = list.append  # a csv.writer target: each row it writes is one part
+
+
+def _write(args: argparse.Namespace, config: dict, fields: dict | None, sections: list) -> None:
     """Write a command's result in its ``--format``; the one place that branches on it.
 
-    JSON is the object ``fields()`` plus ``config``. CSV is the ``# config:``
-    line, then each of ``sections()``: a comment line, or a table of typed
-    rows whose every cell :func:`_csv_cell` spells. Only the selected
-    encoding is built, and all of it before the output is opened.
+    JSON is the object ``fields`` plus ``config``. CSV is the ``# config:``
+    line, then each of ``sections``: a comment line, a table of typed rows
+    whose every cell :func:`_csv_cell` spells, or a :data:`_Grid`, spelled
+    once per cell type under a header row of its names. All of the output is
+    built before it is opened.
     """
     if args.format == "json":
-        parts = [json.dumps({**fields(), "config": config}, indent=2, sort_keys=True) + "\n"]
+        parts = _Parts(_json_parts({**fields, "config": config}))
     else:
-        parts = [_config_line(config), *sections()]
-    with _opened(args.output) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for part in parts:
+        parts = _Parts([_config_line(config)])
+        writer = csv.writer(parts, lineterminator="\n")
+        for part in sections:
             if isinstance(part, str):
-                handle.write(part)
+                parts.append(part)
+            elif isinstance(part, _Grid):
+                spell = _csv_spelling(type(part.cells.item(0)))
+                writer.writerow(["", *part.names])
+                writer.writerows([x, *map(spell, row.tolist())] for x, row in zip(*part))
             else:
                 writer.writerows(map(_csv_cell, row) for row in part)
+    # Many parts, not one string: a write to a pipe closed early raises on
+    # the next part, where one large write could end short without a word.
+    if args.output in (None, "-"):
+        sys.stdout.writelines(parts)
+        return
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(parts)
 
 
 def _status(passed: bool) -> str:
@@ -296,18 +335,11 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
         result = coeff.iota_oriented(x, y, *_parse_orientation(args.orientation))
     else:
         result = coeff.evaluate_metric(x, y, args.metric)
-    config = _dataset_config(
-        args,
-        dataset,
-        x=x_name,
-        y=y_name,
-        metric=args.metric,
-        orientation=args.orientation or "++",
-        strict=args.strict,
-    )
+    fields = dict(x=x_name, y=y_name, metric=args.metric, orientation=args.orientation or "++")
+    config = _dataset_config(args, dataset, **fields, strict=args.strict)
     header = ["metric", "value", "degenerate", "m"]
     values = [args.metric, result.value, result.degenerate, dataset.m]
-    _write(args, config, lambda: dict(zip(header, values)), lambda: [[header, values]])
+    _write(args, config, dict(zip(header, values)), [[header, values]])
     if args.strict and result.degenerate:
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -316,25 +348,10 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
     matrix = pairwise_matrix(dataset, args.metric, workers=args.workers)
-    names = matrix.names
-    values = matrix.values.tolist()
-    flags = matrix.degenerate.tolist()
-
-    def fields() -> dict:
-        return {
-            "metric": matrix.metric,
-            "names": list(names),
-            "values": {x: dict(zip(names, row)) for x, row in zip(names, values)},
-            "degenerate": {x: dict(zip(names, row)) for x, row in zip(names, flags)},
-        }
-
-    def sections() -> list:
-        def table(rows: list) -> list:
-            return [["", *names], *([x, *row] for x, row in zip(names, rows))]
-
-        return [table(values), "# degenerate\n", table(flags)]
-
-    _write(args, _dataset_config(args, dataset, metric=args.metric), fields, sections)
+    values, flags = (_Grid(matrix.names, cells) for cells in (matrix.values, matrix.degenerate))
+    fields = {"metric": matrix.metric, "names": list(matrix.names), "values": values}
+    config = _dataset_config(args, dataset, metric=args.metric)
+    _write(args, config, {**fields, "degenerate": flags}, [values, "# degenerate\n", flags])
     return EXIT_OK
 
 
@@ -346,60 +363,43 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     scalars = {}
     if args.relevant:
         try:  # one CSV record, quoted like the header, so a name may hold a comma
-            fields = next(csv.reader([args.relevant]))
+            cells = next(csv.reader([args.relevant]))
         except csv.Error:  # an unquoted line break ends a CSV record; read it as text
-            fields = args.relevant.split(",")
-        relevant = [name.strip() for name in fields if name.strip()]
+            cells = args.relevant.split(",")
+        relevant = [name.strip() for name in cells if name.strip()]
         scalars["avg_position"] = average_position(ranking, relevant).avg_position
     config = _dataset_config(
         args, dataset, target=args.target, criterion=args.criterion, relevant=args.relevant or ""
     )
-    _write(
-        args,
-        config,
-        lambda: {
-            "target": ranking.target,
-            "criterion": ranking.criterion,
-            "ranking": [dict(zip(header, row)) for row in rows],
-            **scalars,
-        },
-        lambda: [
-            [header, *rows],
-            *(f"# {key}: {_csv_cell(value)}\n" for key, value in scalars.items()),
-        ],
-    )
+    fields = {"target": ranking.target, "criterion": ranking.criterion}
+    fields["ranking"] = [dict(zip(header, row)) for row in rows]
+    comments = [f"# {key}: {_csv_cell(value)}\n" for key, value in scalars.items()]
+    _write(args, config, {**fields, **scalars}, [[header, *rows], *comments])
     return EXIT_OK
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(args.name, args.reps, args.m, args.seed)
     config = {key: getattr(args, key) for key in ("command", "name", "reps", "m", "seed", "format")}
-
-    def fields() -> dict:
-        return {
-            "experiment": result.name,
-            "reps": result.reps,
-            "m": result.m,
-            "seed": result.seed,
-            "cells": [{**asdict(cell), "status": _status(cell.passed)} for cell in result.cells],
-            "checks": [
-                {"label": check.label, "detail": check.detail, "status": _status(check.passed)}
-                for check in result.checks
-            ],
-            "passed": result.passed,
-        }
-
-    def sections() -> list:
-        cells = [["cell", "mean", "stderr", "reference", "tolerance", "status"]] + [
-            [*astuple(cell), _status(cell.passed)] for cell in result.cells
-        ]
-        if not result.checks:
-            return [cells]
-        checks = [["check", "detail", "status"]] + [
-            [check.label, check.detail, _status(check.passed)] for check in result.checks
-        ]
-        return [cells, "# checks\n", checks]
-
+    fields = {
+        "experiment": result.name,
+        "reps": result.reps,
+        "m": result.m,
+        "seed": result.seed,
+        "cells": [{**asdict(cell), "status": _status(cell.passed)} for cell in result.cells],
+        "checks": [
+            {"label": check.label, "detail": check.detail, "status": _status(check.passed)}
+            for check in result.checks
+        ],
+        "passed": result.passed,
+    }
+    sections = [
+        [["cell", "mean", "stderr", "reference", "tolerance", "status"]]
+        + [[*astuple(cell), _status(cell.passed)] for cell in result.cells]
+    ]
+    if result.checks:
+        checks = [[check.label, check.detail, _status(check.passed)] for check in result.checks]
+        sections += ["# checks\n", [["check", "detail", "status"], *checks]]
     _write(args, config, fields, sections)
     return EXIT_OK
 
@@ -407,9 +407,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     dataset = GENERATORS[args.family](args.m, args.seed).dataset
     config = {key: getattr(args, key) for key in ("command", "family", "m", "seed")}
-    rows = [dataset.names, *dataset.values.tolist()]
     # gen writes CSV only: it has no --format option and no JSON fields.
-    _write(args, config, None, lambda: [rows])
+    _write(args, config, None, [[dataset.names, *dataset.values.tolist()]])
     return EXIT_OK
 
 
@@ -427,6 +426,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minrel",

@@ -29,13 +29,13 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
   with one row per column. Every reduction runs over the last axis, and a
   row reduces the same alone as in a batch.
 
-A two-column call, a matrix cell (:mod:`minrel.matrix`), a ranking
-score (:mod:`minrel.ranking`) and an experiment's block of repetitions
-(:mod:`minrel.experiments`) are each one call of that kernel, so they
-agree bit for bit by construction. Every mass is one :func:`_mass`
-reduction. The ``max_iota_sq`` kernel, :func:`minrel_profile` and the
-profile matrix share :func:`_orientations`: four orientations from four
-masses, not eight. All functions are pure and thread-safe.
+A two-column call, a ranking score (:mod:`minrel.ranking`) and an
+experiment's block of repetitions (:mod:`minrel.experiments`) are each one
+call of that kernel, and a matrix cell (:mod:`minrel.matrix`) the same
+operations on the same operands, so they agree bit for bit. Every mass is
+one :func:`_mass` reduction. :func:`_orientations` forms four orientations
+from four masses, not eight, and :func:`_iota_both` both iota directions
+from three. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ def _mass(s: np.ndarray) -> np.ndarray:
     return s.sum(axis=-1)
 
 
-def _masses(
-    x_dec: np.ndarray, y_dec: np.ndarray, y_inc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The trade-off's two masses, ``above`` and ``below``; see the module docstring.
-
-    Either side may be a batch with one row per column.
-    """
-    s = np.add(x_dec, y_dec)
-    return _mass(s), _mass(np.subtract(x_dec, y_inc, out=s))
-
-
 def _ratio(numerator, denominator) -> tuple[np.ndarray, np.ndarray]:
     """numerator / denominator, and the mask of zero denominators (value 0)."""
     # Counts may arrive as Python ints, whose == gives a Python bool and
@@ -126,8 +115,23 @@ def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
 
 
 def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The trade-off of X to Y: ``x`` starts with x~, ``y`` is (y~dec, y~inc)."""
-    return _tradeoff(*_masses(x[0], *y))
+    """The trade-off of X to Y: ``x`` starts with x~, ``y`` is (y~dec, y~inc); either a batch."""
+    s = np.add(x[0], y[0])
+    return _tradeoff(_mass(s), _mass(np.subtract(x[0], y[1], out=s)))
+
+
+def _crossed(x: tuple, y: tuple) -> tuple[np.ndarray, ...]:
+    """P, Q and R of :func:`_orientations`, and the scratch array they were formed in."""
+    (x_dec, x_inc), (y_dec, y_inc) = x, y
+    work = np.add(x_dec, y_dec)
+    p, q = _mass(work), _mass(np.subtract(x_dec, y_inc, out=work))
+    return p, q, _mass(np.subtract(y_dec, x_inc, out=work)), work
+
+
+def _iota_both(x: tuple, y: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """:func:`_iota` of (X, Y) and of (Y, X), trade(P, Q) and trade(P, R): three masses."""
+    p, q, r, _ = _crossed(x, y)
+    return _tradeoff(p, q), _tradeoff(p, r)
 
 
 def _orientations(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -139,13 +143,9 @@ def _orientations(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     exactly, so each is the mass :func:`_iota` forms, bit for bit. The other
     four sign combinations are these four negated, exactly.
     """
-    (x_dec, x_inc), (y_dec, y_inc) = x, y
-    work = np.add(x_dec, y_dec)
-    p = _mass(work)
-    q = _mass(np.subtract(x_dec, y_inc, out=work))
-    r = _mass(np.subtract(y_dec, x_inc, out=work))
-    np.negative(x_inc, out=work)
-    s = _mass(np.subtract(work, y_inc, out=work))
+    p, q, r, work = _crossed(x, y)
+    np.negative(x[1], out=work)
+    s = _mass(np.subtract(work, y[1], out=work))
     return _tradeoff(np.stack([p, p, r, q], axis=-1), np.stack([q, r, s, s], axis=-1))
 
 

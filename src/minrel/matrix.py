@@ -5,21 +5,21 @@ column once, as a :class:`ColumnTransforms` in :attr:`Dataset.columns`, so
 every pass over one dataset (matrices, rankings, experiments) reuses the
 same views and sorts each column at most once, and only if a metric reads
 its ranks. Each column is prepared once by the metric's ``prepare`` (see
-:mod:`minrel.coeff`), and the parts are stacked into (n, ...) arrays. One
-function, :func:`_kernel_map`, fills the n x n map with one call of the
-metric's ``kernel`` per matrix row per block of columns: the kernel a
-two-column call runs, so a matrix cell equals the direct call bit for bit
-by construction. Each cell is reduced on its own (no matrix products), and
-each row is written into storage allocated before any thread starts, so
-results are bit-identical for any worker count. The kernels' large array
-operations release the interpreter lock, so ``workers`` threads (at most
-one per available CPU), dealt the rows in turn, run in parallel.
+:mod:`minrel.coeff`), and the parts are stacked into (n, ...) arrays.
 
-No metric has a path of its own. A metric of :data:`SYMMETRIC_METRICS`
-computes only the cells with j >= i and mirrors them. The
-``max_iota_sq`` kernel and :func:`minrel_profile_matrix` share
-:func:`coeff._orientations`, which forms all four orientations of a pair
-from four masses; the profile's cells are its (4,) vectors.
+One function, :func:`_kernel_map`, walks only the cells with j >= i: one
+call of a metric's pair kernel per row i and block J of columns returns
+cells (i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes its
+one kernel result both ways; ``iota`` and ``iota2`` share three masses per
+pair (P, Q and R of :func:`coeff._orientations`, where two direct calls take
+four); ``minrel_simple`` counts twice; the profile's four masses give cell
+(i, j), and cell (j, i) is it with orientations 0 and 1, 2 and 3 swapped.
+Each is the same IEEE operations on the same operands as its direct call.
+Each cell is reduced on its own (no matrix products), and row i writes only
+row i and column i of storage allocated before any thread starts, so results
+are bit-identical for any worker count. The kernels' large array operations
+release the interpreter lock, so ``workers`` threads (at most one per
+available CPU), dealt the rows in turn, run in parallel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _max_iota_sq, _orientations
+from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _iota_both
+from .coeff import _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_count
 from .ranks import ColumnTransforms, _frozen, as_float_array
 
@@ -154,19 +155,16 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_map(
-    kernel: Callable, stacks: tuple, workers: int, *, symmetric: bool = False, cell: tuple = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cell [i, j] is ``kernel(column i, column j)``, one kernel call per row per column block.
+def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, workers: int, cell=()):
+    """Cells (i, j) and (j, i) for every j >= i: one ``pair`` call per row i per block J.
 
-    ``stacks`` are the stacked prepared columns: a tuple of arrays whose
-    first axis indexes the column, used for both rows and columns. A cell
-    of the output has shape ``cell``. Columns are taken in blocks that keep
-    a call's temporaries at a few MB. When ``symmetric``, only cells with
-    j >= i are computed and the rest mirrored. Rows are dealt to the
-    threads in turn, so a triangle splits evenly; at most one thread per
-    available CPU runs: more would only add temporaries, not speed.
+    Each column's ``prepare`` parts are stacked into (n, ...) arrays, in the
+    calling thread: the threads read only the stacks. ``pair(row i, block
+    J)`` returns ``(values, degenerate)`` of cells (i, J), then of cells (J,
+    i); a cell has shape ``cell``. A block's temporaries stay at a few MB. At
+    most one thread per available CPU runs: more would only add temporaries.
     """
+    stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
     n, m = stacks[0].shape[:2]
     width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
     values = np.empty((n, n, *cell))
@@ -175,10 +173,11 @@ def _kernel_map(
     def run_rows(rows: Iterable[int]) -> None:
         for i in rows:
             x = tuple(part[i] for part in stacks)
-            for j in range(i if symmetric else 0, n, width):
+            for j in range(i, n, width):
                 cells = slice(j, j + width)
                 y = tuple(part[cells] for part in stacks)
-                values[i, cells], degenerate[i, cells] = kernel(x, y)
+                (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
+                values[cells, i], degenerate[cells, i] = transposed
 
     threads = min(workers, _available_cpus(), n)
     if threads <= 1:
@@ -186,23 +185,22 @@ def _kernel_map(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_rows, [range(t, n, threads) for t in range(threads)]))
-    if symmetric:
-        for i in range(1, n):
-            values[i, :i] = values[:i, i]
-            degenerate[i, :i] = degenerate[:i, i]
     return values, degenerate
-
-
-def _stacks(prepare: Callable, columns: Iterable) -> tuple:
-    """Every column's ``prepare`` parts, each part stacked into one (n, ...) array."""
-    return tuple(np.stack(part) for part in zip(*map(prepare, columns)))
 
 
 #: Metrics accepted by :func:`pairwise_matrix`.
 MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel_simple")
 
-#: Metrics whose matrices are symmetric by construction.
-SYMMETRIC_METRICS = frozenset({"pearson", "spearman", "max_iota_sq"})
+#: The pair kernels (see :func:`_kernel_map`) of the asymmetric matrix metrics.
+_PAIR_KERNELS: dict[str, Callable] = {
+    "iota": _iota_both,
+    # iota2(X, Y) == iota(-Y, -X): the iota pair on the transforms of -X, swapped.
+    "iota2": lambda x, y: _iota_both(x, y)[::-1],
+    "minrel_simple": lambda x, y: (_concordance(x, y), _concordance(y, x)),
+}
+
+#: Metrics whose matrices are symmetric by construction: one kernel result is written both ways.
+SYMMETRIC_METRICS = frozenset(MATRIX_METRICS).difference(_PAIR_KERNELS)
 
 
 def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> CoefficientMatrix:
@@ -215,10 +213,8 @@ def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> Coeff
         raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
     workers = require_count(workers, "workers", 1)
     prepare, kernel = METRIC_TABLE[metric]
-    # ``prepare`` builds every view it reads here, in the calling thread, before
-    # _kernel_map starts any thread; the threads read only the stacks.
-    stacks = _stacks(prepare, dataset.columns)
-    values, degenerate = _kernel_map(kernel, stacks, workers, symmetric=metric in SYMMETRIC_METRICS)
+    pair = _PAIR_KERNELS.get(metric) or (lambda x, y: (kernel(x, y),) * 2)
+    values, degenerate = _kernel_map(pair, prepare, dataset.columns, workers)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
@@ -227,8 +223,12 @@ def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> Coeff
 def minrel_profile_matrix(dataset: Dataset, *, workers: int = 1) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
     workers = require_count(workers, "workers", 1)
-    stacks = _stacks(lambda t: t.oriented(1), dataset.columns)
-    values, degenerate = _kernel_map(_orientations, stacks, workers, cell=(4,))
+
+    def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) swaps orientations 0 and 1, 2 and 3
+        cells = _orientations(x, y)
+        return cells, tuple(part[..., [1, 0, 3, 2]] for part in cells)
+
+    values, degenerate = _kernel_map(pair, lambda t: t.oriented(1), dataset.columns, workers, (4,))
     best, _ = _max_iota_sq(values, degenerate)
     # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
     maps = (*np.moveaxis(values, -1, 0), best, degenerate)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -745,3 +746,78 @@ def test_cli_output_equals_the_direct_calls(
         [str(position), name, format(scores[name], ".12g")]
         for position, name in enumerate(expected, start=1)
     ]
+
+
+def _per_cell(value):
+    """The CSV spelling of one cell, type by type, as the writer spelled every cell before grids."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".12g") if isinstance(value, float) else str(value)
+
+
+_HOSTILE = st.text(st.sampled_from(['"', "\\", ",", "\n", "\r", " ", "é", "Z", "a", " "]))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    names=st.lists(_HOSTILE | st.text(), min_size=1, max_size=6, unique=True),
+    data=st.data(),
+)
+@example(names=["b,1", "Z", 'a"q', "é", "back\\slash", "line\nbreak"], data=None)
+def test_grid_writer_equals_the_dict_of_dicts_and_per_cell_writers(tmp_path, names, data):
+    n = len(names)
+    special = st.sampled_from([-0.0, 0.0, 5e-324, 0.1 + 0.2, 1.0, -1.0])
+    cells = special | st.floats(allow_nan=False, allow_infinity=False)
+    if data is None:  # the explicit example: every special value, in turn
+        values = np.resize([-0.0, 5e-324, 0.1 + 0.2, 1.0, -1.0], (n, n))
+        flags = np.arange(n * n).reshape(n, n) % 3 == 0
+    else:
+        values = np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n)))
+        values = values.reshape(n, n)
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        flags = flags.reshape(n, n)
+    grids = [cli._Grid(tuple(names), values), cli._Grid(tuple(names), flags)]
+    config = {"command": "matrix", "input": names[0], "m": 7}
+    fields = {"metric": "iota", "names": names, "values": grids[0], "degenerate": grids[1]}
+    path = tmp_path / "out"
+
+    def written(fmt):
+        cli._write(argparse.Namespace(format=fmt, output=str(path)), config, fields, sections)
+        return path.read_bytes().decode("utf-8")
+
+    sections = [grids[0], "# degenerate\n", grids[1]]
+    as_dicts = {
+        key: {x: dict(zip(names, row)) for x, row in zip(names, grid.cells.tolist())}
+        for key, grid in (("values", grids[0]), ("degenerate", grids[1]))
+    }
+    expected = json.dumps({**fields, **as_dicts, "config": config}, indent=2, sort_keys=True)
+    assert written("json") == expected + "\n"
+
+    buffer = io.StringIO()
+    buffer.write(cli._config_line(config))
+    writer = csv.writer(buffer, lineterminator="\n")
+    for part in (values, "# degenerate\n", flags):
+        if isinstance(part, str):
+            buffer.write(part)
+            continue
+        table = [["", *names], *([x, *row] for x, row in zip(names, part.tolist()))]
+        writer.writerows(map(_per_cell, row) for row in table)
+    assert written("csv") == buffer.getvalue()
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(capsys, linear_csv):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "coeff", linear_csv, "--metric", "spearman", "--format", "csv")
+    assert code == 0 and "metric=spearman" in out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["matrix", linear_csv, "--metric", "no-such-metric"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, _, err = run_cli(capsys, "matrix", linear_csv, "--workers", "0")
+    assert code == 2 and "workers" in err
+    # The defaults of the first call's subcommand are as they were.
+    code, out, _ = run_cli(capsys, "coeff", linear_csv)
+    assert code == 0 and json.loads(out)["config"]["metric"] == "iota"
+    assert json.loads(out)["config"]["format"] == "json"

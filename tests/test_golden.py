@@ -1,8 +1,8 @@
 """Exact output bytes of every CLI command, pinned against committed files.
 
 The files in ``data/golden`` were written by the command lines below from
-``data/golden/input.csv``, run from that directory, so the recorded input
-path is ``input.csv``. Each command must give these bytes both with
+``data/golden/input.csv`` (or ``input_names.csv``), run from that
+directory, so the recorded input path is the file name. Each command must give these bytes both with
 ``--output`` and on stdout. Seven data rows keep every sum a plain sequential
 loop. The JSON files hold no Pearson/Spearman values: those go through a
 BLAS dot product, whose last bits may differ between CPUs; their CSV
@@ -22,6 +22,14 @@ COMMANDS = {
     "coeff.json": ["coeff", "input.csv", "--metric", "iota"],
     "matrix.csv": ["matrix", "input.csv", "--metric", "max_iota_sq", "--format", "csv"],
     "matrix.json": ["matrix", "input.csv", "--metric", "iota"],
+    "matrix_iota.csv": ["matrix", "input.csv", "--metric", "iota", "--format", "csv"],
+    "matrix_iota2.json": ["matrix", "input.csv", "--metric", "iota2"],
+    "matrix_max_iota_sq.json": ["matrix", "input.csv", "--metric", "max_iota_sq"],
+    # Names out of sort order that the JSON and CSV writers must escape and
+    # quote: a comma, a quote, a backslash, non-ASCII and a line break. The
+    # constant column makes a degenerate cell.
+    "matrix_names.csv": ["matrix", "input_names.csv", "--metric", "iota", "--format", "csv"],
+    "matrix_names.json": ["matrix", "input_names.csv", "--metric", "iota"],
     "rank.csv": [
         "rank", "input.csv", "--target", "A", "--criterion", "max_iota_sq",
         "--relevant", "B,T", "--format", "csv",

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -158,17 +159,28 @@ def test_degenerate_mask_for_constant_column():
     assert matrix.values[0, 1] == 0.0
 
 
-def test_parallel_runs_are_bit_identical():
-    ds = _dataset(seed=11, m=50, n=6)
-    for metric in ("iota", "max_iota_sq", "spearman"):
-        sequential = pairwise_matrix(ds, metric, workers=1)
-        parallel = pairwise_matrix(ds, metric, workers=4)
-        assert sequential.values.tobytes() == parallel.values.tobytes()
-        assert sequential.degenerate.tobytes() == parallel.degenerate.tobytes()
-    profile_seq = minrel_profile_matrix(ds, workers=1)
-    profile_par = minrel_profile_matrix(ds, workers=3)
-    assert profile_seq.iota_xy.tobytes() == profile_par.iota_xy.tobytes()
-    assert profile_seq.max_iota_sq.tobytes() == profile_par.max_iota_sq.tobytes()
+def test_parallel_runs_are_bit_identical(monkeypatch):
+    # An odd n, so the threads split the triangle unevenly; up to four threads
+    # run even on a host with fewer CPUs, switching as often as they can.
+    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: 4)
+    ds = _dataset(seed=11, m=50, n=7)
+    fields = ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq", "degenerate")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for metric in MATRIX_METRICS:
+            sequential = pairwise_matrix(ds, metric, workers=1)
+            for workers in (2, 3, 4):
+                parallel = pairwise_matrix(ds, metric, workers=workers)
+                assert sequential.values.tobytes() == parallel.values.tobytes()
+                assert sequential.degenerate.tobytes() == parallel.degenerate.tobytes()
+        profile_seq = minrel_profile_matrix(ds, workers=1)
+        for workers in (2, 3):
+            profile_par = minrel_profile_matrix(ds, workers=workers)
+            for field in fields:
+                assert getattr(profile_seq, field).tobytes() == getattr(profile_par, field).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_count_below_one_is_rejected():
@@ -321,10 +333,10 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
 @pytest.mark.parametrize(
     "build, rows",
     [
-        (lambda ds: pairwise_matrix(ds, "iota"), lambda n: 2 * n * n),
-        (lambda ds: pairwise_matrix(ds, "iota2"), lambda n: 2 * n * n),
+        (lambda ds: pairwise_matrix(ds, "iota"), lambda n: 3 * n * (n + 1) // 2),
+        (lambda ds: pairwise_matrix(ds, "iota2"), lambda n: 3 * n * (n + 1) // 2),
         (lambda ds: pairwise_matrix(ds, "max_iota_sq"), lambda n: 2 * n * (n + 1)),
-        (lambda ds: minrel_profile_matrix(ds), lambda n: 4 * n * n),
+        (lambda ds: minrel_profile_matrix(ds), lambda n: 2 * n * (n + 1)),
         (lambda ds: max_iota_sq(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
         (lambda ds: minrel_profile(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
     ],
@@ -341,9 +353,9 @@ def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, rows
 
     monkeypatch.setattr(minrel.coeff, "_mass", counting)
     build(ds)
-    # Two masses per iota cell. All four orientations of a pair share four
-    # masses, and the symmetric max_iota_sq matrix computes only its
-    # n (n + 1) / 2 cells with j >= i, then mirrors them.
+    # Every matrix walks only the n (n + 1) / 2 pairs with j >= i. An iota or
+    # iota2 pair shares three masses between its two cells; all four
+    # orientations of a pair, in either order, share four.
     assert reduced["rows"] == rows(ds.n)
 
 
