@@ -1,12 +1,12 @@
 """Command-line front end: CSV in, coefficients / matrices / rankings out.
 
-CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is
-ignored; a file that is not UTF-8 fails, naming its first bad byte's
-line), first non-comment record is the header, records starting with
-'#' (outside quotes) and blank or whitespace-only lines are skipped, quoted
-fields keep their line breaks (a '#' at the start of a continued line is
-data), decimal points only (no locale handling). Numbers are printed with
-12 significant digits in CSV output and at full double precision in JSON;
+CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is ignored; a
+file that is not UTF-8 fails, naming its first bad byte's line), lines end at
+'\\n', '\\r\\n' or '\\r' only, first non-comment record is the header, records
+starting with '#' (outside quotes) and blank or whitespace-only lines are
+skipped, quoted fields keep their line breaks (a '#' at the start of a continued
+line is data), decimal points only (no locale handling). Numbers are printed
+with 12 significant digits in CSV output and at full double precision in JSON;
 CSV writes a bool as ``true``/``false``.
 Every run echoes its effective configuration in the output so results can
 be reproduced from the artifact alone, with the rows behind the result:
@@ -37,6 +37,7 @@ under --strict, 4 I/O failure (a stdout closed early exits 4 silently).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -50,13 +51,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import coeff
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_choice
 from .experiments import EXPERIMENTS, run_experiment
 from .matrix import MATRIX_METRICS, Dataset, pairwise_matrix
 from .ranking import CRITERIA, average_position, rank_variables
 from .synth import FAMILIES, GENERATORS
 
 NA_TOKENS = frozenset({"", "na", "nan", "null"})
+NA_POLICIES = ("error", "drop-rows")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -106,12 +108,12 @@ def _records(lines: list[str]):
             if at_record_start and line.startswith("#"):
                 continue
             at_record_start = False
-            yield line
+            yield line + "\n"  # a quoted field keeps its line breaks
         end += 1  # past the input: a record ends here only if a quoted field never closed
 
     for row in csv.reader(uncommented()):
         if end > len(lines):  # that field is the record's last; its text runs to the end
-            opened = end - max(1, len(row[-1].splitlines()))
+            opened = end - row[-1].count("\n")
             raise InvalidInputError(f"line {opened}: a quoted field opens here and never closes")
         at_record_start = True
         yield row, end
@@ -182,9 +184,9 @@ def _record_values(rows, names: list[str], na_policy: str) -> tuple[list[list[fl
 
 def read_dataset(path: str, na_policy: str) -> Dataset:
     """Parse a CSV file (or '-' for stdin) into a validated Dataset."""
-    text = _read_text(path).removeprefix("\ufeff")
-    # Lines keep their endings, so a quoted field keeps its line breaks.
-    lines = text.splitlines(True)
+    require_choice(na_policy, NA_POLICIES, "NA policy")
+    # Lines break at '\n' only, as csv and text-mode files break them.
+    lines = _read_text(path).removeprefix("\ufeff").split("\n")
     records = _records(lines)
     header, body_start = next(
         ((row, end) for row, end in records if not _is_blank(row)), (None, 0)
@@ -302,10 +304,14 @@ def _write(args: argparse.Namespace, config: dict, fields: dict | None, sections
                 writer.writerows([x, *map(spell, row.tolist())] for x, row in zip(*part))
             else:
                 writer.writerows(map(_csv_cell, row) for row in part)
-    # Many parts, not one string: a write to a pipe closed early raises on
-    # the next part, where one large write could end short without a word.
+    # Many parts, not one string, as UTF-8 whatever the locale. A reader that
+    # closes early makes a write raise or take fewer bytes: both exit 4 quietly.
     if args.output in (None, "-"):
-        sys.stdout.writelines(parts)
+        sys.stdout.flush()
+        for part in map(str.encode, parts):
+            if sys.stdout.buffer.write(part) < len(part):
+                raise BrokenPipeError("stdout took a short write")
+        sys.stdout.buffer.flush()
         return
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(parts)
@@ -416,7 +422,7 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="CSV file with a header row, or '-' for stdin")
     parser.add_argument(
         "--na",
-        choices=("error", "drop-rows"),
+        choices=NA_POLICIES,
         default="error",
         help="how to treat missing/non-finite cells (default: error)",
     )
@@ -497,10 +503,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:
-        # The reader of stdout went away (as under `| head`): stop quietly, and
-        # point stdout at devnull so the interpreter's final flush cannot fail.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        # The reader of stdout went away (as under `| head`): stop quietly. A stdout
+        # with a descriptor now writes to devnull, so the interpreter's final flush cannot fail.
+        with contextlib.suppress(ValueError):
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         os.close(devnull)
         return EXIT_IO
     except OSError as exc:

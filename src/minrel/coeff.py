@@ -41,12 +41,11 @@ from three. All functions are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_choice, require_sign
 from .ranks import ColumnLike, ColumnTransforms, as_column, dots
 
 
@@ -246,9 +245,7 @@ def _pair(metric: str, x: ColumnLike, y: ColumnLike) -> CoefficientValue:
 
 def evaluate_metric(x: ColumnLike, y: ColumnLike, metric: str) -> CoefficientValue:
     """Apply a metric identifier from :data:`METRICS` to a column pair."""
-    if metric not in METRIC_TABLE:
-        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    return _pair(metric, x, y)
+    return _pair(require_choice(metric, METRICS, "metric"), x, y)
 
 
 def p_leq_hat(x: ColumnLike, y: ColumnLike) -> float:
@@ -285,12 +282,6 @@ def rank_minrelation(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     return _pair("iota", x, y)
 
 
-def _require_sign(sign: int, name: str) -> int:
-    if isinstance(sign, bool) or not isinstance(sign, Integral) or sign not in (1, -1):
-        raise InvalidInputError(f"{name} must be +1 or -1, got {sign!r}")
-    return int(sign)
-
-
 def iota_oriented(
     x: ColumnLike, y: ColumnLike, sign_x: int = 1, sign_y: int = 1
 ) -> CoefficientValue:
@@ -299,8 +290,8 @@ def iota_oriented(
     Flipping ``sign_y`` negates the result exactly; flipping ``sign_x``
     generally does not (the measure is asymmetric).
     """
-    sx = _require_sign(sign_x, "sign_x")
-    sy = _require_sign(sign_y, "sign_y")
+    sx = require_sign(sign_x, "sign_x")
+    sy = require_sign(sign_y, "sign_y")
     return _coefficient(*_oriented(*_pair_columns(x, y), sx, sy))
 
 

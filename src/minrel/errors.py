@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and its one integer-argument check.
+"""Exception types shared across the package, and its one check per kind of argument.
 
-Every integer argument (m, seed, reps, folds, subset sizes, workers, factor
-counts, n_noise, min_relevant) is checked by :func:`require_count`.
+Every integer argument (m, seed, reps, folds, subset sizes, workers, factor counts, n_noise,
+min_relevant, rows_dropped) goes through :func:`require_count`, every name (metric, criterion,
+experiment, NA policy) through :func:`require_choice` and every sign through :func:`require_sign`.
 """
 
 from numbers import Integral
@@ -22,4 +23,21 @@ def require_count(value, name: str, least: int) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def require_choice(value, choices: tuple, what: str):
+    """``value``; :class:`InvalidInputError` unless it is one of the tuple ``choices``.
+
+    Membership compares with ``==`` and hashes nothing: a list or None gets the message too.
+    """
+    if value not in choices:
+        raise InvalidInputError(f"unknown {what} {value!r}; expected one of {choices}")
+    return value
+
+
+def require_sign(value, name: str) -> int:
+    """``value`` as a Python int; :class:`InvalidInputError` unless it is +1 or -1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value not in (1, -1):
+        raise InvalidInputError(f"{name} must be +1 or -1, got {value!r}")
     return int(value)

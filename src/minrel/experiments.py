@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .coeff import _evaluate, _oriented
-from .errors import InvalidInputError, require_count
+from .errors import require_choice, require_count
 from .ranks import ColumnTransforms
 from .synth import DRAWS
 
@@ -176,12 +176,10 @@ def _stderr(values: list[float]) -> float:
 
 def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     """Run table ``name`` of :data:`TABLES` over ``reps`` repetitions of ``m`` rows."""
-    if name not in TABLES:
-        raise InvalidInputError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
+    table = TABLES[require_choice(name, EXPERIMENTS, "experiment")]
     reps = require_count(reps, "reps", 1)
     m = require_count(m, "m", 2)
     seed = require_count(seed, "seed", 0)
-    table = TABLES[name]
     draw = DRAWS[table.family]
     seeds = range(seed, seed + reps)
     block = max(1, _BLOCK_BYTES // (8 * m))

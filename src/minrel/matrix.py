@@ -34,7 +34,7 @@ import numpy as np
 
 from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _iota_both
 from .coeff import _max_iota_sq, _orientations
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError, require_choice, require_count
 from .ranks import ColumnTransforms, _frozen, as_float_array
 
 
@@ -76,7 +76,7 @@ class Dataset:
         columns = tuple(ColumnTransforms(values[:, j], name) for j, name in enumerate(names))
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows_dropped", rows_dropped)
+        object.__setattr__(self, "rows_dropped", require_count(rows_dropped, "rows_dropped", 0))
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[float]]) -> "Dataset":
@@ -164,6 +164,7 @@ def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, workers: i
     i); a cell has shape ``cell``. A block's temporaries stay at a few MB. At
     most one thread per available CPU runs: more would only add temporaries.
     """
+    workers = require_count(workers, "workers", 1)
     stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
     n, m = stacks[0].shape[:2]
     width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
@@ -209,10 +210,7 @@ def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> Coeff
     Cell (i, j) holds metric(column_i, column_j) and equals a direct
     two-column call exactly. Diagonals are computed like any other cell.
     """
-    if metric not in MATRIX_METRICS:
-        raise InvalidInputError(f"unknown metric {metric!r}; expected one of {MATRIX_METRICS}")
-    workers = require_count(workers, "workers", 1)
-    prepare, kernel = METRIC_TABLE[metric]
+    prepare, kernel = METRIC_TABLE[require_choice(metric, MATRIX_METRICS, "metric")]
     pair = _PAIR_KERNELS.get(metric) or (lambda x, y: (kernel(x, y),) * 2)
     values, degenerate = _kernel_map(pair, prepare, dataset.columns, workers)
     return CoefficientMatrix(
@@ -222,7 +220,6 @@ def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> Coeff
 
 def minrel_profile_matrix(dataset: Dataset, *, workers: int = 1) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
-    workers = require_count(workers, "workers", 1)
 
     def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) swaps orientations 0 and 1, 2 and 3
         cells = _orientations(x, y)

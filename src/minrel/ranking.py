@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .coeff import evaluate_metric
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError, require_choice, require_count
 from .matrix import Dataset
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
@@ -107,13 +107,11 @@ def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResu
 
     Degenerate coefficients score 0. Ties keep the dataset's column order.
     """
-    if criterion not in CRITERIA:
-        raise InvalidInputError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
+    metric, target_first, squared = _CRITERIA[require_choice(criterion, CRITERIA, "criterion")]
     target_index = dataset.index(target)
     if dataset.n < 2:
         raise InvalidInputError("ranking needs at least 2 columns")
     columns = dataset.columns
-    metric, target_first, squared = _CRITERIA[criterion]
 
     def score(j: int) -> float:
         # One call per candidate: on 50 000 tied rows, one call over all
@@ -158,6 +156,8 @@ def compare_criteria(
     filtered out before scoring. A criterion wins a target when its
     ranking gives the predictors a strictly lower average position.
     """
+    for criterion in (criterion_a, criterion_b):
+        require_choice(criterion, CRITERIA, "criterion")
     min_relevant = require_count(min_relevant, "min_relevant", 1)
     resolved = {name: tuple(relevant) for name, relevant in targets.items()}
     ordered_targets = sorted(resolved, key=dataset.index)
@@ -261,6 +261,7 @@ def split_half_cv_eval(
     ranked columns, for each requested subset size. Reported MSEs are
     fold averages; ``mean_mse`` additionally averages over sizes.
     """
+    require_choice(criterion, CRITERIA, "criterion")
     sizes = tuple(require_count(k, "subset size", 1) for k in sizes)
     if not sizes:
         raise InvalidInputError("sizes must not be empty")

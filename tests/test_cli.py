@@ -416,6 +416,33 @@ def test_closed_stdout_exits_4_without_a_message():
     assert err == b""
 
 
+class _ShortWrites(io.BytesIO):
+    """A stdout buffer that takes at most 5 bytes per write, as a pipe closed mid-write does."""
+
+    def write(self, data):
+        return super().write(bytes(data)[:5])
+
+
+def test_short_write_to_stdout_exits_4_without_a_message(capsys, linear_csv, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(_ShortWrites(), encoding="utf-8"))
+    assert main(["coeff", linear_csv]) == 4
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+def test_stdout_gets_the_utf8_bytes_of_output_files(capsys, tmp_path, monkeypatch, encoding):
+    path = tmp_path / "names.csv"
+    path.write_bytes("\u00e9,\u2603\n1,2\n2,1\n3,3\n".encode())
+    for command in (["matrix"], ["rank", "--target", "\u00e9"], ["coeff", "--format", "csv"]):
+        out = tmp_path / "out"
+        assert main([command[0], str(path), *command[1:], "--output", str(out)]) == 0
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert main([command[0], str(path), *command[1:]]) == 0
+        assert stdout.buffer.getvalue() == out.read_bytes()
+
+
 def test_missing_input_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "coeff", str(tmp_path / "absent.csv"))
     assert code == 4
@@ -613,6 +640,20 @@ def test_file_input_decodes_as_text_mode_does(tmp_path):
     assert dataset.values.tolist() == [[1, 2], [3, 4], [5, 6]]
 
 
+#: The characters that ``str.splitlines`` breaks a line on and csv does not.
+SPLITLINES_ONLY = sorted(cli._LINE_BREAKS - {"\n", "\r"})
+
+
+@pytest.mark.parametrize("char", SPLITLINES_ONLY, ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY])
+def test_only_newlines_end_a_line(tmp_path, char):
+    # As csv and a text-mode file read it: in a header name, and in a quoted cell.
+    path = tmp_path / "input.csv"
+    path.write_bytes(f"a{char}b,c\n1,2\n3,4\n2,5\n".encode())
+    assert read_dataset(str(path), "error").names == (f"a{char}b", "c")
+    path.write_bytes(f'a,b\n"1{char}",2\n3,"{char}4"\n'.encode())
+    assert read_dataset(str(path), "error").values.tolist() == [[1, 2], [3, 4]]
+
+
 def _bits(value):
     return struct.pack("<d", value)
 
@@ -639,7 +680,7 @@ def tied_datasets(draw):
     """
     names = draw(
         st.lists(
-            st.sampled_from(["A", "b,c", 'd"e', '"f"', 'g, "h"', "i j"]),
+            st.sampled_from(["A", "b,c", 'd"e', '"f"', 'g, "h"', "i j", "k\fl", "m\u2028n"]),
             min_size=2, max_size=4, unique=True,
         )
     )
@@ -707,7 +748,7 @@ def test_cli_output_equals_the_direct_calls(
         command, *options = argv
         argv = [command, str(path), *options, "--na", "drop-rows", "--format", "csv"]
         assert main([*argv, "--output", str(out)]) == 0
-        lines = out.read_bytes().decode("utf-8").splitlines(True)
+        lines = io.StringIO(out.read_bytes().decode("utf-8"), newline="")  # lines as csv reads them
         return list(csv.reader(line for line in lines if not line.startswith("#")))
 
     payload, _ = run("coeff", "--x", x, "--y", y, "--metric", metric)

@@ -1,10 +1,16 @@
-"""Every integer argument of the public API goes through one check with one message."""
+"""Every integer argument and every name in the public API has one check and one message."""
 
 import pytest
 
 from minrel import (
+    CRITERIA,
+    EXPERIMENTS,
+    MATRIX_METRICS,
+    METRICS,
+    Dataset,
     InvalidInputError,
     compare_criteria,
+    evaluate_metric,
     gen_combined,
     gen_linear,
     gen_multiplication,
@@ -12,9 +18,11 @@ from minrel import (
     gen_triangle_pair,
     minrel_profile_matrix,
     pairwise_matrix,
+    rank_variables,
     run_experiment,
     split_half_cv_eval,
 )
+from minrel.cli import NA_POLICIES, read_dataset
 
 GENERATORS = (gen_multiplication, gen_linear, gen_combined, gen_triangle_pair)
 SUITE = gen_relevance_suite_dataset(20, seed=0)
@@ -42,6 +50,9 @@ CASES = {
     "seed-split-half": ("seed", 0, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (2,), 2, v)),
     "workers-matrix": ("workers", 1, lambda v: pairwise_matrix(LINEAR, "iota", workers=v)),
     "workers-profile": ("workers", 1, lambda v: minrel_profile_matrix(LINEAR, workers=v)),
+    "rows_dropped": (
+        "rows_dropped", 0, lambda v: Dataset(("a", "b"), [[1, 2], [3, 4]], rows_dropped=v)
+    ),
 }
 
 
@@ -52,3 +63,56 @@ def test_integer_arguments_share_one_check(case):
         with pytest.raises(InvalidInputError) as raised:
             call(value)
         assert str(raised.value) == f"{name} must be an integer >= {least}, got {value!r}"
+
+
+#: Each case: what the name names, the names accepted, and a call that
+#: passes ``value`` as that name and valid values for the rest.
+NAME_CASES = {
+    "evaluate_metric": ("metric", METRICS, lambda v: evaluate_metric([1, 2], [2, 1], v)),
+    "pairwise_matrix": ("metric", MATRIX_METRICS, lambda v: pairwise_matrix(LINEAR, v)),
+    "rank_variables": ("criterion", CRITERIA, lambda v: rank_variables(LINEAR, "A", v)),
+    "compare_criteria-a": (
+        "criterion", CRITERIA, lambda v: compare_criteria(SUITE.dataset, {}, criterion_a=v)
+    ),
+    "compare_criteria-b": (
+        "criterion", CRITERIA, lambda v: compare_criteria(SUITE.dataset, {}, criterion_b=v)
+    ),
+    "split_half_cv_eval": (
+        "criterion", CRITERIA, lambda v: split_half_cv_eval(LINEAR, "A", v, (2,), 2, 0)
+    ),
+    "run_experiment": ("experiment", EXPERIMENTS, lambda v: run_experiment(v, 1, 10, 0)),
+    "read_dataset": ("NA policy", NA_POLICIES, lambda v: read_dataset("absent.csv", v)),
+}
+
+
+@pytest.mark.parametrize("case", NAME_CASES.values(), ids=NAME_CASES.keys())
+@pytest.mark.parametrize("value", ["no-such", ["iota"], None], ids=["string", "list", "none"])
+def test_names_share_one_check(case, value):
+    what, choices, call = case
+    with pytest.raises(InvalidInputError) as raised:
+        call(value)
+    assert str(raised.value) == f"unknown {what} {value!r}; expected one of {choices}"
+
+
+def _fresh_suite():
+    """A dataset whose columns have not been sorted yet, and its targets."""
+    suite = gen_relevance_suite_dataset(20, seed=0)
+    return suite.dataset, suite.targets
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # No target qualifies, so no ranking would run to find the bad name.
+        lambda ds, targets: compare_criteria(ds, targets, criterion_a="bogus", min_relevant=99),
+        # A valid criterion_a must not rank anything before criterion_b is checked.
+        lambda ds, targets: compare_criteria(ds, targets, criterion_b="bogus"),
+        lambda ds, targets: split_half_cv_eval(ds, next(iter(targets)), "bogus", (1,), 2, 0),
+        lambda ds, targets: minrel_profile_matrix(ds, workers=0),
+    ],
+    ids=["compare-no-target", "compare-criterion-b", "split-half", "profile-workers"],
+)
+def test_arguments_are_checked_before_any_column_is_sorted(sort_counter, call):
+    with pytest.raises(InvalidInputError):
+        call(*_fresh_suite())
+    assert sort_counter["count"] == 0
