@@ -32,10 +32,10 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
 A two-column call, a ranking score (:mod:`minrel.ranking`) and an
 experiment's block of repetitions (:mod:`minrel.experiments`) are each one
 call of that kernel, and a matrix cell (:mod:`minrel.matrix`) the same
-operations on the same operands, so they agree bit for bit. Every mass is
-one :func:`_mass` reduction. :func:`_orientations` forms four orientations
-from four masses, not eight, and :func:`_iota_both` both iota directions
-from three. All functions are pure and thread-safe.
+operations on the same operands, so they agree bit for bit. Every iota
+value is one :func:`_orientations` call, the one caller of :func:`_mass`:
+one orientation forms two masses, two three and all four four, not eight.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -113,39 +113,34 @@ def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
     return CoefficientValue(float(value), bool(degenerate))
 
 
-def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The trade-off of X to Y: ``x`` starts with x~, ``y`` is (y~dec, y~inc); either a batch."""
-    s = np.add(x[0], y[0])
-    return _tradeoff(_mass(s), _mass(np.subtract(x[0], y[1], out=s)))
-
-
-def _crossed(x: tuple, y: tuple) -> tuple[np.ndarray, ...]:
-    """P, Q and R of :func:`_orientations`, and the scratch array they were formed in."""
-    (x_dec, x_inc), (y_dec, y_inc) = x, y
-    work = np.add(x_dec, y_dec)
-    p, q = _mass(work), _mass(np.subtract(x_dec, y_inc, out=work))
-    return p, q, _mass(np.subtract(y_dec, x_inc, out=work)), work
-
-
-def _iota_both(x: tuple, y: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """:func:`_iota` of (X, Y) and of (Y, X), trade(P, Q) and trade(P, R): three masses."""
-    p, q, r, _ = _crossed(x, y)
-    return _tradeoff(p, q), _tradeoff(p, r)
-
-
-def _orientations(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X) on a last axis of 4, from four masses.
+def _orientations(x: tuple, y: tuple, count: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X), the first ``count``, on a last axis.
 
     With dec(-X) = -inc(X), ``above`` is (P, P, R, Q) and ``below`` is
     (Q, R, S, S) for P = mass(decX + decY), Q = mass(decX - incY),
-    R = mass(decY - incX) and S = mass(-incX - incY). a - b equals (-b) + a
-    exactly, so each is the mass :func:`_iota` forms, bit for bit. The other
-    four sign combinations are these four negated, exactly.
+    R = mass(decY - incX) and S = mass(-incX - incY), each formed only if
+    used: one orientation reads only ``x[0]``, ``y[0]`` and ``y[1]``. a - b
+    equals (-b) + a exactly, so each orientation has the bits of the
+    one-orientation call on its own operands. The other four sign
+    combinations are these four negated, exactly.
     """
-    p, q, r, work = _crossed(x, y)
-    np.negative(x[1], out=work)
-    s = _mass(np.subtract(work, y[1], out=work))
-    return _tradeoff(np.stack([p, p, r, q], axis=-1), np.stack([q, r, s, s], axis=-1))
+    work = np.add(x[0], y[0])
+    p, q = _mass(work), _mass(np.subtract(x[0], y[1], out=work))
+    r = _mass(np.subtract(y[0], x[1], out=work)) if count > 1 else None
+    s = _mass(np.subtract(np.negative(x[1], out=work), y[1], out=work)) if count > 2 else None
+    above, below = (p, p, r, q)[:count], (q, r, s, s)[:count]
+    return _tradeoff(np.stack(above, axis=-1), np.stack(below, axis=-1))
+
+
+def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The trade-off of X to Y: orientation 0 of :func:`_orientations`."""
+    return tuple(part[..., 0] for part in _orientations(x, y, 1))
+
+
+def _iota_both(x: tuple, y: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """:func:`_iota` of (X, Y) and of (Y, X), orientations 0 and 1: three masses."""
+    values, degenerate = _orientations(x, y, 2)
+    return (values[..., 0], degenerate[..., 0]), (values[..., 1], degenerate[..., 1])
 
 
 def _max_iota_sq(values: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,14 +287,8 @@ def iota_oriented(
     """
     sx = require_sign(sign_x, "sign_x")
     sy = require_sign(sign_y, "sign_y")
-    return _coefficient(*_oriented(*_pair_columns(x, y), sx, sy))
-
-
-def _oriented(
-    x: ColumnTransforms, y: ColumnTransforms, sx: int, sy: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The iota kernel on (sx * X, sy * Y), columns or batches."""
-    return _iota(x.oriented(sx), y.oriented(sy))
+    x, y = _pair_columns(x, y)
+    return _coefficient(*_iota(x.oriented(sx), y.oriented(sy)))
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:

@@ -2,7 +2,8 @@
 
 Every integer argument (m, seed, reps, folds, subset sizes, workers, factor counts, n_noise,
 min_relevant, rows_dropped) goes through :func:`require_count`, every name (metric, criterion,
-experiment, NA policy) through :func:`require_choice` and every sign through :func:`require_sign`.
+experiment, NA policy) through :func:`require_choice`, every set of relevant columns through
+:func:`require_names` and every sign through :func:`require_sign`.
 """
 
 from numbers import Integral
@@ -27,13 +28,20 @@ def require_count(value, name: str, least: int) -> int:
 
 
 def require_choice(value, choices: tuple, what: str):
-    """``value``; :class:`InvalidInputError` unless it is one of the tuple ``choices``.
+    """``value``; :class:`InvalidInputError` unless it is one of the tuple ``choices`` of strings.
 
-    Membership compares with ``==`` and hashes nothing: a list or None gets the message too.
+    A non-string (a list, None, an array) gets the message before any comparison.
     """
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:
         raise InvalidInputError(f"unknown {what} {value!r}; expected one of {choices}")
     return value
+
+
+def require_names(value, what: str) -> tuple:
+    """``value`` as a tuple of names; :class:`InvalidInputError` for a ``str``: it is one name."""
+    if isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a collection of names, got the string {value!r}")
+    return tuple(value)
 
 
 def require_sign(value, name: str) -> int:

@@ -5,14 +5,15 @@ Each table is one :data:`TABLES` entry: ``family`` names the
 ``(x, y, references, tolerances)`` is a pair it scores, with one printed
 cell ``stat(x,y)`` per statistic in ``stats``, in output order; ``checks``
 maps the per-label means to the ordering checks, the qualitative claims
-(which variable each criterion would rank first). A statistic name is a
-:data:`STATS` key: the kernel of the public direct call that gives it.
+(which variable each criterion would rank first). A statistic is ``rho``,
+Spearman's correlation, or one of :data:`ORIENTATIONS`.
 
 :func:`run_experiment` runs any table, repetition ``rep`` with seed
 ``seed + rep``, in blocks: each column's draws in a block are stacked
 straight into one batch (:class:`ColumnTransforms`, a row per repetition,
-with no per-repetition ``Dataset``), checked and sorted once, and each
-printed statistic of a pair is one kernel call on two batches. A row
+with no per-repetition ``Dataset``), checked and sorted once. A pair is
+one Spearman call for ``rho`` and one :func:`coeff._orientations` call for
+as many orientations as the table prints, each on two batches. A row
 reduces as it does alone, so every value has the bits of the direct call
 on that repetition's columns. Nothing unprinted is computed. A cell
 reports the mean over repetitions and its standard error.
@@ -25,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coeff import _evaluate, _oriented
+from .coeff import _evaluate, _orientations
 from .errors import require_choice, require_count
 from .ranks import ColumnTransforms
 from .synth import DRAWS
@@ -153,16 +154,9 @@ TABLES: dict[str, _Table] = {
 
 EXPERIMENTS = tuple(TABLES)
 
-#: Each statistic a table may print, by the name its labels use, as the
-#: kernel call of the direct call giving it (``spearman``, ``rank_minrelation``
-#: or ``iota_oriented``): ``(values, degenerate)`` arrays on two batches.
-STATS: dict[str, Callable[[ColumnTransforms, ColumnTransforms], tuple]] = {
-    "rho": lambda x, y: _evaluate("spearman", x, y),
-    "iota": lambda x, y: _evaluate("iota", x, y),
-    "iota_yx": lambda x, y: _evaluate("iota", y, x),
-    "iota_negx": lambda x, y: _oriented(x, y, -1, 1),
-    "iota_negy": lambda x, y: _oriented(y, x, -1, 1),
-}
+#: The orientations :func:`coeff._orientations` returns, in its order: iota of
+#: (x, y), (y, x), (-x, y) and (-y, x), by the names table labels use.
+ORIENTATIONS = ("iota", "iota_yx", "iota_negx", "iota_negy")
 
 #: Bytes of one stacked (repetitions, m) batch: 32 repetitions at m = 1000.
 _BLOCK_BYTES = 256 * 1024
@@ -183,14 +177,17 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     draw = DRAWS[table.family]
     seeds = range(seed, seed + reps)
     block = max(1, _BLOCK_BYTES // (8 * m))
+    count = 1 + max(ORIENTATIONS.index(stat) for stat in table.stats if stat != "rho")
     values: dict[str, list[float]] = {}
     for start in range(0, reps, block):
         draws = [draw(np.random.default_rng(s), m) for s in seeds[start : start + block]]
         columns = {x: ColumnTransforms._stacked([d[x] for d in draws], x) for x in draws[0]}
         for x, y, _, _ in table.rows:
+            rho, _ = _evaluate("spearman", columns[x], columns[y])
+            iotas, _ = _orientations(columns[x].oriented(1), columns[y].oriented(1), count)
+            per_rep = dict(zip(ORIENTATIONS, np.moveaxis(iotas, -1, 0)), rho=rho)
             for stat in table.stats:
-                per_rep, _ = STATS[stat](columns[x], columns[y])
-                values.setdefault(f"{stat}({x},{y})", []).extend(per_rep.tolist())
+                values.setdefault(f"{stat}({x},{y})", []).extend(per_rep[stat].tolist())
     means = {label: float(np.mean(series)) for label, series in values.items()}
     cells = []
     for x, y, references, tolerances in table.rows:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .coeff import evaluate_metric
-from .errors import InvalidInputError, require_choice, require_count
+from .errors import InvalidInputError, require_choice, require_count, require_names
 from .matrix import Dataset
 
 #: Each criterion as data: (metric, target_first, squared). A candidate's
@@ -131,7 +131,7 @@ def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResu
 
 def average_position(ranking: RankingResult, relevant: Iterable[str]) -> RelevanceEval:
     """Mean 1-based position of the relevant columns within the ranking."""
-    wanted = frozenset(relevant)
+    wanted = frozenset(require_names(relevant, "relevant"))
     if not wanted:
         raise InvalidInputError("relevant set must not be empty")
     positions = {name: index for index, (name, _) in enumerate(ranking.ordered, start=1)}
@@ -159,7 +159,7 @@ def compare_criteria(
     for criterion in (criterion_a, criterion_b):
         require_choice(criterion, CRITERIA, "criterion")
     min_relevant = require_count(min_relevant, "min_relevant", 1)
-    resolved = {name: tuple(relevant) for name, relevant in targets.items()}
+    resolved = {t: require_names(names, f"relevant[{t!r}]") for t, names in targets.items()}
     ordered_targets = sorted(resolved, key=dataset.index)
     outcomes = []
     for target in ordered_targets:
@@ -250,16 +250,15 @@ def split_half_cv_eval(
     sizes: Sequence[int],
     folds: int,
     seed: int,
-    *,
-    regressor: Callable[[np.ndarray, np.ndarray], FitResult] = least_squares_regressor,
 ) -> CvSummary:
     """Rank on one half of the rows, cross-validate subsets on the other.
 
     Rows are put in a canonical order, shuffled with the seed, and split:
     the first ceil(m/2) rows feed the ranking, the rest are evaluated with
-    k-fold cross-validation of the regressor fitted on the top-``size``
-    ranked columns, for each requested subset size. Reported MSEs are
-    fold averages; ``mean_mse`` additionally averages over sizes.
+    k-fold cross-validation of :func:`least_squares_regressor` fitted on
+    the top-``size`` ranked columns, for each requested subset size.
+    Reported MSEs are fold averages; ``mean_mse`` additionally averages
+    over sizes.
     """
     require_choice(criterion, CRITERIA, "criterion")
     sizes = tuple(require_count(k, "subset size", 1) for k in sizes)
@@ -295,7 +294,7 @@ def split_half_cv_eval(
         for validation in fold_slices:
             mask = np.ones(eval_rows.size, dtype=bool)
             mask[validation] = False
-            fit = regressor(x[mask], y[mask])
+            fit = least_squares_regressor(x[mask], y[mask])
             used_ridge = used_ridge or fit.used_ridge
             residual = fit.predict(x[validation]) - y[validation]
             fold_mses.append(float(np.mean(residual * residual)))

@@ -18,6 +18,7 @@ from minrel import (
     rank_minrelation,
     spearman,
 )
+from minrel.coeff import _orientations
 from minrel.ranks import (
     ColumnTransforms,
     decreasing_scores_from_ranks,
@@ -406,3 +407,34 @@ def test_rank_minrelation_matches_oracle_spot_checks():
         fast = rank_minrelation(x, y)
         assert fast.value == pytest.approx(slow, abs=1e-12)
         assert fast.degenerate == slow_degenerate
+
+
+def test_fewer_orientations_are_the_first_of_all_four_bit_for_bit():
+    # Tied, constant and random columns, alone and as batches (one column
+    # against a batch is how a matrix row calls the kernel).
+    rng = np.random.default_rng(11)
+    columns = [
+        rng.integers(0, 3, size=40).astype(float),
+        np.full(40, 2.5),
+        rng.normal(size=40),
+        rng.normal(size=40) ** 3,
+    ]
+    single = [ColumnTransforms(c).oriented(1) for c in columns]
+    batch = ColumnTransforms._stacked(columns, "batch").oriented(1)
+    reversed_batch = ColumnTransforms._stacked(columns[::-1], "batch").oriented(1)
+    pairs = [(x, y) for x in single for y in single]
+    pairs += [(batch, reversed_batch), (single[0], batch), (batch, single[1])]
+    for x, y in pairs:
+        values, degenerate = _orientations(x, y)
+        assert values.shape[-1] == degenerate.shape[-1] == 4
+        for count in (1, 2, 3, 4):
+            fewer, flags = _orientations(x, y, count)
+            assert fewer.shape == values[..., :count].shape
+            assert fewer.tobytes() == values[..., :count].tobytes()
+            assert np.array_equal(flags, degenerate[..., :count])
+        # One orientation reads only dec(X) of the first column.
+        alone, flags = _orientations(x[:1], y, 1)
+        assert alone.tobytes() == values[..., :1].tobytes()
+        assert np.array_equal(flags, degenerate[..., :1])
+    # The constant pair is degenerate in every orientation.
+    assert _orientations(single[1], single[1])[1].all()

@@ -1,5 +1,6 @@
 """Every integer argument and every name in the public API has one check and one message."""
 
+import numpy as np
 import pytest
 
 from minrel import (
@@ -9,6 +10,7 @@ from minrel import (
     METRICS,
     Dataset,
     InvalidInputError,
+    average_position,
     compare_criteria,
     evaluate_metric,
     gen_combined,
@@ -86,7 +88,11 @@ NAME_CASES = {
 
 
 @pytest.mark.parametrize("case", NAME_CASES.values(), ids=NAME_CASES.keys())
-@pytest.mark.parametrize("value", ["no-such", ["iota"], None], ids=["string", "list", "none"])
+@pytest.mark.parametrize(
+    "value",
+    ["no-such", ["iota"], None, np.array(["iota", "x"])],
+    ids=["string", "list", "none", "array"],
+)
 def test_names_share_one_check(case, value):
     what, choices, call = case
     with pytest.raises(InvalidInputError) as raised:
@@ -109,10 +115,26 @@ def _fresh_suite():
         lambda ds, targets: compare_criteria(ds, targets, criterion_b="bogus"),
         lambda ds, targets: split_half_cv_eval(ds, next(iter(targets)), "bogus", (1,), 2, 0),
         lambda ds, targets: minrel_profile_matrix(ds, workers=0),
+        # A string is one name, not a set of relevant columns.
+        lambda ds, targets: compare_criteria(ds, {next(iter(targets)): "AB"}),
     ],
-    ids=["compare-no-target", "compare-criterion-b", "split-half", "profile-workers"],
+    ids=["compare-no-target", "compare-criterion-b", "split-half", "profile-workers",
+         "compare-string-relevant"],
 )
 def test_arguments_are_checked_before_any_column_is_sorted(sort_counter, call):
     with pytest.raises(InvalidInputError):
         call(*_fresh_suite())
     assert sort_counter["count"] == 0
+
+
+def test_a_string_is_not_a_set_of_relevant_columns():
+    # On columns T, A, B and AB, the string "AB" would have averaged columns A and B.
+    ds = Dataset(("T", "A", "B", "AB"), [[1, 4, 2, 1], [2, 3, 1, 2], [3, 2, 4, 3], [4, 1, 3, 4]])
+    ranking = rank_variables(ds, "T", "rho2")
+    assert average_position(ranking, ["AB"]).avg_position == ranking.position("AB")
+    with pytest.raises(InvalidInputError) as raised:
+        average_position(ranking, "AB")
+    assert str(raised.value) == "relevant must be a collection of names, got the string 'AB'"
+    with pytest.raises(InvalidInputError) as raised:
+        compare_criteria(ds, {"T": "AB"})
+    assert str(raised.value) == "relevant['T'] must be a collection of names, got the string 'AB'"

@@ -6,8 +6,9 @@ import pytest
 import minrel.experiments
 from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
 from minrel.cli import main
+from minrel.coeff import _evaluate, _orientations
 from minrel.experiments import (
-    STATS,
+    ORIENTATIONS,
     TABLES,
     ExperimentCell,
     run_table2,
@@ -104,28 +105,42 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
+#: How many orientations each table prints: all four, both directions, one.
+COUNTS = {"table2": 4, "table3": 2, "table4": 1}
+
+
 def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeypatch):
-    # Each printed statistic is one value per pair and repetition, and
-    # nothing unprinted is computed: the wrappers of the STATS entries
-    # return exactly reps x rows values for each printed statistic, and
-    # every mean is bitwise the mean of the direct calls on that
-    # repetition's columns.
-    reps, m, seed = 2, 30, 0
+    # Per pair and block, one Spearman call and one orientation call with
+    # the table's count. Together they return reps x rows values for each
+    # printed statistic and nothing unprinted, and every mean is bitwise
+    # the mean of the direct calls on that repetition's columns.
+    reps, m, seed = 3, 30, 0
     for name, table in TABLES.items():
-        returned = dict.fromkeys(STATS, 0)
-        for stat, original in STATS.items():
+        spearman_calls, orientation_calls = [], []
 
-            def counting(x, y, stat=stat, original=original):
-                result = original(x, y)
-                returned[stat] += np.size(result[0])
-                return result
+        def evaluate(metric, x, y):
+            result = _evaluate(metric, x, y)
+            spearman_calls.append((metric, np.size(result[0])))
+            return result
 
-            monkeypatch.setitem(STATS, stat, counting)
+        def orientations(x, y, count):
+            result = _orientations(x, y, count)
+            orientation_calls.append((count, result[0].shape))
+            return result
+
+        monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)  # blocks of 2 + 1
+        monkeypatch.setattr(minrel.experiments, "_evaluate", evaluate)
+        monkeypatch.setattr(minrel.experiments, "_orientations", orientations)
         result = run_experiment(name, reps, m, seed)
         monkeypatch.undo()
-        expected = len(table.rows) * reps
-        assert returned == {stat: expected if stat in table.stats else 0 for stat in STATS}
-        assert sum(returned.values()) == reps * len(table.rows) * len(table.stats)
+        rows, count = len(table.rows), COUNTS[name]
+        assert spearman_calls == [("spearman", 2)] * rows + [("spearman", 1)] * rows
+        assert orientation_calls == [(count, (2, count))] * rows + [(count, (1, count))] * rows
+        returned = {"rho": sum(size for _, size in spearman_calls)}
+        for _, (block, width) in orientation_calls:
+            for stat in ORIENTATIONS[:width]:
+                returned[stat] = returned.get(stat, 0) + block
+        assert returned == dict.fromkeys(table.stats, reps * rows)
 
         series = _direct_series(table, reps, m, seed)
         means = {label: float(np.mean(direct)) for label, direct in series.items()}
