@@ -353,7 +353,7 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
-    matrix = pairwise_matrix(dataset, args.metric, workers=args.workers)
+    matrix = pairwise_matrix(dataset, args.metric)
     values, flags = (_Grid(matrix.names, cells) for cells in (matrix.values, matrix.degenerate))
     fields = {"metric": matrix.metric, "names": list(matrix.names), "values": values}
     config = _dataset_config(args, dataset, metric=args.metric)
@@ -460,9 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="pairwise coefficient matrix")
     _add_io_arguments(p_matrix)
     p_matrix.add_argument("--metric", choices=MATRIX_METRICS, default="iota")
-    p_matrix.add_argument(
-        "--workers", type=int, default=1, help="parallel workers (results are identical)"
-    )
     p_matrix.set_defaults(handler=_cmd_matrix)
 
     p_rank = sub.add_parser("rank", help="rank columns by relevance to a target")

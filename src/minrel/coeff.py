@@ -117,9 +117,9 @@ def _orientations(x: tuple, y: tuple, count: int = 4) -> tuple[np.ndarray, np.nd
     """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X), the first ``count``, on a last axis.
 
     With dec(-X) = -inc(X), ``above`` is (P, P, R, Q) and ``below`` is
-    (Q, R, S, S) for P = mass(decX + decY), Q = mass(decX - incY),
-    R = mass(decY - incX) and S = mass(-incX - incY), each formed only if
-    used: one orientation reads only ``x[0]``, ``y[0]`` and ``y[1]``. a - b
+    (Q, R, S, S), stacked once, for P = mass(decX + decY), Q = mass(decX -
+    incY), R = mass(decY - incX) and S = mass(-incX - incY), each formed only
+    if used: one orientation reads only ``x[0]``, ``y[0]`` and ``y[1]``. a - b
     equals (-b) + a exactly, so each orientation has the bits of the
     one-orientation call on its own operands. The other four sign
     combinations are these four negated, exactly.
@@ -128,8 +128,8 @@ def _orientations(x: tuple, y: tuple, count: int = 4) -> tuple[np.ndarray, np.nd
     p, q = _mass(work), _mass(np.subtract(x[0], y[1], out=work))
     r = _mass(np.subtract(y[0], x[1], out=work)) if count > 1 else None
     s = _mass(np.subtract(np.negative(x[1], out=work), y[1], out=work)) if count > 2 else None
-    above, below = (p, p, r, q)[:count], (q, r, s, s)[:count]
-    return _tradeoff(np.stack(above, axis=-1), np.stack(below, axis=-1))
+    masses = np.stack((p, p, r, q)[:count] + (q, r, s, s)[:count], axis=-1)
+    return _tradeoff(masses[..., :count], masses[..., count:])
 
 
 def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:

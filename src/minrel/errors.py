@@ -1,6 +1,6 @@
 """Exception types shared across the package, and its one check per kind of argument.
 
-Every integer argument (m, seed, reps, folds, subset sizes, workers, factor counts, n_noise,
+Every integer argument (m, seed, reps, folds, subset sizes, factor counts, n_noise,
 min_relevant, rows_dropped) goes through :func:`require_count`, every name (metric, criterion,
 experiment, NA policy) through :func:`require_choice`, every set of relevant columns through
 :func:`require_names` and every sign through :func:`require_sign`.

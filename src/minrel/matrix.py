@@ -17,15 +17,14 @@ four); ``minrel_simple`` counts twice; the profile's four masses give cell
 Each is the same IEEE operations on the same operands as its direct call.
 Each cell is reduced on its own (no matrix products), and row i writes only
 row i and column i of storage allocated before any thread starts, so results
-are bit-identical for any worker count. The kernels' large array operations
-release the interpreter lock, so ``workers`` threads (at most one per
-available CPU), dealt the rows in turn, run in parallel.
+are bit-identical for any thread count. The kernels' large array operations
+release the interpreter lock, so from :data:`_THREAD_WORK` on, one thread per
+available CPU, dealt the rows in turn, runs in parallel.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping
@@ -147,6 +146,9 @@ class ProfileMatrix:
 #: The size of one kernel call's (columns, m) temporaries, in bytes.
 _SCRATCH_BYTES = 1 << 21
 
+#: The triangle's work, n (n + 1) / 2 pairs times m rows, from which threads pay for themselves.
+_THREAD_WORK = 1 << 25
+
 def _available_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -155,16 +157,15 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, workers: int, cell=()):
+def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, cell=()):
     """Cells (i, j) and (j, i) for every j >= i: one ``pair`` call per row i per block J.
 
     Each column's ``prepare`` parts are stacked into (n, ...) arrays, in the
     calling thread: the threads read only the stacks. ``pair(row i, block
     J)`` returns ``(values, degenerate)`` of cells (i, J), then of cells (J,
-    i); a cell has shape ``cell``. A block's temporaries stay at a few MB. At
-    most one thread per available CPU runs: more would only add temporaries.
+    i); a cell has shape ``cell``. A block's temporaries stay at a few MB.
+    From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
     """
-    workers = require_count(workers, "workers", 1)
     stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
     n, m = stacks[0].shape[:2]
     width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
@@ -180,11 +181,12 @@ def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, workers: i
                 (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
                 values[cells, i], degenerate[cells, i] = transposed
 
-    threads = min(workers, _available_cpus(), n)
+    threads = min(_available_cpus(), n) if n * (n + 1) // 2 * m >= _THREAD_WORK else 1
     if threads <= 1:
         run_rows(range(n))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        from concurrent.futures import ThreadPoolExecutor  # not at import: most inputs run serially
+        with ThreadPoolExecutor(threads) as pool:
             list(pool.map(run_rows, [range(t, n, threads) for t in range(threads)]))
     return values, degenerate
 
@@ -204,7 +206,7 @@ _PAIR_KERNELS: dict[str, Callable] = {
 SYMMETRIC_METRICS = frozenset(MATRIX_METRICS).difference(_PAIR_KERNELS)
 
 
-def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> CoefficientMatrix:
+def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
     """Apply a two-column metric to every ordered pair of columns.
 
     Cell (i, j) holds metric(column_i, column_j) and equals a direct
@@ -212,20 +214,20 @@ def pairwise_matrix(dataset: Dataset, metric: str, *, workers: int = 1) -> Coeff
     """
     prepare, kernel = METRIC_TABLE[require_choice(metric, MATRIX_METRICS, "metric")]
     pair = _PAIR_KERNELS.get(metric) or (lambda x, y: (kernel(x, y),) * 2)
-    values, degenerate = _kernel_map(pair, prepare, dataset.columns, workers)
+    values, degenerate = _kernel_map(pair, prepare, dataset.columns)
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
 
 
-def minrel_profile_matrix(dataset: Dataset, *, workers: int = 1) -> ProfileMatrix:
+def minrel_profile_matrix(dataset: Dataset) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
 
     def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) swaps orientations 0 and 1, 2 and 3
         cells = _orientations(x, y)
         return cells, tuple(part[..., [1, 0, 3, 2]] for part in cells)
 
-    values, degenerate = _kernel_map(pair, lambda t: t.oriented(1), dataset.columns, workers, (4,))
+    values, degenerate = _kernel_map(pair, lambda t: t.oriented(1), dataset.columns, (4,))
     best, _ = _max_iota_sq(values, degenerate)
     # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
     maps = (*np.moveaxis(values, -1, 0), best, degenerate)

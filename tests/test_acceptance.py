@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import minrel.matrix
 from minrel import (
     Dataset,
     compare_criteria,
@@ -20,6 +21,7 @@ from minrel import (
     iota_raw_indicator,
     iota_raw_squared,
     max_iota_sq,
+    minrel_profile_matrix,
     minrel_simple,
     pearson,
     rank_minrelation,
@@ -27,8 +29,9 @@ from minrel import (
     tri_decreasing,
     tri_increasing,
 )
-from minrel.cli import main
+from minrel.cli import main, read_dataset
 from minrel.experiments import run_table2, run_table3, run_table4
+from minrel.matrix import MATRIX_METRICS
 
 from oracles import naive_max_iota_sq, naive_rank_minrelation
 
@@ -250,7 +253,7 @@ def test_criterion_7_ranking_protocol_and_win_counts():
     )
 
 
-def test_criterion_8_cli_determinism(tmp_path, capsys):
+def test_criterion_8_cli_determinism(tmp_path, capsys, monkeypatch):
     data_path = str(tmp_path / "data.csv")
     assert main(["gen", "combined", "--m", "300", "--seed", "21",
                  "--output", data_path]) == 0
@@ -273,11 +276,20 @@ def test_criterion_8_cli_determinism(tmp_path, capsys):
         second = run_to_file(f"{tag}_2.out", list(argv))
         assert first == second, f"{tag} output changed between runs"
 
-    single = run_to_file("workers_1.out", commands["matrix"] + ["--workers", "1"])
-    for workers in ("2", "4"):
-        multi = run_to_file(
-            f"workers_{workers}.out", commands["matrix"] + ["--workers", workers]
-        )
-        assert multi == single, f"worker count {workers} changed matrix bytes"
+    def matrices(tag):
+        return [run_to_file(f"{tag}_{metric}.out", commands["matrix"] + ["--metric", metric])
+                for metric in MATRIX_METRICS]
+
+    serial = matrices("serial")
+    dataset = read_dataset(data_path, "error")
+    profile = minrel_profile_matrix(dataset)
+    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", 0)  # threads however small the matrix
+    for cpus in (2, 4):
+        monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+        assert matrices(f"threads_{cpus}") == serial, f"{cpus} threads changed matrix bytes"
+        threaded = minrel_profile_matrix(dataset)
+        for field in ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq"):
+            assert getattr(threaded, field).tobytes() == getattr(profile, field).tobytes()
+        assert threaded.degenerate.tobytes() == profile.degenerate.tobytes()
     capsys.readouterr()
-    _report(8, "all five commands byte-identical across runs and worker counts")
+    _report(8, "all five commands byte-identical across runs and thread counts")

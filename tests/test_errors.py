@@ -18,7 +18,6 @@ from minrel import (
     gen_multiplication,
     gen_relevance_suite_dataset,
     gen_triangle_pair,
-    minrel_profile_matrix,
     pairwise_matrix,
     rank_variables,
     run_experiment,
@@ -50,8 +49,6 @@ CASES = {
     "folds": ("folds", 2, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (2,), v, 0)),
     "subset-size": ("subset size", 1, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (v,), 2, 0)),
     "seed-split-half": ("seed", 0, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (2,), 2, v)),
-    "workers-matrix": ("workers", 1, lambda v: pairwise_matrix(LINEAR, "iota", workers=v)),
-    "workers-profile": ("workers", 1, lambda v: minrel_profile_matrix(LINEAR, workers=v)),
     "rows_dropped": (
         "rows_dropped", 0, lambda v: Dataset(("a", "b"), [[1, 2], [3, 4]], rows_dropped=v)
     ),
@@ -114,12 +111,10 @@ def _fresh_suite():
         # A valid criterion_a must not rank anything before criterion_b is checked.
         lambda ds, targets: compare_criteria(ds, targets, criterion_b="bogus"),
         lambda ds, targets: split_half_cv_eval(ds, next(iter(targets)), "bogus", (1,), 2, 0),
-        lambda ds, targets: minrel_profile_matrix(ds, workers=0),
         # A string is one name, not a set of relevant columns.
         lambda ds, targets: compare_criteria(ds, {next(iter(targets)): "AB"}),
     ],
-    ids=["compare-no-target", "compare-criterion-b", "split-half", "profile-workers",
-         "compare-string-relevant"],
+    ids=["compare-no-target", "compare-criterion-b", "split-half", "compare-string-relevant"],
 )
 def test_arguments_are_checked_before_any_column_is_sorted(sort_counter, call):
     with pytest.raises(InvalidInputError):

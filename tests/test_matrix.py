@@ -1,4 +1,6 @@
+import concurrent.futures
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -47,15 +49,6 @@ def test_dataset_validation():
 def test_dataset_from_columns_rejects_no_columns():
     with pytest.raises(InvalidInputError, match="at least one column"):
         Dataset.from_columns({})
-
-
-@pytest.mark.parametrize("workers", [1.5, 0, True])
-def test_matrices_reject_a_bad_worker_count(workers):
-    ds = _dataset(seed=2, m=10, n=3)
-    for build in (lambda: pairwise_matrix(ds, "iota", workers=workers),
-                  lambda: minrel_profile_matrix(ds, workers=workers)):
-        with pytest.raises(InvalidInputError, match=f"workers must be .*, got {workers!r}"):
-            build()
 
 
 def test_dataset_from_columns_rejects_ragged_input():
@@ -159,37 +152,39 @@ def test_degenerate_mask_for_constant_column():
     assert matrix.values[0, 1] == 0.0
 
 
+_PROFILE_FIELDS = ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq", "degenerate")
+
+
+def _matrix_bytes(ds) -> dict:
+    """The value and flag bytes of every matrix metric and of the profile matrix."""
+    found = {}
+    for metric in MATRIX_METRICS:
+        matrix = pairwise_matrix(ds, metric)
+        found[metric] = matrix.values.tobytes(), matrix.degenerate.tobytes()
+    profile = minrel_profile_matrix(ds)
+    found["profile"] = tuple(getattr(profile, field).tobytes() for field in _PROFILE_FIELDS)
+    return found
+
+
+def _force_threads(monkeypatch, cpus: int) -> None:
+    """Deal every triangle's rows to min(``cpus``, n) threads, however small its work."""
+    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", 0)
+    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+
+
 def test_parallel_runs_are_bit_identical(monkeypatch):
     # An odd n, so the threads split the triangle unevenly; up to four threads
     # run even on a host with fewer CPUs, switching as often as they can.
-    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: 4)
     ds = _dataset(seed=11, m=50, n=7)
-    fields = ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq", "degenerate")
+    serial = _matrix_bytes(ds)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for metric in MATRIX_METRICS:
-            sequential = pairwise_matrix(ds, metric, workers=1)
-            for workers in (2, 3, 4):
-                parallel = pairwise_matrix(ds, metric, workers=workers)
-                assert sequential.values.tobytes() == parallel.values.tobytes()
-                assert sequential.degenerate.tobytes() == parallel.degenerate.tobytes()
-        profile_seq = minrel_profile_matrix(ds, workers=1)
-        for workers in (2, 3):
-            profile_par = minrel_profile_matrix(ds, workers=workers)
-            for field in fields:
-                assert getattr(profile_seq, field).tobytes() == getattr(profile_par, field).tobytes()
+        for cpus in (2, 3, 4):
+            _force_threads(monkeypatch, cpus)
+            assert _matrix_bytes(ds) == serial
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_worker_count_below_one_is_rejected():
-    ds = _dataset(n=3)
-    for workers in (0, -3):
-        with pytest.raises(InvalidInputError, match="workers"):
-            pairwise_matrix(ds, "iota", workers=workers)
-        with pytest.raises(InvalidInputError, match="workers"):
-            minrel_profile_matrix(ds, workers=workers)
 
 
 def test_preprocessing_sorts_each_column_once(sort_counter):
@@ -311,18 +306,19 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
     x = rng.normal(size=9000)
     values = np.column_stack([x, x * rng.random(9000), np.round(rng.normal(size=9000), 1)])
     ds = Dataset(names=("a", "b", "c"), values=values)
+    serial = _matrix_bytes(ds)
     for metric in MATRIX_METRICS:
-        serial = pairwise_matrix(ds, metric, workers=1)
-        parallel = pairwise_matrix(ds, metric, workers=2)
-        assert serial.values.tobytes() == parallel.values.tobytes()
-        assert serial.degenerate.tobytes() == parallel.degenerate.tobytes()
+        matrix = pairwise_matrix(ds, metric)
         for i in range(ds.n):
             for j in range(ds.n):
                 direct = evaluate_metric(values[:, i], values[:, j], metric)
-                assert serial.values[i, j].tobytes() == np.float64(direct.value).tobytes()
-                assert serial.degenerate[i, j] == direct.degenerate
-    for workers in (1, 2):
-        profiles = minrel_profile_matrix(ds, workers=workers)
+                assert matrix.values[i, j].tobytes() == np.float64(direct.value).tobytes()
+                assert matrix.degenerate[i, j] == direct.degenerate
+    _force_threads(monkeypatch, 2)
+    assert _matrix_bytes(ds) == serial
+    for threads in (1, 2):
+        _force_threads(monkeypatch, threads)
+        profiles = minrel_profile_matrix(ds)
         assert profiles.iota_yx.tobytes() == profiles.iota_xy.T.copy().tobytes()
         assert profiles.iota_negy_x.tobytes() == profiles.iota_negx_y.T.copy().tobytes()
         for i, x_name in enumerate(ds.names):
@@ -377,19 +373,54 @@ class _SerialPool:
         return [function(item) for item in items]
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_threads_are_capped_at_the_available_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(minrel.matrix, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list:
+    """The size of every thread pool built, each running its rows in turn."""
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    ds = _dataset(seed=5, m=30, n=8)
-    serial = pairwise_matrix(ds, "max_iota_sq", workers=1)
-    for workers in (2, 5000):
-        many = pairwise_matrix(ds, "max_iota_sq", workers=workers)
-        assert many.values.tobytes() == serial.values.tobytes()
-        assert many.degenerate.tobytes() == serial.degenerate.tobytes()
-    expected = [] if cpus == 1 else [min(2, cpus), cpus]
-    assert _SerialPool.sizes == expected
+    return _SerialPool.sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 5000])
+def test_threads_are_capped_at_the_available_cpus(monkeypatch, pool_sizes, cpus):
+    wide, narrow = _dataset(seed=5, m=30, n=8), _dataset(seed=6, m=30, n=2)
+    serial = [_matrix_bytes(ds) for ds in (wide, narrow)]
+    _force_threads(monkeypatch, cpus)
+    assert [_matrix_bytes(ds) for ds in (wide, narrow)] == serial
+    # One pool per matrix (six metrics and the profile), of one thread per CPU and row.
+    sizes = [min(cpus, ds.n) for ds in (wide, narrow) for _ in range(len(MATRIX_METRICS) + 1)]
+    assert pool_sizes == [size for size in sizes if size > 1]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_threads_run_from_the_work_threshold(monkeypatch, pool_sizes, cpus):
+    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+    ds = _dataset(seed=7, m=30, n=8)
+    work = ds.n * (ds.n + 1) // 2 * ds.m  # the triangle's pairs times m
+    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", work + 1)
+    below = pairwise_matrix(ds, "iota")
+    assert pool_sizes == []
+    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", work)
+    at = pairwise_matrix(ds, "iota")
+    assert pool_sizes == ([] if cpus == 1 else [min(cpus, ds.n)])
+    assert at.values.tobytes() == below.values.tobytes()
+
+
+def test_a_network_sized_matrix_builds_no_pool(monkeypatch, pool_sizes):
+    # 100 columns of 1000 rows: 5 050 pairs of 1000 rows, below the 2^25 threshold.
+    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: 4)
+    ds = _dataset(seed=8, m=1000, n=100)
+    for metric in ("iota", "max_iota_sq", "spearman"):
+        pairwise_matrix(ds, metric)
+    assert pool_sizes == []
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    package_root = os.path.dirname(os.path.dirname(minrel.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, minrel.cli; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+    argv = [sys.executable, "-c", code]
+    assert subprocess.run(argv, capture_output=True, text=True, env=env).stdout == "[]\n"
 
 
 def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
