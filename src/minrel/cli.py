@@ -31,7 +31,7 @@ from the same line. Both give the same values bit for bit, or the same
 error (see :func:`_bulk_dataset`).
 
 Exit codes: 0 success, 2 parse/validation failure, 3 degenerate result
-under --strict, 4 I/O failure (a stdout closed early exits 4 silently).
+under --strict, 4 I/O failure or out of memory (silent for a closed stdout).
 """
 
 from __future__ import annotations
@@ -202,11 +202,7 @@ def read_dataset(path: str, na_policy: str) -> Dataset:
     parsed, rows_read = _record_values((row for row, _ in records), names, na_policy)
     if len(parsed) < 2:
         raise InvalidInputError(f"need at least 2 usable data rows, got {len(parsed)}")
-    return Dataset(
-        names=tuple(names),
-        values=np.asarray(parsed, dtype=float),
-        rows_dropped=rows_read - len(parsed),
-    )
+    return Dataset(names, parsed, rows_dropped=rows_read - len(parsed))
 
 
 def _dataset_config(args: argparse.Namespace, dataset: Dataset, **fields) -> dict:
@@ -353,11 +349,14 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
-    matrix = pairwise_matrix(dataset, args.metric)
-    values, flags = (_Grid(matrix.names, cells) for cells in (matrix.values, matrix.degenerate))
-    fields = {"metric": matrix.metric, "names": list(matrix.names), "values": values}
-    config = _dataset_config(args, dataset, metric=args.metric)
-    _write(args, config, {**fields, "degenerate": flags}, [values, "# degenerate\n", flags])
+    try:
+        matrix = pairwise_matrix(dataset, args.metric)
+        values, flags = (_Grid(matrix.names, cells) for cells in (matrix.values, matrix.degenerate))
+        fields = {"metric": matrix.metric, "names": list(matrix.names), "values": values}
+        config = _dataset_config(args, dataset, metric=args.metric)
+        _write(args, config, {**fields, "degenerate": flags}, [values, "# degenerate\n", flags])
+    except MemoryError as exc:
+        raise MemoryError(f"the dense {dataset.n} x {dataset.n} matrix: {exc}") from None
     return EXIT_OK
 
 
@@ -508,6 +507,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
 
 

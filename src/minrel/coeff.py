@@ -25,9 +25,8 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
   arrays. A column is sorted, once, exactly when a ``prepare`` reads a
   rank view; a metric on raw values reads ``values`` and never sorts.
 - ``kernel(x, y)`` takes two prepared columns and returns ``(values,
-  degenerate)`` arrays. Either side may be a batch, each part stacked
-  with one row per column. Every reduction runs over the last axis, and a
-  row reduces the same alone as in a batch.
+  degenerate)`` arrays. Either side may be a batch, a column per row: every
+  reduction runs over the last axis, and a row reduces as it does alone.
 
 A two-column call, a ranking score (:mod:`minrel.ranking`) and an
 experiment's block of repetitions (:mod:`minrel.experiments`) are each one

@@ -9,14 +9,14 @@ maps the per-label means to the ordering checks, the qualitative claims
 Spearman's correlation, or one of :data:`ORIENTATIONS`.
 
 :func:`run_experiment` runs any table, repetition ``rep`` with seed
-``seed + rep``, in blocks: each column's draws in a block are stacked
-straight into one batch (:class:`ColumnTransforms`, a row per repetition,
-with no per-repetition ``Dataset``), checked and sorted once. A pair is
-one Spearman call for ``rho`` and one :func:`coeff._orientations` call for
-as many orientations as the table prints, each on two batches. A row
-reduces as it does alone, so every value has the bits of the direct call
-on that repetition's columns. Nothing unprinted is computed. A cell
-reports the mean over repetitions and its standard error.
+``seed + rep``, in blocks of about :data:`ranks._BLOCK_BYTES` per column:
+a block's draws of each column are one batch, a row per repetition, built
+as a :class:`Dataset`'s batch is, checked and sorted once. A pair is one
+Spearman call for ``rho`` and one :func:`coeff._orientations` call for as
+many orientations as the table prints, each on two batches, so every value
+has the bits of the direct call on that repetition's columns. Nothing
+unprinted is computed. A cell reports the mean over repetitions and its
+standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .coeff import _evaluate, _orientations
 from .errors import require_choice, require_count
-from .ranks import ColumnTransforms
+from .ranks import _BLOCK_BYTES, ColumnTransforms
 from .synth import DRAWS
 
 
@@ -158,10 +158,6 @@ EXPERIMENTS = tuple(TABLES)
 #: (x, y), (y, x), (-x, y) and (-y, x), by the names table labels use.
 ORIENTATIONS = ("iota", "iota_yx", "iota_negx", "iota_negy")
 
-#: Bytes of one stacked (repetitions, m) batch: 32 repetitions at m = 1000.
-_BLOCK_BYTES = 256 * 1024
-
-
 def _stderr(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -181,7 +177,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     values: dict[str, list[float]] = {}
     for start in range(0, reps, block):
         draws = [draw(np.random.default_rng(s), m) for s in seeds[start : start + block]]
-        columns = {x: ColumnTransforms._stacked([d[x] for d in draws], x) for x in draws[0]}
+        names = {x: [f"column {x!r}"] * len(draws) for x in draws[0]}
+        columns = {x: ColumnTransforms._batch([d[x] for d in draws], names[x]) for x in names}
         for x, y, _, _ in table.rows:
             rho, _ = _evaluate("spearman", columns[x], columns[y])
             iotas, _ = _orientations(columns[x].oriented(1), columns[y].oriented(1), count)

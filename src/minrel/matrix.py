@@ -1,25 +1,20 @@
 """Pairwise coefficient matrices over whole datasets.
 
-A :class:`Dataset` is its columns: its constructor checks and copies each
-column once, as a :class:`ColumnTransforms` in :attr:`Dataset.columns`, so
-every pass over one dataset (matrices, rankings, experiments) reuses the
-same views and sorts each column at most once, and only if a metric reads
-its ranks. Each column is prepared once by the metric's ``prepare`` (see
-:mod:`minrel.coeff`), and the parts are stacked into (n, ...) arrays.
-
-One function, :func:`_kernel_map`, walks only the cells with j >= i: one
-call of a metric's pair kernel per row i and block J of columns returns
-cells (i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes its
-one kernel result both ways; ``iota`` and ``iota2`` share three masses per
-pair (P, Q and R of :func:`coeff._orientations`, where two direct calls take
-four); ``minrel_simple`` counts twice; the profile's four masses give cell
-(i, j), and cell (j, i) is it with orientations 0 and 1, 2 and 3 swapped.
-Each is the same IEEE operations on the same operands as its direct call.
-Each cell is reduced on its own (no matrix products), and row i writes only
-row i and column i of storage allocated before any thread starts, so results
-are bit-identical for any thread count. The kernels' large array operations
-release the interpreter lock, so from :data:`_THREAD_WORK` on, one thread per
-available CPU, dealt the rows in turn, runs in parallel.
+A :class:`Dataset` is one (n, m) batch (a :class:`ColumnTransforms`, a
+column per row), copied and checked once; every pass over it reuses its
+views, so it is ranked at most once, and only if a metric reads ranks. A
+matrix is its metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch,
+(n, ...) parts, mapped by :func:`_kernel_map` over the cells with j >= i:
+one pair-kernel call per row i and block J gives cells (i, J) and (J, i). A
+metric of :data:`SYMMETRIC_METRICS` writes one result both ways; ``iota``
+and ``iota2`` share masses P, Q and R of :func:`coeff._orientations`;
+``minrel_simple`` counts twice; the profile's cell (j, i) is cell (i, j)
+with orientations 0 and 1, 2 and 3 swapped. Each is the same IEEE
+operations on the same operands as its direct call, each cell is reduced on
+its own, and row i writes only row i and column i of storage allocated
+before any thread starts, so results are bit-identical for any thread
+count. From :data:`_THREAD_WORK` on, one thread per available CPU, dealt
+the rows in turn, runs the kernels, which release the interpreter lock.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import numpy as np
 from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _iota_both
 from .coeff import _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_choice, require_count
-from .ranks import ColumnTransforms, _frozen, as_float_array
+from .ranks import ColumnTransforms, _frozen, _Row, as_float_array
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -47,15 +42,14 @@ def _index(names: tuple[str, ...], name: str) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Named columns of equal length m >= 2: the constructor builds :attr:`columns`.
+    """Named columns of equal length m >= 2: the (m, n) ``values`` copied once into :attr:`batch`.
 
-    Each column of the (m, n) ``values`` is checked and copied once, as a
-    :class:`ColumnTransforms`. ``rows_dropped`` counts input rows left out,
-    such as the incomplete rows the CLI reader drops under ``--na drop-rows``.
+    ``rows_dropped`` counts input rows left out, such as the incomplete rows
+    the CLI reader drops under ``--na drop-rows``.
     """
 
     names: tuple[str, ...]
-    columns: tuple[ColumnTransforms, ...]
+    batch: ColumnTransforms
     rows_dropped: int = 0
 
     def __init__(self, names: Iterable[str], values, rows_dropped: int = 0) -> None:
@@ -72,9 +66,8 @@ class Dataset:
             raise InvalidInputError("a dataset needs at least one column")
         if values.shape[0] < 2:
             raise InvalidInputError(f"dataset needs at least 2 rows, got {values.shape[0]}")
-        columns = tuple(ColumnTransforms(values[:, j], name) for j, name in enumerate(names))
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "batch", ColumnTransforms._batch(values.T, names))
         object.__setattr__(self, "rows_dropped", require_count(rows_dropped, "rows_dropped", 0))
 
     @classmethod
@@ -83,26 +76,31 @@ class Dataset:
         lengths = {array.shape[0] if array.ndim else 0 for array in arrays}
         if len(lengths) > 1:
             raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
-        return cls(columns, np.column_stack(arrays) if arrays else np.empty((0, 0)))
+        return cls(columns, np.array(arrays).T if arrays else np.empty((0, 0)))
 
     @property
     def m(self) -> int:
-        return self.columns[0].m
+        return self.batch.m
 
     @property
     def n(self) -> int:
         return len(self.names)
 
+    @property
+    def values(self) -> np.ndarray:
+        """The read-only (m, n) values: a transposed view of the batch's."""
+        return self.batch.values.T
+
+    @cached_property
+    def columns(self) -> tuple[ColumnTransforms, ...]:
+        """Each column: a :class:`ColumnTransforms` whose values and ranks are the batch's rows."""
+        return tuple(_Row(self.batch, j, name) for j, name in enumerate(self.names))
+
     def index(self, name: str) -> int:
         return _index(self.names, name)
 
     def column(self, name: str) -> np.ndarray:
-        return self.columns[self.index(name)].values
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """The columns as one read-only (m, n) array, stacked on first use."""
-        return _frozen(np.column_stack([column.values for column in self.columns]))
+        return self.batch.values[self.index(name)]
 
 
 def transform_cache(dataset: Dataset) -> tuple[ColumnTransforms, ...]:
@@ -157,27 +155,25 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_map(pair: Callable, prepare: Callable, columns: Iterable, cell=()):
+def _kernel_map(pair: Callable, parts: tuple, cell=()):
     """Cells (i, j) and (j, i) for every j >= i: one ``pair`` call per row i per block J.
 
-    Each column's ``prepare`` parts are stacked into (n, ...) arrays, in the
-    calling thread: the threads read only the stacks. ``pair(row i, block
-    J)`` returns ``(values, degenerate)`` of cells (i, J), then of cells (J,
-    i); a cell has shape ``cell``. A block's temporaries stay at a few MB.
-    From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
+    ``parts``, the batch's prepared (n, ...) arrays, are only read. ``pair(row
+    i, block J)`` returns ``(values, degenerate)`` of cells (i, J), then of
+    cells (J, i); a cell has shape ``cell``. A block's temporaries stay at a
+    few MB. From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
     """
-    stacks = tuple(np.stack(part) for part in zip(*map(prepare, columns)))
-    n, m = stacks[0].shape[:2]
+    n, m = parts[0].shape[:2]
     width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
     values = np.empty((n, n, *cell))
     degenerate = np.empty((n, n, *cell), dtype=bool)
 
     def run_rows(rows: Iterable[int]) -> None:
         for i in rows:
-            x = tuple(part[i] for part in stacks)
+            x = tuple(part[i] for part in parts)
             for j in range(i, n, width):
                 cells = slice(j, j + width)
-                y = tuple(part[cells] for part in stacks)
+                y = tuple(part[cells] for part in parts)
                 (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
                 values[cells, i], degenerate[cells, i] = transposed
 
@@ -214,7 +210,7 @@ def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
     """
     prepare, kernel = METRIC_TABLE[require_choice(metric, MATRIX_METRICS, "metric")]
     pair = _PAIR_KERNELS.get(metric) or (lambda x, y: (kernel(x, y),) * 2)
-    values, degenerate = _kernel_map(pair, prepare, dataset.columns)
+    values, degenerate = _kernel_map(pair, prepare(dataset.batch))
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
@@ -227,7 +223,7 @@ def minrel_profile_matrix(dataset: Dataset) -> ProfileMatrix:
         cells = _orientations(x, y)
         return cells, tuple(part[..., [1, 0, 3, 2]] for part in cells)
 
-    values, degenerate = _kernel_map(pair, lambda t: t.oriented(1), dataset.columns, (4,))
+    values, degenerate = _kernel_map(pair, dataset.batch.oriented(1), (4,))
     best, _ = _max_iota_sq(values, degenerate)
     # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
     maps = (*np.moveaxis(values, -1, 0), best, degenerate)

@@ -12,8 +12,7 @@ Each criterion is data (:data:`_CRITERIA`): a metric, which side the
 target is on, and whether the value is squared. A score is one direct call,
 :func:`coeff.evaluate_metric`, on two columns of :attr:`Dataset.columns`, so
 it is the two-column call by construction, and every ranking of one dataset
-(all targets, both criteria of :func:`compare_criteria`) sorts each column
-at most once.
+(all targets, both criteria of :func:`compare_criteria`) ranks its batch once.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
@@ -237,12 +236,6 @@ class CvSummary:
     used_ridge: bool
 
 
-def _canonical_row_order(dataset: Dataset) -> np.ndarray:
-    # Lexicographic by column 0, then 1, ... so shuffling is invariant to
-    # the order rows arrived in.
-    return np.lexsort(dataset.values.T[::-1])
-
-
 def split_half_cv_eval(
     dataset: Dataset,
     target: str,
@@ -274,7 +267,8 @@ def split_half_cv_eval(
     target_index = dataset.index(target)
     seed = require_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    shuffled = _canonical_row_order(dataset)[rng.permutation(dataset.m)]
+    # Rows sorted by column 0, then 1, ..., so the shuffle ignores the order rows arrived in.
+    shuffled = np.lexsort(dataset.batch.values[::-1])[rng.permutation(dataset.m)]
     half = math.ceil(dataset.m / 2)
     ranking_rows, eval_rows = shuffled[:half], shuffled[half:]
 

@@ -11,17 +11,15 @@ where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
 
-:class:`ColumnTransforms` is the one column type and the one check of
-samples (finite, 1-D, at least two); it freezes one copy of them, then
-builds every view, each on first use, from one sort: tie-averaged ranks
-are half-integers, so r(-X) = m + 1 - r(X) holds exactly, ties included;
-without ties the ranks are the sorted positions. Spearman centres ranks at
-their exact mean (m+1)/2. Every function here that takes a column goes
-through :func:`as_column`, which keeps a given :class:`ColumnTransforms`,
-so a column read many times is sorted once. Every view works along the
-last axis: a batch of columns, one per row, takes one sort, and each row
-has the bits of its column's own views. A batch is stacked from the rows
-once, with one copy and one finiteness check (``ColumnTransforms._stacked``).
+:class:`ColumnTransforms` is the one column type: a column, or a batch
+stored as one (n, m) array, a column per row, each row with the bits of its
+column's views (every view works along the last axis). It keeps one checked
+read-only copy of its samples and builds each view on first use from one
+ranking, one sort call per block of rows of :data:`_BLOCK_BYTES`. Tied
+ranks are half-integers, so r(-X) = m + 1 - r(X) holds exactly; untied, a
+rank is its sorted position. Spearman centres ranks at their exact mean
+(m+1)/2. Every function that takes a column goes through :func:`as_column`,
+which keeps a given :class:`ColumnTransforms`, so it is sorted once.
 """
 
 from __future__ import annotations
@@ -47,17 +45,18 @@ def as_float_array(data, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} must hold numbers: {error}") from None
 
 
-def _validated_values(data, what: str) -> np.ndarray:
-    """A contiguous copy of ``data``, checked: 1-D, at least 2 samples, all finite."""
-    values = as_float_array(data, what).copy()  # contiguous, so the scan below is too
-    if values.ndim != 1:
-        raise InvalidInputError(f"{what} must be one-dimensional, got shape {values.shape}")
-    if values.size < 2:
-        raise InvalidInputError(f"{what} needs at least 2 samples, got {values.size}")
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise InvalidInputError(f"{what} contains a non-finite value at index {bad}")
-    return values
+#: Bytes of one block of rows: a batch is ranked with one sort call per block.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _finite_copy(rows, names: Sequence[str]) -> np.ndarray:
+    """A read-only float copy of one column or (n, m) rows; the first non-finite cell raises."""
+    values = np.array(rows, dtype=float, order="C")
+    finite = np.isfinite(values)
+    if not finite.all():  # row by row, as row i is named names[i]
+        r, i = divmod(int(finite.argmin()), values.shape[-1])
+        raise InvalidInputError(f"{names[r] or 'column'} contains a non-finite value at index {i}")
+    return _frozen(values)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -93,22 +92,20 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     Without ties a rank is its sorted position p, bit for bit (p + p)/2.
     """
     m = values.shape[-1]
-    order = np.argsort(values, axis=-1)
-    if values.ndim > 1:  # indices into the flat values, row after row
-        order += np.arange(0, values.size, m).reshape(values.shape[:-1] + (1,))
+    order = np.argsort(values, axis=-1)  # then indices into the flat values, row after row
+    order += np.arange(0, values.size, m).reshape(values.shape[:-1] + (1,))
     sorted_values = values.reshape(-1)[order]
     new_group = np.empty(order.shape, dtype=bool)
     new_group[..., 0] = True
     np.not_equal(sorted_values[..., 1:], sorted_values[..., :-1], out=new_group[..., 1:])
-    if new_group.all():
-        averages, group = np.arange(1.0, m + 1), slice(None)
-    else:
-        group = np.cumsum(new_group) - 1
-        counts = np.bincount(group)
-        first = np.cumsum(counts) - counts  # flat index; rows start groups, so p = first % m + 1
-        averages, group = (2 * (first % m) + counts + 1) / 2.0, group.reshape(order.shape)
     ranks = np.empty(values.shape)
-    ranks.reshape(-1)[order] = averages[group]
+    if new_group.all():
+        ranks.reshape(-1)[order] = np.arange(1.0, m + 1)
+    else:
+        starts = np.flatnonzero(new_group)  # flat; rows start groups, so p = start % m + 1
+        counts = np.diff(starts, append=new_group.size)
+        averages = (2 * (starts % m) + counts + 1) / 2.0
+        ranks.reshape(-1)[order] = np.repeat(averages, counts).reshape(order.shape)
     return ranks
 
 
@@ -116,35 +113,33 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
 class ColumnTransforms:
     """One variable's samples, finite reals and at least two, and every view of them.
 
-    The constructor checks ``values`` and keeps a read-only copy, so no
-    later change to the source array reaches a view; ``name`` labels the
-    column in error messages. Each view is built on first use and kept;
-    ``ranks``, ``dec`` and ``inc``, which :func:`compute_ranks` and
-    ``tri_*`` hand out, are read-only. ``ranks`` are the fractional ranks
-    r(X); the ranks of -X are m + 1 - r(X), bit for bit, so they need no
-    second sort. ``neg_dec`` and ``neg_inc`` are the transforms of -X:
-    flipping a column's sign swaps its two transforms and negates them
-    (``neg_dec == -inc``, ``neg_inc == -dec``); negation is exact, so they
-    are not kept. Two threads that first read a view at once may both build
-    it, with the same bits. ``_stacked`` makes a batch, a column per row.
+    The constructor checks ``values`` and keeps a read-only copy, which no
+    later change to the source reaches; ``name`` labels the column in error
+    messages. ``_batch`` builds an unnamed batch, a column per row, and
+    ``_Row`` is one of its rows. Each view is built on first use, kept and
+    read-only. The ranks of -X are exactly m + 1 - r(X), and a sign flip
+    swaps and negates the transforms (``neg_dec == -inc``, ``neg_inc ==
+    -dec``), so neither takes a second sort or is kept. Two threads first
+    reading a view at once may both build it, with the same bits.
     """
 
     values: np.ndarray
     name: str | None = None
 
     def __post_init__(self) -> None:
-        values = _validated_values(self.values, self.name or "column")
-        object.__setattr__(self, "values", _frozen(values))
+        what = self.name or "column"
+        values = as_float_array(self.values, what)
+        if values.ndim != 1:
+            raise InvalidInputError(f"{what} must be one-dimensional, got shape {values.shape}")
+        if values.size < 2:
+            raise InvalidInputError(f"{what} needs at least 2 samples, got {values.size}")
+        object.__setattr__(self, "values", _finite_copy(values, (what,)))
 
     @classmethod
-    def _stacked(cls, rows: Sequence[np.ndarray], name: str) -> ColumnTransforms:
-        """Float rows of one length m >= 2 as batch ``name``: one copy, one finiteness check."""
-        values = np.stack(rows)
-        if not np.isfinite(values).all():
-            raise InvalidInputError(f"column {name!r} contains a non-finite value")
+    def _batch(cls, rows, names: Sequence[str]) -> ColumnTransforms:
+        """n float rows of one length m >= 2 (an array or arrays), row i named ``names[i]``."""
         batch = object.__new__(cls)
-        object.__setattr__(batch, "values", _frozen(values))
-        object.__setattr__(batch, "name", name)
+        object.__setattr__(batch, "values", _finite_copy(rows, names))
         return batch
 
     @property
@@ -153,7 +148,12 @@ class ColumnTransforms:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        return _frozen(fractional_ranks(self.values))
+        """:func:`fractional_ranks` of each row, one call per block of rows of ``_BLOCK_BYTES``."""
+        rows = self.values.reshape(-1, self.m)
+        ranks, step = np.empty(rows.shape), max(1, _BLOCK_BYTES // (8 * self.m))
+        for i in range(0, len(rows), step):
+            ranks[i : i + step] = fractional_ranks(rows[i : i + step])
+        return _frozen(ranks.reshape(self.values.shape))
 
     @cached_property
     def dec(self) -> np.ndarray:
@@ -190,6 +190,17 @@ class ColumnTransforms:
         if sign < 0:
             return self.neg_dec, self.neg_inc
         return self.dec, self.inc
+
+
+class _Row(ColumnTransforms):
+    """Row ``index`` of ``batch`` as column ``name``: its values and ranks are the batch's rows."""
+
+    def __init__(self, batch: ColumnTransforms, index: int, name: str) -> None:
+        vars(self).update(values=batch.values[index], name=name, _source=batch, _index=index)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return self._source.ranks[self._index]  # the first read ranks the whole batch
 
 
 def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:

@@ -359,14 +359,14 @@ def test_comment_marker_inside_a_quoted_field_is_data(capsys, tmp_path):
 
 def test_each_column_is_validated_once_and_never_stacked(capsys, tmp_path, monkeypatch):
     path = write_csv(tmp_path, "four.csv", "a,b,c,d\n1,2,3,4\n2,1,4,3\n3,3,1,1\n5,4,2,6\n")
-    validated = []
-    original = minrel.ranks._validated_values
+    scans = []
+    original = minrel.ranks._finite_copy
 
-    def counting(data, what):
-        validated.append(what)
-        return original(data, what)
+    def counting(rows, names):
+        scans.append(tuple(names))
+        return original(rows, names)
 
-    monkeypatch.setattr(minrel.ranks, "_validated_values", counting)
+    monkeypatch.setattr(minrel.ranks, "_finite_copy", counting)
     for argv in (
         ("coeff", path),
         ("coeff", path, "--x", "c", "--y", "a", "--metric", "pearson"),
@@ -374,17 +374,19 @@ def test_each_column_is_validated_once_and_never_stacked(capsys, tmp_path, monke
         ("matrix", path, "--metric", "spearman"),
         ("rank", path, "--target", "d"),
     ):
-        validated.clear()
+        scans.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        assert sorted(validated) == ["a", "b", "c", "d"], argv
-    # No matrix, ranking or experiment path builds the (m, n) stack.
+        # One check per dataset: one scan of the batch covers every column.
+        assert scans == [("a", "b", "c", "d")], argv
+    # No matrix, ranking or experiment path copies the values a second time:
+    # the (m, n) values are a view of the batch.
     ds = read_dataset(path, "error")
     pairwise_matrix(ds, "iota")
     minrel_profile_matrix(ds)
     for criterion in CRITERIA:
         rank_variables(ds, "a", criterion)
-    assert "values" not in vars(ds)
+    assert np.shares_memory(ds.values, ds.batch.values)
     monkeypatch.setattr(Dataset, "values", property(lambda ds: pytest.fail("values was read")))
     for name in EXPERIMENTS:
         run_experiment(name, 2, 20, 0)
@@ -394,6 +396,37 @@ def test_output_io_failure_exits_4(capsys, linear_csv, tmp_path):
     target = str(tmp_path / "missing_dir" / "out.json")
     code, _, err = run_cli(capsys, "coeff", linear_csv, "--output", target)
     assert code == 4 and "i/o error" in err
+
+
+class _NoMemory:
+    """numpy as ``minrel.matrix`` sees it, except that ``empty`` fails as a huge allocation does."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate 7.45 GiB for an array with shape {shape}")
+
+
+def test_out_of_memory_exits_4_with_one_line(capsys, tmp_path, monkeypatch):
+    path = write_csv(tmp_path, "three.csv", "a,b,c\n1,2,3\n2,1,4\n3,3,1\n")
+    output = tmp_path / "out.json"
+    monkeypatch.setattr(minrel.matrix, "np", _NoMemory())
+    for form in ("json", "csv"):
+        code, out, err = run_cli(capsys, "matrix", path, "--format", form, "--output", str(output))
+        assert (code, out) == (4, "") and not output.exists()
+        assert err == (
+            "error: out of memory: the dense 3 x 3 matrix: "
+            "Unable to allocate 7.45 GiB for an array with shape (3, 3)\n"
+        )
+    # Any other command prints the allocation's own message, or says that one failed.
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "rank_variables", no_memory)
+    code, out, err = run_cli(capsys, "rank", path, "--target", "a")
+    assert (code, out, err) == (4, "", "error: out of memory: an allocation failed\n")
 
 
 def test_closed_stdout_exits_4_without_a_message():

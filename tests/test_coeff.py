@@ -420,8 +420,9 @@ def test_fewer_orientations_are_the_first_of_all_four_bit_for_bit():
         rng.normal(size=40) ** 3,
     ]
     single = [ColumnTransforms(c).oriented(1) for c in columns]
-    batch = ColumnTransforms._stacked(columns, "batch").oriented(1)
-    reversed_batch = ColumnTransforms._stacked(columns[::-1], "batch").oriented(1)
+    names = ["batch"] * len(columns)
+    batch = ColumnTransforms._batch(columns, names).oriented(1)
+    reversed_batch = ColumnTransforms._batch(columns[::-1], names).oriented(1)
     pairs = [(x, y) for x in single for y in single]
     pairs += [(batch, reversed_batch), (single[0], batch), (batch, single[1])]
     for x, y in pairs:

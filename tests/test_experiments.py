@@ -173,29 +173,30 @@ def test_block_draws_are_the_public_generators_columns(monkeypatch):
     # public generator gives for seed + r, bitwise: blocks of 2 repetitions,
     # so 5 run as 2 + 2 + 1, and the largest seed.
     stacked = []
-    original = ColumnTransforms._stacked
+    original = ColumnTransforms._batch
 
-    def recording(rows, name):
-        stacked.append((name, [np.array(row) for row in rows]))
-        return original(rows, name)
+    def recording(rows, names):
+        stacked.append((names[0], [np.array(row) for row in rows]))
+        return original(rows, names)
 
-    monkeypatch.setattr(ColumnTransforms, "_stacked", recording)
+    monkeypatch.setattr(ColumnTransforms, "_batch", recording)
     reps = 5
     for m in (2, 7):
         monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)
         for seed in (0, 2**63 - 1):
             for name, table in TABLES.items():
+                names = GENERATORS[table.family](m, seed).dataset.names
                 stacked.clear()
                 run_experiment(name, reps, m, seed)
-                names = GENERATORS[table.family](m, seed).dataset.names
-                assert [column for column, _ in stacked] == list(names) * 3
-                batches = {column: [] for column in names}
-                for column, rows in stacked:
-                    batches[column].extend(rows)
+                labels = [f"column {column!r}" for column in names]
+                assert [label for label, _ in stacked] == labels * 3
+                batches = {label: [] for label in labels}
+                for label, rows in stacked:
+                    batches[label].extend(rows)
                 for r in range(reps):
                     dataset = GENERATORS[table.family](m, seed + r).dataset
-                    for column in names:
-                        row = batches[column][r]
+                    for column, label in zip(names, labels):
+                        row = batches[label][r]
                         assert row.tobytes() == dataset.column(column).tobytes()
 
 

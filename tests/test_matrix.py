@@ -2,9 +2,12 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import minrel.coeff
 import minrel.matrix
@@ -24,6 +27,7 @@ from minrel import (
     tri_increasing,
 )
 from minrel.matrix import MATRIX_METRICS, SYMMETRIC_METRICS
+from minrel.ranks import ColumnTransforms
 
 
 def _dataset(seed=0, m=60, n=4):
@@ -187,11 +191,69 @@ def test_parallel_runs_are_bit_identical(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+#: Column kinds a batch must hold row by row: ties (with -0.0), distinct, constant, +-1e300.
+COLUMN_KINDS = {
+    "ties": lambda rng, m: rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], m),
+    "distinct": lambda rng, m: rng.normal(size=m),
+    "constant": lambda rng, m: np.full(m, 1.5),
+    "huge": lambda rng, m: rng.normal(size=m) * 1e300,
+}
+
+DATASETS = st.tuples(
+    st.integers(2, 50),
+    st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=3, max_size=7),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DATASETS)
+@example((7, ["ties", "huge", "constant", "distinct", "ties"], 0, 2))
+def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
+    # Rank blocks of ``step`` rows, fewer than the dataset has, so the
+    # dataset spans several blocks and a block boundary falls inside it.
+    m, kinds, seed, step = case
+    assume(step < len(kinds))
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([COLUMN_KINDS[kind](rng, m) for kind in kinds])
+    alone = [ColumnTransforms(values[:, j]) for j in range(len(kinds))]
+    with mock.patch.object(minrel.ranks, "_BLOCK_BYTES", 8 * m * step):
+        ds = Dataset([f"c{j}" for j in range(len(kinds))], values)
+        with mock.patch.object(
+            minrel.ranks, "fractional_ranks", wraps=minrel.ranks.fractional_ranks
+        ) as sort:
+            ds.columns[-1].ranks
+        sizes = [call.args[0].shape[0] for call in sort.call_args_list]
+        assert sizes == [min(step, ds.n - start) for start in range(0, ds.n, step)]
+        for column, own in zip(ds.columns, alone):
+            for view in ("values", "ranks", "dec", "inc"):
+                assert getattr(column, view).tobytes() == getattr(own, view).tobytes()
+            for view in ("centred", "centred_values"):
+                (parts, norm), (own_parts, own_norm) = getattr(column, view), getattr(own, view)
+                assert parts.tobytes() == own_parts.tobytes()
+                assert norm.tobytes() == own_norm.tobytes()
+            assert np.shares_memory(column.ranks, ds.batch.ranks)
+            assert np.shares_memory(column.values, ds.batch.values)
+        # Every matrix cell is the direct call on the columns alone, on one thread or two.
+        for metric in MATRIX_METRICS:
+            serial = pairwise_matrix(ds, metric)
+            with mock.patch.multiple(minrel.matrix, _THREAD_WORK=0, _available_cpus=lambda: 2):
+                threaded = pairwise_matrix(ds, metric)
+            assert serial.values.tobytes() == threaded.values.tobytes()
+            assert serial.degenerate.tobytes() == threaded.degenerate.tobytes()
+            for i, x in enumerate(alone):
+                for j, y in enumerate(alone):
+                    direct = evaluate_metric(x, y, metric)
+                    assert serial.values[i, j].tobytes() == np.float64(direct.value).tobytes()
+                    assert serial.degenerate[i, j] == direct.degenerate
+
+
 def test_preprocessing_sorts_each_column_once(sort_counter):
     ds = _dataset(seed=13, m=30, n=5)
     pairwise_matrix(ds, "iota")
-    # One ranking per column (the negated order is derived), nothing per pair.
-    assert sort_counter["count"] == ds.n
+    # Each column's row ranked once (the negated order is derived), nothing per pair.
+    assert sort_counter["rows"] == ds.n
 
 
 def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
@@ -200,8 +262,8 @@ def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
     # the same Dataset reuses them.
     first = pairwise_matrix(ds, "iota")
     profiles = minrel_profile_matrix(ds)
-    assert sort_counter["count"] == ds.n
-    sort_counter["count"] = 0
+    assert sort_counter["rows"] == ds.n
+    sort_counter["rows"] = 0
     matrix = pairwise_matrix(ds, "iota")
     assert matrix.values.tobytes() == first.values.tobytes()
     assert minrel_profile_matrix(ds).max_iota_sq.tobytes() == profiles.max_iota_sq.tobytes()
@@ -209,13 +271,14 @@ def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
     pairwise_matrix(ds, "iota2")
     for criterion in CRITERIA:
         rank_variables(ds, "c2", criterion)
-    assert sort_counter["count"] == 0
+    assert sort_counter["rows"] == 0
     assert transform_cache(ds) is ds.columns
     assert [column.name for column in ds.columns] == list(ds.names)
-    # An equal but separate Dataset owns columns of its own.
+    # An equal but separate Dataset owns a batch of its own: reading one
+    # column's ranks ranks each of its rows once.
     copy = Dataset(names=ds.names, values=ds.values)
     assert copy.columns[0].ranks.tobytes() == ds.columns[0].ranks.tobytes()
-    assert sort_counter["count"] == 1
+    assert sort_counter["rows"] == ds.n
 
 
 def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
@@ -223,7 +286,7 @@ def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
     # have no rank views yet and would have to sort to read one.
     ranked = _dataset(seed=13, m=30, n=5)
     pairwise_matrix(ranked, "spearman")
-    assert sort_counter["count"] == ranked.n
+    assert sort_counter["rows"] == ranked.n
 
     def exploding(values):
         raise AssertionError("a metric on raw values must not rank")

@@ -41,7 +41,7 @@ def test_compare_criteria_sorts_each_column_once(sort_counter):
     record = compare_criteria(bench.dataset, bench.targets)
     # Three targets and two criteria all read the one Dataset.columns.
     assert len(record.outcomes) == 3
-    assert sort_counter["count"] == bench.dataset.n
+    assert sort_counter["rows"] == bench.dataset.n
 
 
 def test_rank_variables_majority_puts_factors_on_top():

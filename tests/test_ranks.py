@@ -183,9 +183,9 @@ def test_a_batch_ranks_each_row_as_it_ranks_alone(batch):
 def test_a_batch_column_has_each_rows_views(batch):
     rows = _batch(*batch)
     columns = [ColumnTransforms(row) for row in rows]
-    stacked = ColumnTransforms._stacked(list(rows), "x")
+    stacked = ColumnTransforms._batch(list(rows), ["x"] * len(rows))
     assert stacked.m == columns[0].m and not stacked.values.flags.writeable
-    assert stacked.name == "x" and not np.shares_memory(stacked.values, rows)
+    assert stacked.name is None and not np.shares_memory(stacked.values, rows)
     for i, column in enumerate(columns):
         for view in ("values", "ranks", "dec", "inc"):
             assert getattr(stacked, view)[i].tobytes() == getattr(column, view).tobytes()
