@@ -28,10 +28,10 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
   degenerate)`` arrays. Either side may be a batch, a column per row: every
   reduction runs over the last axis, and a row reduces as it does alone.
 
-A two-column call, a ranking score (:mod:`minrel.ranking`) and an
-experiment's block of repetitions (:mod:`minrel.experiments`) are each one
-call of that kernel, and a matrix cell (:mod:`minrel.matrix`) the same
-operations on the same operands, so they agree bit for bit. Every iota
+A two-column call and an experiment's block of repetitions
+(:mod:`minrel.experiments`) are each one call of that kernel, and a matrix
+cell (:mod:`minrel.matrix`) or a ranking score (:mod:`minrel.ranking`) the
+same operations on the same operands, so they agree bit for bit. Every iota
 value is one :func:`_orientations` call, the one caller of :func:`_mass`:
 one orientation forms two masses, two three and all four four, not eight.
 All functions are pure and thread-safe.

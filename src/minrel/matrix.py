@@ -1,20 +1,20 @@
 """Pairwise coefficient matrices over whole datasets.
 
-A :class:`Dataset` is one (n, m) batch (a :class:`ColumnTransforms`, a
-column per row), copied and checked once; every pass over it reuses its
-views, so it is ranked at most once, and only if a metric reads ranks. A
-matrix is its metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch,
-(n, ...) parts, mapped by :func:`_kernel_map` over the cells with j >= i:
-one pair-kernel call per row i and block J gives cells (i, J) and (J, i). A
-metric of :data:`SYMMETRIC_METRICS` writes one result both ways; ``iota``
-and ``iota2`` share masses P, Q and R of :func:`coeff._orientations`;
-``minrel_simple`` counts twice; the profile's cell (j, i) is cell (i, j)
-with orientations 0 and 1, 2 and 3 swapped. Each is the same IEEE
-operations on the same operands as its direct call, each cell is reduced on
-its own, and row i writes only row i and column i of storage allocated
-before any thread starts, so results are bit-identical for any thread
-count. From :data:`_THREAD_WORK` on, one thread per available CPU, dealt
-the rows in turn, runs the kernels, which release the interpreter lock.
+A :class:`Dataset` is one (n, m) batch (a :class:`ColumnTransforms`, a column
+per row), copied and checked once; every pass over it reuses its views, so it
+is ranked at most once, and only if a metric reads ranks. A matrix is its
+metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch, (n, ...) parts,
+mapped by :func:`_kernel_map` over the cells with j >= i: one pair-kernel call
+per row i and block J (:func:`_blocks`, which a ranking reads too) gives cells
+(i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes one result both
+ways; ``iota`` and ``iota2`` share masses P, Q and R of
+:func:`coeff._orientations`; ``minrel_simple`` counts twice; the profile's cell
+(j, i) is cell (i, j) with orientations 0 and 1, 2 and 3 swapped. Each is the
+same IEEE operations on the same operands as its direct call, each cell is
+reduced on its own, and row i writes only row i and column i of storage
+allocated before any thread starts, so results are bit-identical for any thread
+count. From :data:`_THREAD_WORK` on, one thread per available CPU, dealt the
+rows in turn, runs the kernels, which release the interpreter lock.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -93,8 +93,8 @@ class Dataset:
 
     @cached_property
     def columns(self) -> tuple[ColumnTransforms, ...]:
-        """Each column: a :class:`ColumnTransforms` whose values and ranks are the batch's rows."""
-        return tuple(_Row(self.batch, j, name) for j, name in enumerate(self.names))
+        """Each column: a :class:`ColumnTransforms` on its batch row, which it ranks alone."""
+        return tuple(map(_Row, self.batch.values, self.names))
 
     def index(self, name: str) -> int:
         return _index(self.names, name)
@@ -142,7 +142,7 @@ class ProfileMatrix:
 
 
 #: The size of one kernel call's (columns, m) temporaries, in bytes.
-_SCRATCH_BYTES = 1 << 21
+_SCRATCH_BYTES = 1 << 20
 
 #: The triangle's work, n (n + 1) / 2 pairs times m rows, from which threads pay for themselves.
 _THREAD_WORK = 1 << 25
@@ -155,25 +155,31 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blocks(parts: tuple, start: int = 0) -> Iterator[tuple[slice, tuple]]:
+    """(J, rows J of ``parts``) per block J from row ``start`` on, sized by ``_SCRATCH_BYTES``."""
+    n, m = parts[0].shape[:2]
+    width = max(1, _SCRATCH_BYTES // (8 * m))
+    for j in range(start, n, width):
+        rows = slice(j, j + width)
+        yield rows, tuple(part[rows] for part in parts)
+
+
 def _kernel_map(pair: Callable, parts: tuple, cell=()):
     """Cells (i, j) and (j, i) for every j >= i: one ``pair`` call per row i per block J.
 
     ``parts``, the batch's prepared (n, ...) arrays, are only read. ``pair(row
     i, block J)`` returns ``(values, degenerate)`` of cells (i, J), then of
-    cells (J, i); a cell has shape ``cell``. A block's temporaries stay at a
-    few MB. From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
+    cells (J, i); a cell has shape ``cell``. The blocks are :func:`_blocks`
+    from row i on. From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
     """
     n, m = parts[0].shape[:2]
-    width = max(1, min(n, _SCRATCH_BYTES // (8 * m)))
     values = np.empty((n, n, *cell))
     degenerate = np.empty((n, n, *cell), dtype=bool)
 
     def run_rows(rows: Iterable[int]) -> None:
         for i in rows:
             x = tuple(part[i] for part in parts)
-            for j in range(i, n, width):
-                cells = slice(j, j + width)
-                y = tuple(part[cells] for part in parts)
+            for cells, y in _blocks(parts, i):
                 (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
                 values[cells, i], degenerate[cells, i] = transposed
 

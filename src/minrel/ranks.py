@@ -116,7 +116,7 @@ class ColumnTransforms:
     The constructor checks ``values`` and keeps a read-only copy, which no
     later change to the source reaches; ``name`` labels the column in error
     messages. ``_batch`` builds an unnamed batch, a column per row, and
-    ``_Row`` is one of its rows. Each view is built on first use, kept and
+    ``_Row`` takes one of its rows, views not shared. Each view is built on first use, kept and
     read-only. The ranks of -X are exactly m + 1 - r(X), and a sign flip
     swaps and negates the transforms (``neg_dec == -inc``, ``neg_inc ==
     -dec``), so neither takes a second sort or is kept. Two threads first
@@ -193,14 +193,10 @@ class ColumnTransforms:
 
 
 class _Row(ColumnTransforms):
-    """Row ``index`` of ``batch`` as column ``name``: its values and ranks are the batch's rows."""
+    """A checked read-only batch row as column ``name``, not copied; it sorts only itself."""
 
-    def __init__(self, batch: ColumnTransforms, index: int, name: str) -> None:
-        vars(self).update(values=batch.values[index], name=name, _source=batch, _index=index)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return self._source.ranks[self._index]  # the first read ranks the whole batch
+    def __init__(self, values: np.ndarray, name: str) -> None:
+        vars(self).update(values=values, name=name)
 
 
 def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:

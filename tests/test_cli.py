@@ -124,6 +124,31 @@ def test_coeff_unknown_column(capsys, linear_csv):
     assert code == 2 and "zzz" in err
 
 
+def test_header_with_an_empty_name_is_rejected(capsys, tmp_path):
+    path = write_csv(tmp_path, "gap.csv", "a,,b\n1,2,3\n2,3,1\n")
+    code, out, err = run_cli(capsys, "coeff", path)
+    assert (code, out, err) == (2, "", "error: header contains an empty column name\n")
+
+
+def test_coeff_on_one_column_needs_y(capsys, tmp_path):
+    path = write_csv(tmp_path, "one.csv", "a\n1\n2\n3\n")
+    code, out, err = run_cli(capsys, "coeff", path)
+    assert (code, out, err) == (2, "", "error: input has a single column; pass --y explicitly\n")
+
+
+@pytest.mark.parametrize(
+    "metric, rows",
+    [("iota", 2), ("max_iota_sq", 2), ("spearman", 2), ("pearson", 0), ("p_leq_hat", 0)],
+)
+def test_coeff_sorts_only_the_two_columns_it_scores(capsys, tmp_path, sort_counter, metric, rows):
+    values = np.random.default_rng(5).random((20, 5))
+    path = tmp_path / "five.csv"
+    np.savetxt(path, values, delimiter=",", header="a,b,c,d,e", comments="")
+    code, _, _ = run_cli(capsys, "coeff", str(path), "--x", "b", "--y", "d", "--metric", metric)
+    assert code == 0
+    assert sort_counter["rows"] == rows
+
+
 def test_matrix_csv_round_trips_json_values(capsys, tmp_path):
     gen_path = str(tmp_path / "mult.csv")
     run_cli(capsys, "gen", "multiplication", "--m", "150", "--seed", "3",

@@ -18,7 +18,7 @@ from minrel import (
     rank_minrelation,
     spearman,
 )
-from minrel.coeff import _orientations
+from minrel.coeff import CoefficientValue, _orientations
 from minrel.ranks import (
     ColumnTransforms,
     decreasing_scores_from_ranks,
@@ -32,6 +32,12 @@ from oracles import (
     naive_rank_minrelation,
     naive_spearman,
 )
+
+
+def test_coefficient_value_converts_to_its_value():
+    assert float(CoefficientValue(-0.25, degenerate=True)) == -0.25
+    result = rank_minrelation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    assert float(result) == result.value
 
 
 def test_p_leq_hat_examples():

@@ -61,6 +61,12 @@ def test_small_runs_produce_all_cells():
     assert len(table4.cells) == 10 and len(table4.checks) == 4
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_one_repetition_has_zero_standard_errors(name):
+    cells = run_experiment(name, reps=1, m=30, seed=0).cells
+    assert cells and [cell.stderr for cell in cells] == [0.0] * len(cells)
+
+
 def test_experiments_are_seed_deterministic():
     first = run_table3(reps=2, m=50, seed=9)
     second = run_table3(reps=2, m=50, seed=9)

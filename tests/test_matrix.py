@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import minrel.coeff
 import minrel.matrix
+import minrel.ranking
 import minrel.ranks
 from minrel import (
     CRITERIA,
@@ -48,6 +49,9 @@ def test_dataset_validation():
     assert str(error.value) == "b contains a non-finite value at index 1"
     with pytest.raises(InvalidInputError, match="a dataset needs at least one column"):
         Dataset((), np.zeros((3, 0)))
+    with pytest.raises(InvalidInputError) as error:
+        Dataset(("a",), [1.0, 2.0, 3.0])
+    assert str(error.value) == "dataset values must be 2-D, got shape (3,)"
 
 
 def test_dataset_from_columns_rejects_no_columns():
@@ -223,17 +227,17 @@ def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
         with mock.patch.object(
             minrel.ranks, "fractional_ranks", wraps=minrel.ranks.fractional_ranks
         ) as sort:
-            ds.columns[-1].ranks
+            ds.batch.ranks
         sizes = [call.args[0].shape[0] for call in sort.call_args_list]
         assert sizes == [min(step, ds.n - start) for start in range(0, ds.n, step)]
-        for column, own in zip(ds.columns, alone):
+        for j, (column, own) in enumerate(zip(ds.columns, alone)):
             for view in ("values", "ranks", "dec", "inc"):
                 assert getattr(column, view).tobytes() == getattr(own, view).tobytes()
             for view in ("centred", "centred_values"):
                 (parts, norm), (own_parts, own_norm) = getattr(column, view), getattr(own, view)
                 assert parts.tobytes() == own_parts.tobytes()
                 assert norm.tobytes() == own_norm.tobytes()
-            assert np.shares_memory(column.ranks, ds.batch.ranks)
+            assert column.ranks.tobytes() == ds.batch.ranks[j].tobytes()
             assert np.shares_memory(column.values, ds.batch.values)
         # Every matrix cell is the direct call on the columns alone, on one thread or two.
         for metric in MATRIX_METRICS:
@@ -247,6 +251,33 @@ def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
                     direct = evaluate_metric(x, y, metric)
                     assert serial.values[i, j].tobytes() == np.float64(direct.value).tobytes()
                     assert serial.degenerate[i, j] == direct.degenerate
+
+
+@settings(max_examples=60, deadline=None)
+@given(DATASETS)
+@example((7, ["ties", "huge", "constant", "distinct", "ties"], 0, 2))
+def test_rankings_in_blocks_score_the_direct_calls_bit_for_bit(case):
+    # Kernel blocks of ``step`` rows, fewer than the dataset has, so a block
+    # boundary falls inside it; unpatched, the whole batch is one block.
+    m, kinds, seed, step = case
+    assume(step < len(kinds))
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([COLUMN_KINDS[kind](rng, m) for kind in kinds])
+    ds = Dataset([f"c{j}" for j in range(len(kinds))], values)
+    alone = dict(zip(ds.names, (ColumnTransforms(values[:, j]) for j in range(ds.n))))
+    for target in ds.names:
+        for criterion in CRITERIA:
+            whole = rank_variables(ds, target, criterion)
+            with mock.patch.object(minrel.matrix, "_SCRATCH_BYTES", 8 * m * step):
+                blocked = rank_variables(ds, target, criterion)
+            assert blocked.names() == whole.names()
+            metric, target_first, squared = minrel.ranking._CRITERIA[criterion]
+            for (name, score), (_, unpatched) in zip(blocked.ordered, whole.ordered):
+                pair = (alone[name], alone[target])
+                direct = evaluate_metric(*(pair[::-1] if target_first else pair), metric).value
+                expected = direct * direct if squared else direct
+                assert np.float64(score).tobytes() == np.float64(expected).tobytes()
+                assert np.float64(unpatched).tobytes() == np.float64(expected).tobytes()
 
 
 def test_preprocessing_sorts_each_column_once(sort_counter):
@@ -274,10 +305,10 @@ def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
     assert sort_counter["rows"] == 0
     assert transform_cache(ds) is ds.columns
     assert [column.name for column in ds.columns] == list(ds.names)
-    # An equal but separate Dataset owns a batch of its own: reading one
-    # column's ranks ranks each of its rows once.
+    # An equal but separate Dataset owns a batch of its own: reading its
+    # ranks ranks each of its rows once.
     copy = Dataset(names=ds.names, values=ds.values)
-    assert copy.columns[0].ranks.tobytes() == ds.columns[0].ranks.tobytes()
+    assert copy.batch.ranks.tobytes() == ds.batch.ranks.tobytes()
     assert sort_counter["rows"] == ds.n
 
 

@@ -13,7 +13,7 @@ from minrel import (
     rank_variables,
     split_half_cv_eval,
 )
-from minrel.ranking import least_squares_regressor
+from minrel.ranking import RIDGE_EPSILON, least_squares_regressor
 
 
 def _product_with_noise(seed, m=100, noise=5):
@@ -74,6 +74,17 @@ def test_rank_variables_validation():
         rank_variables(ds, "Z", "rho2")
     with pytest.raises(InvalidInputError, match="unknown criterion"):
         rank_variables(ds, "A", "pearson2")
+    with pytest.raises(InvalidInputError) as raised:
+        rank_variables(Dataset.from_columns({"A": [1.0, 2.0, 3.0]}), "A", "rho2")
+    assert str(raised.value) == "ranking needs at least 2 columns"
+
+
+def test_ranking_position_of_a_missing_name_is_rejected():
+    ranking = rank_variables(_product_with_noise(1), "A", "rho2")
+    assert ranking.position(ranking.names()[2]) == 3
+    with pytest.raises(InvalidInputError) as raised:
+        ranking.position("A")
+    assert str(raised.value) == "column 'A' is not in the ranking"
 
 
 def test_rank_variables_deterministic_tie_break():
@@ -255,6 +266,20 @@ def test_singular_design_falls_back_to_ridge():
     summary = split_half_cv_eval(ds, "y", "rho2", sizes=(2,), folds=2, seed=0)
     assert summary.used_ridge
     assert summary.mean_mse <= 1e-6
+
+
+def test_a_non_finite_solution_falls_back_to_ridge():
+    # The slope's pivot is subnormal, so the solve overflows to inf (numpy's
+    # solve ignores overflow); the ridge term makes it finite.
+    x = np.array([[1e-160], [-1e-160], [1e-160], [-1e-160]])
+    y = np.array([1e300, 0.0, 0.0, 0.0])
+    fit = least_squares_regressor(x, y)
+    assert fit.used_ridge
+    design = np.column_stack([x, np.ones(4)])
+    ridged = design.T @ design + RIDGE_EPSILON * np.eye(2)
+    beta = np.linalg.solve(ridged, design.T @ y)
+    assert np.isfinite(beta).all()
+    assert fit.predict(x).tobytes() == (design @ beta).tobytes()
 
 
 def test_least_squares_regressor_plain_fit():

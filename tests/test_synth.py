@@ -118,6 +118,12 @@ def test_monte_carlo_error_halves_when_reps_quadruple():
     assert se_small / se_large == pytest.approx(2.0, abs=0.5)
 
 
+def test_relevance_suite_rejects_no_targets():
+    with pytest.raises(InvalidInputError) as raised:
+        gen_relevance_suite_dataset(50, seed=7, factor_counts=())
+    assert str(raised.value) == "factor_counts must not be empty"
+
+
 def test_relevance_suite_layout():
     bench = gen_relevance_suite_dataset(50, seed=7)
     ds = bench.dataset
