@@ -9,14 +9,13 @@ maps the per-label means to the ordering checks, the qualitative claims
 Spearman's correlation, or one of :data:`ORIENTATIONS`.
 
 :func:`run_experiment` runs any table, repetition ``rep`` with seed
-``seed + rep``, in blocks of about :data:`ranks._BLOCK_BYTES` per column:
-a block's draws of each column are one batch, a row per repetition, built
-as a :class:`Dataset`'s batch is, checked and sorted once. A pair is one
-Spearman call for ``rho`` and one :func:`coeff._orientations` call for as
-many orientations as the table prints, each on two batches, so every value
-has the bits of the direct call on that repetition's columns. Nothing
-unprinted is computed. A cell reports the mean over repetitions and its
-standard error.
+``seed + rep``, in :func:`ranks.row_blocks` blocks of ``_BLOCK_BYTES`` per
+column: a block's draws of each column are one batch, a row per repetition,
+checked and sorted once. A pair is one Spearman call for ``rho`` and one
+:func:`coeff._orientations` call for as many orientations as the table
+prints, each on two batches, so every value has the bits of the direct call
+on that repetition's columns. Nothing unprinted is computed. A cell reports
+the mean over repetitions and its standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .coeff import _evaluate, _orientations
 from .errors import require_choice, require_count
-from .ranks import _BLOCK_BYTES, ColumnTransforms
+from .ranks import _BLOCK_BYTES, ColumnTransforms, row_blocks
 from .synth import DRAWS
 
 
@@ -171,12 +170,10 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     m = require_count(m, "m", 2)
     seed = require_count(seed, "seed", 0)
     draw = DRAWS[table.family]
-    seeds = range(seed, seed + reps)
-    block = max(1, _BLOCK_BYTES // (8 * m))
     count = 1 + max(ORIENTATIONS.index(stat) for stat in table.stats if stat != "rho")
     values: dict[str, list[float]] = {}
-    for start in range(0, reps, block):
-        draws = [draw(np.random.default_rng(s), m) for s in seeds[start : start + block]]
+    for block in row_blocks(reps, m, _BLOCK_BYTES):
+        draws = [draw(np.random.default_rng(seed + rep), m) for rep in range(reps)[block]]
         names = {x: [f"column {x!r}"] * len(draws) for x in draws[0]}
         columns = {x: ColumnTransforms._batch([d[x] for d in draws], names[x]) for x in names}
         for x, y, _, _ in table.rows:

@@ -5,7 +5,7 @@ per row), copied and checked once; every pass over it reuses its views, so it
 is ranked at most once, and only if a metric reads ranks. A matrix is its
 metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch, (n, ...) parts,
 mapped by :func:`_kernel_map` over the cells with j >= i: one pair-kernel call
-per row i and block J (:func:`_blocks`, which a ranking reads too) gives cells
+per row i and :func:`_blocks` block J, as a ranking reads them, gives cells
 (i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes one result both
 ways; ``iota`` and ``iota2`` share masses P, Q and R of
 :func:`coeff._orientations`; ``minrel_simple`` counts twice; the profile's cell
@@ -29,7 +29,7 @@ import numpy as np
 from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _iota_both
 from .coeff import _max_iota_sq, _orientations
 from .errors import InvalidInputError, require_choice, require_count
-from .ranks import ColumnTransforms, _frozen, _Row, as_float_array
+from .ranks import ColumnTransforms, _frozen, as_float_array, row_blocks
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -94,7 +94,7 @@ class Dataset:
     @cached_property
     def columns(self) -> tuple[ColumnTransforms, ...]:
         """Each column: a :class:`ColumnTransforms` on its batch row, which it ranks alone."""
-        return tuple(map(_Row, self.batch.values, self.names))
+        return tuple(map(ColumnTransforms._checked, self.batch.values, self.names))
 
     def index(self, name: str) -> int:
         return _index(self.names, name)
@@ -156,12 +156,9 @@ def _available_cpus() -> int:
 
 
 def _blocks(parts: tuple, start: int = 0) -> Iterator[tuple[slice, tuple]]:
-    """(J, rows J of ``parts``) per block J from row ``start`` on, sized by ``_SCRATCH_BYTES``."""
-    n, m = parts[0].shape[:2]
-    width = max(1, _SCRATCH_BYTES // (8 * m))
-    for j in range(start, n, width):
-        rows = slice(j, j + width)
-        yield rows, tuple(part[rows] for part in parts)
+    """(J, rows J of ``parts``) per ``row_blocks`` block J of ``_SCRATCH_BYTES`` from ``start``."""
+    blocks = row_blocks(*parts[0].shape[:2], _SCRATCH_BYTES, start)
+    return ((rows, tuple(part[rows] for part in parts)) for rows in blocks)
 
 
 def _kernel_map(pair: Callable, parts: tuple, cell=()):

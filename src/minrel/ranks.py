@@ -15,7 +15,7 @@ elementwise, bit for bit.
 stored as one (n, m) array, a column per row, each row with the bits of its
 column's views (every view works along the last axis). It keeps one checked
 read-only copy of its samples and builds each view on first use from one
-ranking, one sort call per block of rows of :data:`_BLOCK_BYTES`. Tied
+ranking, one sort call per :func:`row_blocks` block of :data:`_BLOCK_BYTES`. Tied
 ranks are half-integers, so r(-X) = m + 1 - r(X) holds exactly; untied, a
 rank is its sorted position. Spearman centres ranks at their exact mean
 (m+1)/2. Every function that takes a column goes through :func:`as_column`,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence, Union
+from typing import Iterator, Literal, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +47,12 @@ def as_float_array(data, what: str) -> np.ndarray:
 
 #: Bytes of one block of rows: a batch is ranked with one sort call per block.
 _BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(n: int, m: int, budget: int, start: int = 0) -> Iterator[slice]:
+    """Slices of rows ``start`` to n in order, max(1, budget // (8 m)) rows each but the last."""
+    width = max(1, budget // (8 * m))
+    return (slice(i, min(i + width, n)) for i in range(start, n, width))
 
 
 def _finite_copy(rows, names: Sequence[str]) -> np.ndarray:
@@ -113,14 +119,14 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
 class ColumnTransforms:
     """One variable's samples, finite reals and at least two, and every view of them.
 
-    The constructor checks ``values`` and keeps a read-only copy, which no
-    later change to the source reaches; ``name`` labels the column in error
-    messages. ``_batch`` builds an unnamed batch, a column per row, and
-    ``_Row`` takes one of its rows, views not shared. Each view is built on first use, kept and
-    read-only. The ranks of -X are exactly m + 1 - r(X), and a sign flip
-    swaps and negates the transforms (``neg_dec == -inc``, ``neg_inc ==
-    -dec``), so neither takes a second sort or is kept. Two threads first
-    reading a view at once may both build it, with the same bits.
+    The constructor checks ``values`` and keeps a read-only copy, which no later
+    change to the source reaches; ``name`` labels the column in error messages.
+    ``_batch`` checks and copies a batch, a column per row, and ``_checked``
+    wraps checked values, such as a row, sharing no view. Each view is built on
+    first use, kept and read-only. The ranks of -X are exactly m + 1 - r(X),
+    and a sign flip swaps and negates the transforms (``neg_dec == -inc``,
+    ``neg_inc == -dec``), so neither takes a second sort or is kept. Two
+    threads first reading a view at once may both build it, with the same bits.
     """
 
     values: np.ndarray
@@ -136,11 +142,16 @@ class ColumnTransforms:
         object.__setattr__(self, "values", _finite_copy(values, (what,)))
 
     @classmethod
+    def _checked(cls, values: np.ndarray, name: str | None = None) -> ColumnTransforms:
+        """Checked read-only ``values`` as a column or batch named ``name``: no copy, no check."""
+        column = object.__new__(cls)
+        vars(column).update(values=values, name=name)
+        return column
+
+    @classmethod
     def _batch(cls, rows, names: Sequence[str]) -> ColumnTransforms:
         """n float rows of one length m >= 2 (an array or arrays), row i named ``names[i]``."""
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "values", _finite_copy(rows, names))
-        return batch
+        return cls._checked(_finite_copy(rows, names))
 
     @property
     def m(self) -> int:
@@ -150,9 +161,9 @@ class ColumnTransforms:
     def ranks(self) -> np.ndarray:
         """:func:`fractional_ranks` of each row, one call per block of rows of ``_BLOCK_BYTES``."""
         rows = self.values.reshape(-1, self.m)
-        ranks, step = np.empty(rows.shape), max(1, _BLOCK_BYTES // (8 * self.m))
-        for i in range(0, len(rows), step):
-            ranks[i : i + step] = fractional_ranks(rows[i : i + step])
+        ranks = np.empty(rows.shape)
+        for block in row_blocks(len(rows), self.m, _BLOCK_BYTES):
+            ranks[block] = fractional_ranks(rows[block])
         return _frozen(ranks.reshape(self.values.shape))
 
     @cached_property
@@ -190,13 +201,6 @@ class ColumnTransforms:
         if sign < 0:
             return self.neg_dec, self.neg_inc
         return self.dec, self.inc
-
-
-class _Row(ColumnTransforms):
-    """A checked read-only batch row as column ``name``, not copied; it sorts only itself."""
-
-    def __init__(self, values: np.ndarray, name: str) -> None:
-        vars(self).update(values=values, name=name)
 
 
 def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:
@@ -254,13 +258,15 @@ def uniform_norm(column: ColumnLike) -> np.ndarray:
 
 
 def decreasing_scores_from_ranks(ranks: np.ndarray, m: int) -> np.ndarray:
-    """r^2/m^2 - 0.5 for increasing-order ranks r."""
-    return (ranks * ranks) / float(m * m) - 0.5
+    """r^2/m^2 - 0.5 for increasing-order ranks r, in one new array."""
+    scores = ranks * ranks
+    return np.subtract(np.divide(scores, float(m * m), out=scores), 0.5, out=scores)
 
 
 def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarray:
-    """0.5 - r^2/m^2 for decreasing-order ranks r (ranks of the negated column)."""
-    return 0.5 - (negated_ranks * negated_ranks) / float(m * m)
+    """0.5 - r^2/m^2 for decreasing-order ranks r (of the negated column), in one new array."""
+    scores = negated_ranks * negated_ranks
+    return np.subtract(0.5, np.divide(scores, float(m * m), out=scores), out=scores)
 
 
 def tri_decreasing(column: ColumnLike) -> TriangularScores:

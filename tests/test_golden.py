@@ -4,15 +4,22 @@ The files in ``data/golden`` were written by the command lines below from
 ``data/golden/input.csv`` (or ``input_names.csv``), run from that
 directory, so the recorded input path is the file name. Each command must give these bytes both with
 ``--output`` and on stdout. Seven data rows keep every sum a plain sequential
-loop. The JSON files hold no Pearson/Spearman values: those go through a
-BLAS dot product, whose last bits may differ between CPUs; their CSV
-files print 12 significant digits, which hides those bits.
+loop. The JSON files hold no Pearson values: those go through a BLAS dot
+product, whose last bits may differ between CPUs and thread counts; their
+CSV files print 12 significant digits, which hides those bits. Spearman's
+centred ranks are multiples of 1/2, so while m is below about 2 * 10**5
+every product and partial sum of its dot products is exact and BLAS cannot
+change its bits: its JSON files are pinned too.
 """
 
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import minrel
 from minrel.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -68,6 +75,9 @@ COMMANDS = {
         ]
         for criterion in ("rho2", "iota_sq")
     },
+    "rank_rho2.json": ["rank", "input.csv", "--target", "A", "--criterion", "rho2"],
+    "coeff_spearman.json": ["coeff", "input.csv", "--metric", "spearman"],
+    "matrix_spearman.json": ["matrix", "input.csv", "--metric", "spearman"],
     **{
         f"coeff_{metric}.csv": ["coeff", "input.csv", "--metric", metric, "--format", "csv"]
         for metric in (
@@ -87,3 +97,32 @@ def test_output_bytes_equal_the_golden_file(name, tmp_path, monkeypatch, capsys)
     assert written.read_bytes() == golden
     assert main(COMMANDS[name]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_spearman_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 50 000 rows, far more than the golden files hold: untied columns of
+    # different scales and tied ones. On a 2-CPU x86-64 host with OpenBLAS,
+    # Pearson on this input gives different bytes under one and two threads.
+    rng = np.random.default_rng(7)
+    m = 50_000
+    columns = [
+        rng.normal(size=m), rng.normal(size=m) * 1e3,
+        rng.integers(0, 5, m).astype(float), rng.integers(0, 50, m) * 0.5,
+    ]
+    path = tmp_path / "input.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("a,b,c,d\n")
+        np.savetxt(handle, np.column_stack(columns), delimiter=",", fmt="%.17g")
+    package_root = os.path.dirname(os.path.dirname(minrel.__file__))
+    for command in ("matrix", "coeff"):
+        argv = [sys.executable, "-m", "minrel.cli", command, str(path), "--metric", "spearman"]
+        outputs = set()
+        for threads in ("1", "2"):
+            env = {
+                **os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+            }
+            run = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert (run.returncode, run.stderr) == (0, b"")
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, command

@@ -231,6 +231,7 @@ def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
         sizes = [call.args[0].shape[0] for call in sort.call_args_list]
         assert sizes == [min(step, ds.n - start) for start in range(0, ds.n, step)]
         for j, (column, own) in enumerate(zip(ds.columns, alone)):
+            assert type(column) is ColumnTransforms
             for view in ("values", "ranks", "dec", "inc"):
                 assert getattr(column, view).tobytes() == getattr(own, view).tobytes()
             for view in ("centred", "centred_values"):

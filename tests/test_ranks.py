@@ -18,7 +18,7 @@ from minrel import (
     tri_increasing,
     uniform_norm,
 )
-from minrel.ranks import ColumnTransforms, centred, fractional_ranks
+from minrel.ranks import ColumnTransforms, centred, fractional_ranks, row_blocks
 
 from oracles import naive_ranks
 
@@ -195,6 +195,17 @@ def test_a_batch_column_has_each_rows_views(batch):
             )
             assert batch_column[i].tobytes() == own_column.tobytes()
             assert batch_norm[i].tobytes() == own_norm.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 60), st.integers(0, 8 * 60 * 40), st.integers(0, 320))
+@example(10, 3, 8 * 3 * 4, 1)  # blocks of 4 rows from row 1: 4, 4 and a last 1
+def test_row_blocks_cover_the_rows_from_start_once_in_order(n, m, budget, start):
+    width = max(1, budget // (8 * m))
+    blocks = [range(n)[block] for block in row_blocks(n, m, budget, start)]
+    assert [row for rows in blocks for row in rows] == list(range(start, n))
+    assert all(len(rows) == width for rows in blocks[:-1])
+    assert all(1 <= len(rows) <= width for rows in blocks[-1:])
 
 
 def test_uniform_norm_examples():
