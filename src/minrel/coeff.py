@@ -82,15 +82,13 @@ def _pair_columns(x: ColumnLike, y: ColumnLike) -> tuple[ColumnTransforms, Colum
 
 
 def _mass(s: np.ndarray) -> np.ndarray:
-    """The one mass reduction: row sums of max(s, 0)^2, squaring ``s`` in place.
+    """Row sums of max(s, 0)^2 by :func:`ranks.dots`, clipping and squaring ``s`` in place.
 
     max(x + y, 0)^2 equals I(x > -y) * (x + y)^2 exactly: a rounded sum of
-    two doubles is positive exactly when the true sum is. A row's pairwise
-    sum is the same alone or in a batch (never ``einsum`` or ``dot``).
+    two doubles is positive exactly when the true sum is.
     """
     np.maximum(s, 0.0, out=s)
-    s *= s
-    return s.sum(axis=-1)
+    return dots(s, s, out=s)
 
 
 def _ratio(numerator, denominator) -> tuple[np.ndarray, np.ndarray]:

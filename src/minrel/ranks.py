@@ -172,7 +172,7 @@ class ColumnTransforms:
 
     @cached_property
     def inc(self) -> np.ndarray:
-        return _frozen(increasing_scores_from_ranks((self.m + 1) - self.ranks, self.m))
+        return _frozen(increasing_scores_from_ranks(r := (self.m + 1) - self.ranks, self.m, out=r))
 
     @property
     def neg_dec(self) -> np.ndarray:
@@ -213,13 +213,13 @@ def _unit_scaled(values: np.ndarray) -> np.ndarray:
     return np.ldexp(values, -np.frexp(np.abs(values).max(axis=-1, keepdims=True))[1])
 
 
-def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, one independent dot per row.
+def dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of a * b, the product written to ``out`` if given: every mass and correlation.
 
-    Unlike a matrix product, each row of a batch reduces exactly as it
-    would alone.
+    numpy's pairwise row ``sum`` reduces each row of a batch as it would alone;
+    BLAS, whose summation order follows its thread count, never sets a bit.
     """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    return np.multiply(a, b, out=out).sum(axis=-1)
 
 
 def centred(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +263,11 @@ def decreasing_scores_from_ranks(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.subtract(np.divide(scores, float(m * m), out=scores), 0.5, out=scores)
 
 
-def increasing_scores_from_ranks(negated_ranks: np.ndarray, m: int) -> np.ndarray:
-    """0.5 - r^2/m^2 for decreasing-order ranks r (of the negated column), in one new array."""
-    scores = negated_ranks * negated_ranks
+def increasing_scores_from_ranks(
+    negated_ranks: np.ndarray, m: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """0.5 - r^2/m^2 for the ranks r of the negated column, into ``out`` or else a new array."""
+    scores = np.multiply(negated_ranks, negated_ranks, out=out)
     return np.subtract(0.5, np.divide(scores, float(m * m), out=scores), out=scores)
 
 

@@ -4,14 +4,10 @@ The files in ``data/golden`` were written by the command lines below from
 ``data/golden/input.csv`` (or ``input_names.csv``), run from that
 directory, so the recorded input path is the file name. Each command must give these bytes both with
 ``--output`` and on stdout. Seven data rows keep every sum a plain sequential
-loop. The JSON files hold no Pearson values: those go through a BLAS dot
-product, whose last bits may differ between CPUs and thread counts; their
-CSV files print 12 significant digits, which hides those bits. Spearman's
-centred ranks are multiples of 1/2, so while m is below about 2 * 10**5
-every product and partial sum of its dot products is exact and BLAS cannot
-change its bits: its JSON files are pinned too.
+loop.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -76,8 +72,11 @@ COMMANDS = {
         for criterion in ("rho2", "iota_sq")
     },
     "rank_rho2.json": ["rank", "input.csv", "--target", "A", "--criterion", "rho2"],
-    "coeff_spearman.json": ["coeff", "input.csv", "--metric", "spearman"],
-    "matrix_spearman.json": ["matrix", "input.csv", "--metric", "spearman"],
+    **{
+        f"{command}_{metric}.json": [command, "input.csv", "--metric", metric]
+        for command in ("coeff", "matrix")
+        for metric in ("pearson", "spearman")
+    },
     **{
         f"coeff_{metric}.csv": ["coeff", "input.csv", "--metric", metric, "--format", "csv"]
         for metric in (
@@ -99,10 +98,11 @@ def test_output_bytes_equal_the_golden_file(name, tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out.encode("utf-8") == golden
 
 
-def test_spearman_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+def test_correlation_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 50 000 rows, far more than the golden files hold: untied columns of
     # different scales and tied ones. On a 2-CPU x86-64 host with OpenBLAS,
-    # Pearson on this input gives different bytes under one and two threads.
+    # Pearson reduced by a BLAS dot product gives different bytes under one and
+    # two threads on this input.
     rng = np.random.default_rng(7)
     m = 50_000
     columns = [
@@ -114,8 +114,8 @@ def test_spearman_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         handle.write("a,b,c,d\n")
         np.savetxt(handle, np.column_stack(columns), delimiter=",", fmt="%.17g")
     package_root = os.path.dirname(os.path.dirname(minrel.__file__))
-    for command in ("matrix", "coeff"):
-        argv = [sys.executable, "-m", "minrel.cli", command, str(path), "--metric", "spearman"]
+    for command, metric in itertools.product(("matrix", "coeff"), ("pearson", "spearman")):
+        argv = [sys.executable, "-m", "minrel.cli", command, str(path), "--metric", metric]
         outputs = set()
         for threads in ("1", "2"):
             env = {
@@ -125,4 +125,4 @@ def test_spearman_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             run = subprocess.run(argv, capture_output=True, env=env, timeout=120)
             assert (run.returncode, run.stderr) == (0, b"")
             outputs.add(run.stdout)
-        assert len(outputs) == 1, command
+        assert len(outputs) == 1, (command, metric)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import os
 import subprocess
 import sys
@@ -114,15 +115,21 @@ def test_pairwise_matrix_rejects_unknown_metric():
         pairwise_matrix(_dataset(), "kendall")
 
 
-def test_pairwise_matrix_equals_direct_two_column_calls():
-    ds = _dataset(seed=3, m=40, n=4)
-    for metric in MATRIX_METRICS:
-        matrix = pairwise_matrix(ds, metric)
-        for i in range(ds.n):
-            for j in range(ds.n):
-                direct = evaluate_metric(ds.values[:, i], ds.values[:, j], metric)
-                assert matrix.values[i, j] == direct.value
-                assert matrix.degenerate[i, j] == direct.degenerate
+def test_pairwise_matrix_equals_direct_two_column_calls(monkeypatch):
+    # At m = 50 000 a block of the default _SCRATCH_BYTES holds 2 of the 4
+    # rows, so a block boundary falls inside the input. A reduction that sums a
+    # row in a batch differently than alone (numpy's einsum, for one) fails there.
+    datasets = (_dataset(seed=3, m=40, n=4), _dataset(seed=3, m=50_000, n=4))
+    for forced in (False, True):
+        if forced:
+            _force_threads(monkeypatch, 2)
+        for ds, metric in itertools.product(datasets, MATRIX_METRICS):
+            matrix = pairwise_matrix(ds, metric)
+            for i in range(ds.n):
+                for j in range(ds.n):
+                    direct = evaluate_metric(ds.values[:, i], ds.values[:, j], metric)
+                    assert matrix.values[i, j] == direct.value
+                    assert matrix.degenerate[i, j] == direct.degenerate
 
 
 def test_symmetric_metrics_and_unit_diagonal():
