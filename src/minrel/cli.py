@@ -331,13 +331,14 @@ def _cmd_coeff(args: argparse.Namespace) -> int:
     y_name = args.y or dataset.names[1]
     x = dataset.columns[dataset.index(x_name)]
     y = dataset.columns[dataset.index(y_name)]
-    if args.orientation:
+    orientation = "--" if args.orientation == [] else args.orientation  # argparse drops "--"
+    if orientation is not None:
         if args.metric != "iota":
             raise InvalidInputError("--orientation only applies to --metric iota")
-        result = coeff.iota_oriented(x, y, *_parse_orientation(args.orientation))
+        result = coeff.iota_oriented(x, y, *_parse_orientation(orientation))
     else:
         result = coeff.evaluate_metric(x, y, args.metric)
-    fields = dict(x=x_name, y=y_name, metric=args.metric, orientation=args.orientation or "++")
+    fields = dict(x=x_name, y=y_name, metric=args.metric, orientation=orientation or "++")
     config = _dataset_config(args, dataset, **fields, strict=args.strict)
     header = ["metric", "value", "degenerate", "m"]
     values = [args.metric, result.value, result.degenerate, dataset.m]
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument(
         "--orientation",
         default=None,
-        help="two signs applied to (x, y) before ranking, e.g. '+-' (iota only)",
+        help="two signs applied to (x, y) before ranking, e.g. --orientation=-+ (iota only)",
     )
     p_coeff.add_argument(
         "--strict",

@@ -32,14 +32,15 @@ A two-column call and an experiment's block of repetitions
 (:mod:`minrel.experiments`) are each one call of that kernel, and a matrix
 cell (:mod:`minrel.matrix`) or a ranking score (:mod:`minrel.ranking`) the
 same operations on the same operands, so they agree bit for bit. Every iota
-value is one :func:`_orientations` call, the one caller of :func:`_mass`:
-one orientation forms two masses, two three and all four four, not eight.
+value, of any of the eight signed orientations, is one :func:`_orientations`
+call on (dec, inc) transforms, which forms each of four masses at most once.
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -110,34 +111,42 @@ def _coefficient(value: np.ndarray, degenerate: np.ndarray) -> CoefficientValue:
     return CoefficientValue(float(value), bool(degenerate))
 
 
-def _orientations(x: tuple, y: tuple, count: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """iota of (X, Y), (Y, X), (-X, Y) and (-Y, X), the first ``count``, on a last axis.
+#: The operand of each mass, from (dec, inc) parts x and y, written to ``out`` (None: a new array).
+_OPERANDS = {
+    "P": lambda x, y, out: np.add(x[0], y[0], out=out),
+    "Q": lambda x, y, out: np.subtract(x[0], y[1], out=out),
+    "R": lambda x, y, out: np.subtract(y[0], x[1], out=out),
+    "S": lambda x, y, out: np.subtract(np.negative(x[1], out=out), y[1], out=out),
+}
 
-    With dec(-X) = -inc(X), ``above`` is (P, P, R, Q) and ``below`` is
-    (Q, R, S, S), stacked once, for P = mass(decX + decY), Q = mass(decX -
-    incY), R = mass(decY - incX) and S = mass(-incX - incY), each formed only
-    if used: one orientation reads only ``x[0]``, ``y[0]`` and ``y[1]``. a - b
-    equals (-b) + a exactly, so each orientation has the bits of the
-    one-orientation call on its own operands. The other four sign
-    combinations are these four negated, exactly.
+
+def _orientations(x: tuple, y: tuple, which: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """iota of the orientations ``which`` of (dec, inc) parts x and y, in order, on a last axis.
+
+    Orientation k, (X, Y), (Y, X), (-X, Y), (-Y, X), (X, -Y), (Y, -X), (-X, -Y)
+    or (-Y, -X), trades mass ``"PPRQQRSS"[k]`` against ``"QRSSPPRQ"[k]`` of the
+    :data:`_OPERANDS`, as dec(-X) = -inc(X) and inc(-X) = -dec(X). Each mass is
+    formed once, if used, in one work array that the first allocates (never S,
+    which every orientation pairs with another); (X, Y) reads only ``x[0]``,
+    ``y[0]`` and ``y[1]``. Negation is exact, + commutes and a - b is a + (-b),
+    so each value has the bits of the trade-off on the signed transforms.
     """
-    work = np.add(x[0], y[0])
-    p, q = _mass(work), _mass(np.subtract(x[0], y[1], out=work))
-    r = _mass(np.subtract(y[0], x[1], out=work)) if count > 1 else None
-    s = _mass(np.subtract(np.negative(x[1], out=work), y[1], out=work)) if count > 2 else None
-    masses = np.stack((p, p, r, q)[:count] + (q, r, s, s)[:count], axis=-1)
-    return _tradeoff(masses[..., :count], masses[..., count:])
+    names = ["PPRQQRSS"[k] for k in which] + ["QRSSPPRQ"[k] for k in which]
+    work, mass = None, {}
+    for name in "PQRS":
+        if name in names:
+            work = _OPERANDS[name](x, y, work)
+            mass[name] = _mass(work)
+    masses = np.empty(work.shape[:-1] + (len(names),))  # filled: np.stack costs more on a pair
+    for i, name in enumerate(names):
+        masses[..., i] = mass[name]
+    return _tradeoff(masses[..., : len(which)], masses[..., len(which) :])
 
 
-def _iota(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The trade-off of X to Y: orientation 0 of :func:`_orientations`."""
-    return tuple(part[..., 0] for part in _orientations(x, y, 1))
-
-
-def _iota_both(x: tuple, y: tuple) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """:func:`_iota` of (X, Y) and of (Y, X), orientations 0 and 1: three masses."""
-    values, degenerate = _orientations(x, y, 2)
-    return (values[..., 0], degenerate[..., 0]), (values[..., 1], degenerate[..., 1])
+def _each(x: tuple, y: tuple, which: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """:func:`_orientations` as one (values, degenerate) pair per orientation of ``which``."""
+    values, degenerate = _orientations(x, y, which)
+    return tuple((values[..., i], degenerate[..., i]) for i in range(len(which)))
 
 
 def _max_iota_sq(values: np.ndarray, degenerate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +189,7 @@ def _raw_indicator(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raw_squared(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_iota` with raw values as both transforms, scaled so no square overflows.
+    """iota of X to Y with raw values as both transforms, scaled so no square overflows.
 
     The scale is the exact power of two that puts the pair's largest |value| in
     [0.5, 1); it cancels in the ratio.
@@ -189,7 +198,7 @@ def _raw_squared(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     largest = np.maximum(np.abs(xv).max(axis=-1), np.abs(yv).max(axis=-1))
     exponent = -np.frexp(largest)[1][..., None]
     ys = np.ldexp(yv, exponent)
-    return _iota((np.ldexp(xv, exponent),), (ys, ys))
+    return _each((np.ldexp(xv, exponent),), (ys, ys), (0,))[0]
 
 
 class Metric(NamedTuple):
@@ -203,15 +212,17 @@ def _values(t: ColumnTransforms) -> tuple[np.ndarray]:
     return (t.values,)
 
 
+#: The (dec, inc) parts of a :class:`ColumnTransforms`, which :func:`_orientations` reads.
+_transforms = attrgetter("dec", "inc")
+
 #: The one metric table: every metric identifier, in CLI order.
 METRIC_TABLE: dict[str, Metric] = {
     "pearson": Metric(lambda t: t.centred_values, _correlation),
     "spearman": Metric(lambda t: t.centred, _correlation),
-    "iota": Metric(lambda t: t.oriented(1), _iota),
-    # iota2(X, Y) == iota(-Y, -X), on the transforms of -X.
-    "iota2": Metric(lambda t: t.oriented(-1), lambda x, y: _iota(y, x)),
+    "iota": Metric(_transforms, lambda x, y: _each(x, y, (0,))[0]),
+    "iota2": Metric(_transforms, lambda x, y: _each(x, y, (7,))[0]),  # iota(-Y, -X)
     "max_iota_sq": Metric(
-        lambda t: t.oriented(1), lambda x, y: _max_iota_sq(*_orientations(x, y))
+        _transforms, lambda x, y: _max_iota_sq(*_orientations(x, y, (0, 1, 2, 3)))
     ),
     "minrel_simple": Metric(_values, _concordance),
     "p_leq_hat": Metric(_values, _p_leq),
@@ -282,16 +293,14 @@ def iota_oriented(
     Flipping ``sign_y`` negates the result exactly; flipping ``sign_x``
     generally does not (the measure is asymmetric).
     """
-    sx = require_sign(sign_x, "sign_x")
-    sy = require_sign(sign_y, "sign_y")
-    x, y = _pair_columns(x, y)
-    return _coefficient(*_iota(x.oriented(sx), y.oriented(sy)))
+    k = (1 - require_sign(sign_x, "sign_x")) + 2 * (1 - require_sign(sign_y, "sign_y"))
+    return _coefficient(*_each(*map(_transforms, _pair_columns(x, y)), (k,))[0])
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:
     """Sibling coefficient trading p(X<=Y) against p(-X<=Y).
 
-    Computed through its exact identity with the main coefficient:
+    Orientation (-Y, -X) of the main coefficient, exactly:
     iota2(X, Y) == rank_minrelation(-Y, -X).
     """
     return _pair("iota2", x, y)
@@ -303,8 +312,7 @@ def minrel_profile(x: ColumnLike, y: ColumnLike) -> MinrelProfile:
     One call of :func:`_orientations` and :func:`_max_iota_sq`, the
     ``max_iota_sq`` kernel, so the square equals :func:`max_iota_sq`.
     """
-    tx, ty = _pair_columns(x, y)
-    values, degenerate = _orientations(tx.oriented(1), ty.oriented(1))
+    values, degenerate = _orientations(*map(_transforms, _pair_columns(x, y)), (0, 1, 2, 3))
     best, _ = _max_iota_sq(values, degenerate)
     return MinrelProfile(*map(_coefficient, values, degenerate), float(best))
 

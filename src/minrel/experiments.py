@@ -12,7 +12,7 @@ Spearman's correlation, or one of :data:`ORIENTATIONS`.
 ``seed + rep``, in :func:`ranks.row_blocks` blocks of ``_BLOCK_BYTES`` per
 column: a block's draws of each column are one batch, a row per repetition,
 checked and sorted once. A pair is one Spearman call for ``rho`` and one
-:func:`coeff._orientations` call for as many orientations as the table
+:func:`coeff._orientations` call for exactly the orientations the table
 prints, each on two batches, so every value has the bits of the direct call
 on that repetition's columns. Nothing unprinted is computed. A cell reports
 the mean over repetitions and its standard error.
@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .coeff import _evaluate, _orientations
+from .coeff import _evaluate, _orientations, _transforms
 from .errors import require_choice, require_count
 from .ranks import _BLOCK_BYTES, ColumnTransforms, row_blocks
 from .synth import DRAWS
@@ -153,8 +153,8 @@ TABLES: dict[str, _Table] = {
 
 EXPERIMENTS = tuple(TABLES)
 
-#: The orientations :func:`coeff._orientations` returns, in its order: iota of
-#: (x, y), (y, x), (-x, y) and (-y, x), by the names table labels use.
+#: Orientations 0 to 3 of :func:`coeff._orientations`, iota of (x, y), (y, x),
+#: (-x, y) and (-y, x), by the names table labels use.
 ORIENTATIONS = ("iota", "iota_yx", "iota_negx", "iota_negy")
 
 def _stderr(values: list[float]) -> float:
@@ -170,7 +170,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
     m = require_count(m, "m", 2)
     seed = require_count(seed, "seed", 0)
     draw = DRAWS[table.family]
-    count = 1 + max(ORIENTATIONS.index(stat) for stat in table.stats if stat != "rho")
+    iotas_printed = [stat for stat in table.stats if stat != "rho"]
+    which = tuple(map(ORIENTATIONS.index, iotas_printed))
     values: dict[str, list[float]] = {}
     for block in row_blocks(reps, m, _BLOCK_BYTES):
         draws = [draw(np.random.default_rng(seed + rep), m) for rep in range(reps)[block]]
@@ -178,8 +179,8 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
         columns = {x: ColumnTransforms._batch([d[x] for d in draws], names[x]) for x in names}
         for x, y, _, _ in table.rows:
             rho, _ = _evaluate("spearman", columns[x], columns[y])
-            iotas, _ = _orientations(columns[x].oriented(1), columns[y].oriented(1), count)
-            per_rep = dict(zip(ORIENTATIONS, np.moveaxis(iotas, -1, 0)), rho=rho)
+            iotas, _ = _orientations(_transforms(columns[x]), _transforms(columns[y]), which)
+            per_rep = dict(zip(iotas_printed, np.moveaxis(iotas, -1, 0)), rho=rho)
             for stat in table.stats:
                 values.setdefault(f"{stat}({x},{y})", []).extend(per_rep[stat].tolist())
     means = {label: float(np.mean(series)) for label, series in values.items()}

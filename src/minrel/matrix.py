@@ -7,9 +7,9 @@ metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch, (n, ...) parts,
 mapped by :func:`_kernel_map` over the cells with j >= i: one pair-kernel call
 per row i and :func:`_blocks` block J, as a ranking reads them, gives cells
 (i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes one result both
-ways; ``iota`` and ``iota2`` share masses P, Q and R of
-:func:`coeff._orientations`; ``minrel_simple`` counts twice; the profile's cell
-(j, i) is cell (i, j) with orientations 0 and 1, 2 and 3 swapped. Each is the
+ways; ``iota`` and ``iota2`` are orientations (0, 1) and (7, 6) of one
+:func:`coeff._orientations` call; ``minrel_simple`` counts twice; the profile's
+cell (j, i) is cell (i, j) with orientations 0 and 1, 2 and 3 swapped. Each is the
 same IEEE operations on the same operands as its direct call, each cell is
 reduced on its own, and row i writes only row i and column i of storage
 allocated before any thread starts, so results are bit-identical for any thread
@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _iota_both
-from .coeff import _max_iota_sq, _orientations
+from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _each
+from .coeff import _max_iota_sq, _orientations, _transforms
 from .errors import InvalidInputError, require_choice, require_count
 from .ranks import ColumnTransforms, _frozen, as_float_array, row_blocks
 
@@ -73,7 +73,11 @@ class Dataset:
     @classmethod
     def from_columns(cls, columns: Mapping[str, Iterable[float]]) -> "Dataset":
         arrays = [as_float_array(columns[name], f"column {name!r}") for name in columns]
-        lengths = {array.shape[0] if array.ndim else 0 for array in arrays}
+        for name, array in zip(columns, arrays):
+            if array.ndim != 1:
+                shape = array.shape
+                raise InvalidInputError(f"column {name!r} must be one-dimensional, got shape {shape}")
+        lengths = {len(array) for array in arrays}
         if len(lengths) > 1:
             raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
         return cls(columns, np.array(arrays).T if arrays else np.empty((0, 0)))
@@ -195,9 +199,9 @@ MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel
 
 #: The pair kernels (see :func:`_kernel_map`) of the asymmetric matrix metrics.
 _PAIR_KERNELS: dict[str, Callable] = {
-    "iota": _iota_both,
-    # iota2(X, Y) == iota(-Y, -X): the iota pair on the transforms of -X, swapped.
-    "iota2": lambda x, y: _iota_both(x, y)[::-1],
+    # Cell (j, i) is orientation 1 or 6 on cell (i, j)'s operands: three masses a pair.
+    "iota": lambda x, y: _each(x, y, (0, 1)),
+    "iota2": lambda x, y: _each(x, y, (7, 6)),
     "minrel_simple": lambda x, y: (_concordance(x, y), _concordance(y, x)),
 }
 
@@ -223,10 +227,10 @@ def minrel_profile_matrix(dataset: Dataset) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
 
     def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) swaps orientations 0 and 1, 2 and 3
-        cells = _orientations(x, y)
+        cells = _orientations(x, y, (0, 1, 2, 3))
         return cells, tuple(part[..., [1, 0, 3, 2]] for part in cells)
 
-    values, degenerate = _kernel_map(pair, dataset.batch.oriented(1), (4,))
+    values, degenerate = _kernel_map(pair, _transforms(dataset.batch), (4,))
     best, _ = _max_iota_sq(values, degenerate)
     # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
     maps = (*np.moveaxis(values, -1, 0), best, degenerate)

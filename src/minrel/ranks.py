@@ -124,9 +124,8 @@ class ColumnTransforms:
     ``_batch`` checks and copies a batch, a column per row, and ``_checked``
     wraps checked values, such as a row, sharing no view. Each view is built on
     first use, kept and read-only. The ranks of -X are exactly m + 1 - r(X),
-    and a sign flip swaps and negates the transforms (``neg_dec == -inc``,
-    ``neg_inc == -dec``), so neither takes a second sort or is kept. Two
-    threads first reading a view at once may both build it, with the same bits.
+    and dec(-X) == -inc(X) and inc(-X) == -dec(X), so no view of -X is built.
+    Two threads first reading a view at once may both build it, with the same bits.
     """
 
     values: np.ndarray
@@ -174,14 +173,6 @@ class ColumnTransforms:
     def inc(self) -> np.ndarray:
         return _frozen(increasing_scores_from_ranks(r := (self.m + 1) - self.ranks, self.m, out=r))
 
-    @property
-    def neg_dec(self) -> np.ndarray:
-        return -self.inc
-
-    @property
-    def neg_inc(self) -> np.ndarray:
-        return -self.dec
-
     @cached_property
     def centred_values(self) -> tuple[np.ndarray, np.ndarray]:
         """The values as a :func:`centred` column (for Pearson)."""
@@ -195,12 +186,6 @@ class ColumnTransforms:
         # and the mean is exactly (m+1)/2 times the scale. Powers of two commute
         # with the subtraction here: centring at (m+1)/2 gives the same bits.
         return _centred_about(self.ranks, (self.m + 1) / 2)
-
-    def oriented(self, sign: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (decreasing, increasing) transforms of ``sign * X``."""
-        if sign < 0:
-            return self.neg_dec, self.neg_inc
-        return self.dec, self.inc
 
 
 def as_column(data: ColumnLike, what: str = "column") -> ColumnTransforms:

@@ -101,6 +101,11 @@ def test_coeff_orientation(capsys, tmp_path):
     assert json.loads(out_flip)["value"] == -json.loads(out_plus)["value"]
     code, _, err = run_cli(capsys, "coeff", path, "--metric", "iota", "--orientation", "+")
     assert code == 2 and "orientation" in err
+    # argparse turns "--orientation=--" into [] and "--orientation=" into "": neither is "++".
+    _, out_both, _ = run_cli(capsys, "coeff", path, "--metric", "iota", "--orientation=--")
+    assert json.loads(out_both)["config"]["orientation"] == "--"
+    code, _, err = run_cli(capsys, "coeff", path, "--metric", "iota", "--orientation=")
+    assert code == 2 and "orientation" in err
     code, _, err = run_cli(capsys, "coeff", path, "--metric", "spearman", "--orientation", "+-")
     assert code == 2
 

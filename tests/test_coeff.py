@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import minrel.ranks
 from minrel import (
@@ -415,33 +417,68 @@ def test_rank_minrelation_matches_oracle_spot_checks():
         assert fast.degenerate == slow_degenerate
 
 
-def test_fewer_orientations_are_the_first_of_all_four_bit_for_bit():
-    # Tied, constant and random columns, alone and as batches (one column
-    # against a batch is how a matrix row calls the kernel).
-    rng = np.random.default_rng(11)
-    columns = [
-        rng.integers(0, 3, size=40).astype(float),
-        np.full(40, 2.5),
-        rng.normal(size=40),
-        rng.normal(size=40) ** 3,
-    ]
-    single = [ColumnTransforms(c).oriented(1) for c in columns]
-    names = ["batch"] * len(columns)
-    batch = ColumnTransforms._batch(columns, names).oriented(1)
-    reversed_batch = ColumnTransforms._batch(columns[::-1], names).oriented(1)
-    pairs = [(x, y) for x in single for y in single]
-    pairs += [(batch, reversed_batch), (single[0], batch), (batch, single[1])]
-    for x, y in pairs:
-        values, degenerate = _orientations(x, y)
-        assert values.shape[-1] == degenerate.shape[-1] == 4
-        for count in (1, 2, 3, 4):
-            fewer, flags = _orientations(x, y, count)
-            assert fewer.shape == values[..., :count].shape
-            assert fewer.tobytes() == values[..., :count].tobytes()
-            assert np.array_equal(flags, degenerate[..., :count])
-        # One orientation reads only dec(X) of the first column.
-        alone, flags = _orientations(x[:1], y, 1)
-        assert alone.tobytes() == values[..., :1].tobytes()
-        assert np.array_equal(flags, degenerate[..., :1])
-    # The constant pair is degenerate in every orientation.
-    assert _orientations(single[1], single[1])[1].all()
+#: Orientation k of coeff._orientations, as the signed columns it ranks, in order.
+ORIENTED = ("X Y", "Y X", "-X Y", "-Y X", "X -Y", "Y -X", "-X -Y", "-Y -X")
+
+#: Column kinds: ties (with -0.0), distinct, constant and +-1e300 scale.
+COLUMN_KINDS = {
+    "ties": lambda rng, m: rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], m),
+    "distinct": lambda rng, m: rng.normal(size=m),
+    "constant": lambda rng, m: np.full(m, 1.5),
+    "huge": lambda rng, m: rng.normal(size=m) * 1e300,
+}
+
+ORIENTATION_CASES = st.integers(1, 3).flatmap(
+    lambda k: st.tuples(
+        st.integers(2, 30),
+        st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=2 * k, max_size=2 * k),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 7), min_size=1, max_size=10),
+    )
+)
+
+
+def _signed_pair(k, x, y):
+    """rank_minrelation of orientation k of columns x and y, read off :data:`ORIENTED`."""
+    named = {"X": x, "Y": y}
+    first, second = (
+        np.negative(named[term[1]]) if term[0] == "-" else named[term]
+        for term in ORIENTED[k].split()
+    )
+    return rank_minrelation(ColumnTransforms(first), ColumnTransforms(second))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ORIENTATION_CASES)
+@example((40, ["ties", "constant", "distinct", "huge", "constant", "ties"], 11, [3, 0, 7, 0]))
+@example((5, ["constant", "constant"], 0, list(range(8))))
+def test_each_orientation_is_rank_minrelation_of_its_signed_columns_bit_for_bit(case):
+    # Alone, orientation k has the bytes and flag of rank_minrelation on the
+    # signed, ordered columns that ORIENTED names; any ``which``, with repeats
+    # and in any order, stacks the single-orientation results. Columns alone
+    # and as (k, m) batches, and one column against a batch each way (as a
+    # matrix row calls the kernel).
+    m, kinds, seed, which = case
+    rng = np.random.default_rng(seed)
+    columns = np.array([COLUMN_KINDS[kind](rng, m) for kind in kinds])
+    xs, ys = columns[: len(kinds) // 2], columns[len(kinds) // 2 :]
+    tx, ty = (ColumnTransforms._batch(rows, ["batch"] * len(rows)) for rows in (xs, ys))
+    calls = [(ColumnTransforms(x), ColumnTransforms(y), [(x, y)]) for x, y in zip(xs, ys)]
+    calls += [(tx, ty, list(zip(xs, ys)))]
+    calls += [(ColumnTransforms(xs[0]), ty, [(xs[0], y) for y in ys])]
+    calls += [(tx, ColumnTransforms(ys[0]), [(x, ys[0]) for x in xs])]
+    for x, y, rows in calls:
+        parts = (x.dec, x.inc), (y.dec, y.inc)
+        alone = [_orientations(*parts, (k,)) for k in range(8)]
+        for k, (values, flags) in enumerate(alone):
+            expected = [_signed_pair(k, a, b) for a, b in rows]
+            assert values.shape == flags.shape == values.shape[:-1] + (1,)
+            assert values.reshape(-1).tobytes() == np.array([e.value for e in expected]).tobytes()
+            assert flags.reshape(-1).tolist() == [e.degenerate for e in expected]
+        values, flags = _orientations(*parts, tuple(which))
+        assert values.tobytes() == np.concatenate([alone[k][0] for k in which], -1).tobytes()
+        assert np.array_equal(flags, np.concatenate([alone[k][1] for k in which], -1))
+        # Orientation 0 reads only dec(X) of the first column.
+        values, flags = _orientations((x.dec,), parts[1], (0,))
+        assert values.tobytes() == alone[0][0].tobytes()
+        assert np.array_equal(flags, alone[0][1])

@@ -111,13 +111,13 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
-#: How many orientations each table prints: all four, both directions, one.
-COUNTS = {"table2": 4, "table3": 2, "table4": 1}
+#: The orientations each table prints, in its column order: all four, both directions, one.
+WHICH = {"table2": (0, 3, 2, 1), "table3": (0, 1), "table4": (0,)}
 
 
 def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeypatch):
-    # Per pair and block, one Spearman call and one orientation call with
-    # the table's count. Together they return reps x rows values for each
+    # Per pair and block, one Spearman call and one orientation call for
+    # the table's orientations. Together they return reps x rows values for each
     # printed statistic and nothing unprinted, and every mean is bitwise
     # the mean of the direct calls on that repetition's columns.
     reps, m, seed = 3, 30, 0
@@ -129,9 +129,9 @@ def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeyp
             spearman_calls.append((metric, np.size(result[0])))
             return result
 
-        def orientations(x, y, count):
-            result = _orientations(x, y, count)
-            orientation_calls.append((count, result[0].shape))
+        def orientations(x, y, which):
+            result = _orientations(x, y, which)
+            orientation_calls.append((which, result[0].shape))
             return result
 
         monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)  # blocks of 2 + 1
@@ -139,13 +139,14 @@ def test_experiments_compute_only_the_printed_statistics_by_direct_calls(monkeyp
         monkeypatch.setattr(minrel.experiments, "_orientations", orientations)
         result = run_experiment(name, reps, m, seed)
         monkeypatch.undo()
-        rows, count = len(table.rows), COUNTS[name]
+        rows, which = len(table.rows), WHICH[name]
         assert spearman_calls == [("spearman", 2)] * rows + [("spearman", 1)] * rows
-        assert orientation_calls == [(count, (2, count))] * rows + [(count, (1, count))] * rows
+        width = len(which)
+        assert orientation_calls == [(which, (2, width))] * rows + [(which, (1, width))] * rows
         returned = {"rho": sum(size for _, size in spearman_calls)}
-        for _, (block, width) in orientation_calls:
-            for stat in ORIENTATIONS[:width]:
-                returned[stat] = returned.get(stat, 0) + block
+        for called, (block, _) in orientation_calls:
+            for k in called:
+                returned[ORIENTATIONS[k]] = returned.get(ORIENTATIONS[k], 0) + block
         assert returned == dict.fromkeys(table.stats, reps * rows)
 
         series = _direct_series(table, reps, m, seed)

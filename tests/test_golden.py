@@ -23,6 +23,15 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 COMMANDS = {
     "coeff.csv": ["coeff", "input.csv", "--metric", "iota", "--format", "csv"],
     "coeff.json": ["coeff", "input.csv", "--metric", "iota"],
+    # Signed direct calls: p is +, n is -. argparse takes a value starting with
+    # "-" only after "=", and drops a "--" value, which the CLI restores.
+    **{
+        f"coeff_iota_{name}.json": [
+            "coeff", "input.csv", "--metric", "iota", f"--orientation={signs}",
+        ]
+        for name, signs in (("pn", "+-"), ("np", "-+"), ("nn", "--"))
+    },
+    "coeff_iota2.json": ["coeff", "input.csv", "--metric", "iota2"],
     "matrix.csv": ["matrix", "input.csv", "--metric", "max_iota_sq", "--format", "csv"],
     "matrix.json": ["matrix", "input.csv", "--metric", "iota"],
     "matrix_iota.csv": ["matrix", "input.csv", "--metric", "iota", "--format", "csv"],

@@ -158,13 +158,15 @@ def test_builder_negation_matches_ranking_the_negated_column(cells):
     negated_ranks = fractional_ranks(np.negative(x))
     assert compute_ranks(x, negate=True).ranks.tobytes() == negated_ranks.tobytes()
     assert built.inc.tobytes() == increasing_scores_from_ranks(negated_ranks, m).tobytes()
-    assert built.neg_dec.tobytes() == decreasing_scores_from_ranks(negated_ranks, m).tobytes()
+    assert (-built.inc).tobytes() == decreasing_scores_from_ranks(negated_ranks, m).tobytes()
+    # dec(-X) == -inc(X) and inc(-X) == -dec(X), which the mass table of
+    # coeff._orientations reads; negation is exact, so both ways round.
     flipped = ColumnTransforms(np.negative(x))
     assert flipped.ranks.tobytes() == negated_ranks.tobytes()
-    assert flipped.dec.tobytes() == built.neg_dec.tobytes()
-    assert flipped.inc.tobytes() == built.neg_inc.tobytes()
-    assert flipped.neg_dec.tobytes() == built.dec.tobytes()
-    assert flipped.neg_inc.tobytes() == built.inc.tobytes()
+    assert flipped.dec.tobytes() == (-built.inc).tobytes()
+    assert flipped.inc.tobytes() == (-built.dec).tobytes()
+    assert (-flipped.inc).tobytes() == built.dec.tobytes()
+    assert (-flipped.dec).tobytes() == built.inc.tobytes()
 
 
 DIRECT = {
@@ -193,7 +195,7 @@ def test_matrix_cell_equals_direct_call(ds):
                     named = DIRECT[metric](x, y).value
                 assert _bits(named) == _bits(direct.value)
     # The profile matrix and the max_iota_sq kernel share one four-mass
-    # kernel; these direct calls form each orientation alone through _iota.
+    # kernel; these direct calls form each orientation alone.
     profiles = minrel_profile_matrix(ds)
     maps = (profiles.iota_xy, profiles.iota_yx, profiles.iota_negx_y, profiles.iota_negy_x)
     for i in range(ds.n):
