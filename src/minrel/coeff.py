@@ -17,9 +17,8 @@ violations of X <= Y (points under the diagonal y = x). Points exactly on a
 diagonal contribute to neither sum. A zero denominator is reported as a
 degenerate zero, never an error.
 
-Every metric, including the raw variants of the trade-off and the Pearson
-and Spearman baselines, is one :data:`METRIC_TABLE` entry
-``Metric(prepare, kernel)``:
+Every metric, the raw trade-offs and the Pearson and Spearman baselines
+included, is one :data:`METRIC_TABLE` entry ``Metric(prepare, kernel, pair)``:
 
 - ``prepare`` maps one column's :class:`ColumnTransforms` to a tuple of
   arrays. A column is sorted, once, exactly when a ``prepare`` reads a
@@ -27,6 +26,8 @@ and Spearman baselines, is one :data:`METRIC_TABLE` entry
 - ``kernel(x, y)`` takes two prepared columns and returns ``(values,
   degenerate)`` arrays. Either side may be a batch, a column per row: every
   reduction runs over the last axis, and a row reduces as it does alone.
+- ``pair(x, y)``, for an asymmetric metric that a matrix takes, returns the
+  kernel's result on (x, y), then on (y, x), from one call; else it is None.
 
 A two-column call and an experiment's block of repetitions
 (:mod:`minrel.experiments`) are each one call of that kernel, and a matrix
@@ -129,7 +130,8 @@ def _orientations(x: tuple, y: tuple, which: tuple[int, ...]) -> tuple[np.ndarra
     formed once, if used, in one work array that the first allocates (never S,
     which every orientation pairs with another); (X, Y) reads only ``x[0]``,
     ``y[0]`` and ``y[1]``. Negation is exact, + commutes and a - b is a + (-b),
-    so each value has the bits of the trade-off on the signed transforms.
+    so each value has the bits of the trade-off on the signed transforms, and
+    orientation k on (y, x) is ``k ^ 1`` on (x, y): P and S are symmetric, Q and R swap.
     """
     names = ["PPRQQRSS"[k] for k in which] + ["QRSSPPRQ"[k] for k in which]
     work, mass = None, {}
@@ -143,7 +145,7 @@ def _orientations(x: tuple, y: tuple, which: tuple[int, ...]) -> tuple[np.ndarra
     return _tradeoff(masses[..., : len(which)], masses[..., len(which) :])
 
 
-def _each(x: tuple, y: tuple, which: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _each(x: tuple, y: tuple, *which: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """:func:`_orientations` as one (values, degenerate) pair per orientation of ``which``."""
     values, degenerate = _orientations(x, y, which)
     return tuple((values[..., i], degenerate[..., i]) for i in range(len(which)))
@@ -198,7 +200,7 @@ def _raw_squared(x: tuple, y: tuple) -> tuple[np.ndarray, np.ndarray]:
     largest = np.maximum(np.abs(xv).max(axis=-1), np.abs(yv).max(axis=-1))
     exponent = -np.frexp(largest)[1][..., None]
     ys = np.ldexp(yv, exponent)
-    return _each((np.ldexp(xv, exponent),), (ys, ys), (0,))[0]
+    return _each((np.ldexp(xv, exponent),), (ys, ys), 0)[0]
 
 
 class Metric(NamedTuple):
@@ -206,6 +208,12 @@ class Metric(NamedTuple):
 
     prepare: Callable[[ColumnTransforms], tuple]
     kernel: Callable[[tuple, tuple], tuple[np.ndarray, np.ndarray]]
+    pair: Callable[[tuple, tuple], tuple] | None = None
+
+
+def _iota(k: int) -> Metric:
+    """Orientation k of :func:`_orientations`; its pair adds cell (y, x), orientation k ^ 1."""
+    return Metric(_transforms, lambda x, y: _each(x, y, k)[0], lambda x, y: _each(x, y, k, k ^ 1))
 
 
 def _values(t: ColumnTransforms) -> tuple[np.ndarray]:
@@ -219,12 +227,14 @@ _transforms = attrgetter("dec", "inc")
 METRIC_TABLE: dict[str, Metric] = {
     "pearson": Metric(lambda t: t.centred_values, _correlation),
     "spearman": Metric(lambda t: t.centred, _correlation),
-    "iota": Metric(_transforms, lambda x, y: _each(x, y, (0,))[0]),
-    "iota2": Metric(_transforms, lambda x, y: _each(x, y, (7,))[0]),  # iota(-Y, -X)
+    "iota": _iota(0),
+    "iota2": _iota(7),  # iota(-Y, -X)
     "max_iota_sq": Metric(
         _transforms, lambda x, y: _max_iota_sq(*_orientations(x, y, (0, 1, 2, 3)))
     ),
-    "minrel_simple": Metric(_values, _concordance),
+    "minrel_simple": Metric(
+        _values, _concordance, lambda x, y: (_concordance(x, y), _concordance(y, x))
+    ),
     "p_leq_hat": Metric(_values, _p_leq),
     "iota_raw_indicator": Metric(_values, _raw_indicator),
     "iota_raw_squared": Metric(_values, _raw_squared),
@@ -238,7 +248,7 @@ def _evaluate(
     metric: str, x: ColumnTransforms, y: ColumnTransforms
 ) -> tuple[np.ndarray, np.ndarray]:
     """One call of a metric's kernel, on two columns or two batches of them."""
-    prepare, kernel = METRIC_TABLE[metric]
+    prepare, kernel, _ = METRIC_TABLE[metric]
     return kernel(prepare(x), prepare(y))
 
 
@@ -294,7 +304,7 @@ def iota_oriented(
     generally does not (the measure is asymmetric).
     """
     k = (1 - require_sign(sign_x, "sign_x")) + 2 * (1 - require_sign(sign_y, "sign_y"))
-    return _coefficient(*_each(*map(_transforms, _pair_columns(x, y)), (k,))[0])
+    return _coefficient(*_each(*map(_transforms, _pair_columns(x, y)), k)[0])
 
 
 def iota2(x: ColumnLike, y: ColumnLike) -> CoefficientValue:

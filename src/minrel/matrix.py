@@ -4,17 +4,16 @@ A :class:`Dataset` is one (n, m) batch (a :class:`ColumnTransforms`, a column
 per row), copied and checked once; every pass over it reuses its views, so it
 is ranked at most once, and only if a metric reads ranks. A matrix is its
 metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch, (n, ...) parts,
-mapped by :func:`_kernel_map` over the cells with j >= i: one pair-kernel call
-per row i and :func:`_blocks` block J, as a ranking reads them, gives cells
-(i, J) and (J, i). A metric of :data:`SYMMETRIC_METRICS` writes one result both
-ways; ``iota`` and ``iota2`` are orientations (0, 1) and (7, 6) of one
-:func:`coeff._orientations` call; ``minrel_simple`` counts twice; the profile's
-cell (j, i) is cell (i, j) with orientations 0 and 1, 2 and 3 swapped. Each is the
-same IEEE operations on the same operands as its direct call, each cell is
-reduced on its own, and row i writes only row i and column i of storage
-allocated before any thread starts, so results are bit-identical for any thread
-count. From :data:`_THREAD_WORK` on, one thread per available CPU, dealt the
-rows in turn, runs the kernels, which release the interpreter lock.
+mapped by :func:`_kernel_map` over the cells with j >= i: one call of the
+metric's ``pair`` per row i and :func:`_blocks` block J gives cells (i, J) and
+(J, i). A metric of :data:`SYMMETRIC_METRICS` has no ``pair``: its kernel's
+cells (i, J), a ranking's scores, are written both ways. The profile's cell
+(j, i) is cell (i, j) with orientation k read as ``k ^ 1``. Each is the same
+IEEE operations on the same operands as its direct call, each cell is reduced
+on its own, and row i writes only row i and column i of storage allocated
+before any thread starts, so results are bit-identical for any thread count.
+From :data:`_THREAD_WORK` on, one thread per available CPU, dealt the rows in
+turn, runs the kernels, which release the interpreter lock.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _concordance, _each
-from .coeff import _max_iota_sq, _orientations, _transforms
-from .errors import InvalidInputError, require_choice, require_count
+from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _max_iota_sq, _orientations
+from .coeff import _transforms
+from .errors import InvalidInputError, require_choice, require_count, require_names
 from .ranks import ColumnTransforms, _frozen, as_float_array, row_blocks
 
 
@@ -53,7 +52,7 @@ class Dataset:
     rows_dropped: int = 0
 
     def __init__(self, names: Iterable[str], values, rows_dropped: int = 0) -> None:
-        names = tuple(str(n) for n in names)
+        names = tuple(map(str, require_names(names, "dataset names")))
         if len(set(names)) != len(names):
             duplicate = next(name for i, name in enumerate(names) if name in names[:i])
             raise InvalidInputError(f"column names must be unique; {duplicate!r} repeats")
@@ -197,16 +196,8 @@ def _kernel_map(pair: Callable, parts: tuple, cell=()):
 #: Metrics accepted by :func:`pairwise_matrix`.
 MATRIX_METRICS = ("pearson", "spearman", "iota", "iota2", "max_iota_sq", "minrel_simple")
 
-#: The pair kernels (see :func:`_kernel_map`) of the asymmetric matrix metrics.
-_PAIR_KERNELS: dict[str, Callable] = {
-    # Cell (j, i) is orientation 1 or 6 on cell (i, j)'s operands: three masses a pair.
-    "iota": lambda x, y: _each(x, y, (0, 1)),
-    "iota2": lambda x, y: _each(x, y, (7, 6)),
-    "minrel_simple": lambda x, y: (_concordance(x, y), _concordance(y, x)),
-}
-
 #: Metrics whose matrices are symmetric by construction: one kernel result is written both ways.
-SYMMETRIC_METRICS = frozenset(MATRIX_METRICS).difference(_PAIR_KERNELS)
+SYMMETRIC_METRICS = frozenset(m for m in MATRIX_METRICS if METRIC_TABLE[m].pair is None)
 
 
 def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
@@ -215,8 +206,8 @@ def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
     Cell (i, j) holds metric(column_i, column_j) and equals a direct
     two-column call exactly. Diagonals are computed like any other cell.
     """
-    prepare, kernel = METRIC_TABLE[require_choice(metric, MATRIX_METRICS, "metric")]
-    pair = _PAIR_KERNELS.get(metric) or (lambda x, y: (kernel(x, y),) * 2)
+    prepare, kernel, pair = METRIC_TABLE[require_choice(metric, MATRIX_METRICS, "metric")]
+    pair = pair or (lambda x, y: (kernel(x, y),) * 2)
     values, degenerate = _kernel_map(pair, prepare(dataset.batch))
     return CoefficientMatrix(
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
@@ -226,9 +217,9 @@ def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
 def minrel_profile_matrix(dataset: Dataset) -> ProfileMatrix:
     """Full four-orientation profile for every ordered pair of columns."""
 
-    def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) swaps orientations 0 and 1, 2 and 3
+    def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) reads orientation k as k ^ 1
         cells = _orientations(x, y, (0, 1, 2, 3))
-        return cells, tuple(part[..., [1, 0, 3, 2]] for part in cells)
+        return cells, tuple(part[..., [k ^ 1 for k in range(4)]] for part in cells)
 
     values, degenerate = _kernel_map(pair, _transforms(dataset.batch), (4,))
     best, _ = _max_iota_sq(values, degenerate)

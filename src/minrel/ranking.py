@@ -8,12 +8,12 @@ order, so results are fully deterministic):
     max_iota_sq -- largest squared oriented minrelation value
     iota_sq     -- squared minrelation of the target to the candidate only
 
-Each criterion is data (:data:`_CRITERIA`): a metric, which side the
-target is on, and whether the value is squared. The scores are the metric's
-kernel on the target's row and each :func:`matrix._blocks` block of the
-dataset's prepared batch, so a score is a matrix cell's operations, and all
-rankings of one dataset (every target, both criteria of
-:func:`compare_criteria`) share the batch's one sort.
+Each criterion is data (:data:`_CRITERIA`): a metric, and whether the value
+is squared. The scores are the metric's kernel on the target's row and each
+:func:`matrix._blocks` block of the dataset's prepared batch: the target's
+row of the metric's matrix, cell for cell the same operations. All rankings
+of one dataset (every target, both criteria of :func:`compare_criteria`)
+share the batch's one sort.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
@@ -33,13 +33,12 @@ from .coeff import METRIC_TABLE
 from .errors import InvalidInputError, require_choice, require_count, require_names
 from .matrix import Dataset, _blocks
 
-#: Each criterion as data: (metric, target_first, squared). A candidate's
-#: score is the metric of (candidate, target), or of (target, candidate)
-#: when ``target_first``, squared when ``squared``.
+#: Each criterion as data: (metric, squared). A candidate's score is the
+#: metric of (target, candidate), squared when ``squared``.
 _CRITERIA = {
-    "rho2": ("spearman", False, True),
-    "max_iota_sq": ("max_iota_sq", False, False),
-    "iota_sq": ("iota", True, True),
+    "rho2": ("spearman", True),
+    "max_iota_sq": ("max_iota_sq", False),
+    "iota_sq": ("iota", True),
 }
 
 CRITERIA = tuple(_CRITERIA)
@@ -107,15 +106,14 @@ def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResu
 
     Degenerate coefficients score 0. Ties keep the dataset's column order.
     """
-    metric, target_first, squared = _CRITERIA[require_choice(criterion, CRITERIA, "criterion")]
+    metric, squared = _CRITERIA[require_choice(criterion, CRITERIA, "criterion")]
     target_index = dataset.index(target)
     if dataset.n < 2:
         raise InvalidInputError("ranking needs at least 2 columns")
-    prepare, kernel = METRIC_TABLE[metric]
+    prepare, kernel, _ = METRIC_TABLE[metric]
     parts = prepare(dataset.batch)
     target_row = tuple(part[target_index] for part in parts)
-    pairs = ((target_row, y) if target_first else (y, target_row) for _, y in _blocks(parts))
-    scores = np.concatenate([kernel(*pair)[0] for pair in pairs])
+    scores = np.concatenate([kernel(target_row, y)[0] for _, y in _blocks(parts)])
     scored = list(enumerate((scores * scores if squared else scores).tolist()))
     del scored[target_index]
     scored.sort(key=lambda item: (-item[1], item[0]))

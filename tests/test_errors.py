@@ -133,3 +133,11 @@ def test_a_string_is_not_a_set_of_relevant_columns():
     with pytest.raises(InvalidInputError) as raised:
         compare_criteria(ds, {"T": "AB"})
     assert str(raised.value) == "relevant['T'] must be a collection of names, got the string 'AB'"
+
+
+def test_a_string_is_not_a_list_of_dataset_names():
+    # "AB" would have named two columns, A and B.
+    with pytest.raises(InvalidInputError) as raised:
+        Dataset("AB", [[1, 2], [3, 4], [5, 1]])
+    assert str(raised.value) == "dataset names must be a collection of names, got the string 'AB'"
+    assert Dataset(["AB"], [[1], [3], [5]]).names == ("AB",)

@@ -37,6 +37,7 @@ COMMANDS = {
     "matrix_iota.csv": ["matrix", "input.csv", "--metric", "iota", "--format", "csv"],
     "matrix_iota2.json": ["matrix", "input.csv", "--metric", "iota2"],
     "matrix_max_iota_sq.json": ["matrix", "input.csv", "--metric", "max_iota_sq"],
+    "matrix_minrel_simple.json": ["matrix", "input.csv", "--metric", "minrel_simple"],
     # Names out of sort order that the JSON and CSV writers must escape and
     # quote: a comma, a quote, a backslash, non-ASCII and a line break. The
     # constant column makes a degenerate cell.
@@ -80,7 +81,10 @@ COMMANDS = {
         ]
         for criterion in ("rho2", "iota_sq")
     },
-    "rank_rho2.json": ["rank", "input.csv", "--target", "A", "--criterion", "rho2"],
+    **{
+        f"rank_{criterion}.json": ["rank", "input.csv", "--target", "A", "--criterion", criterion]
+        for criterion in ("rho2", "iota_sq")
+    },
     **{
         f"{command}_{metric}.json": [command, "input.csv", "--metric", metric]
         for command in ("coeff", "matrix")

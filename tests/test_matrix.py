@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import minrel.coeff
 import minrel.matrix
-import minrel.ranking
 import minrel.ranks
 from minrel import (
     CRITERIA,
@@ -28,6 +27,7 @@ from minrel import (
     transform_cache,
     tri_increasing,
 )
+from minrel.coeff import Metric
 from minrel.matrix import MATRIX_METRICS, SYMMETRIC_METRICS
 from minrel.ranks import ColumnTransforms
 
@@ -265,6 +265,15 @@ def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
                     assert serial.degenerate[i, j] == direct.degenerate
 
 
+#: Each criterion's score as the ranking module documents it: its metric, whether
+#: it is squared, and the order of the metric's arguments.
+DOCUMENTED_SCORES = {
+    "rho2": ("spearman", True, ("candidate", "target")),
+    "max_iota_sq": ("max_iota_sq", False, ("candidate", "target")),
+    "iota_sq": ("iota", True, ("target", "candidate")),
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(DATASETS)
 @example((7, ["ties", "huge", "constant", "distinct", "ties"], 0, 2))
@@ -283,13 +292,71 @@ def test_rankings_in_blocks_score_the_direct_calls_bit_for_bit(case):
             with mock.patch.object(minrel.matrix, "_SCRATCH_BYTES", 8 * m * step):
                 blocked = rank_variables(ds, target, criterion)
             assert blocked.names() == whole.names()
-            metric, target_first, squared = minrel.ranking._CRITERIA[criterion]
+            metric, squared, order = DOCUMENTED_SCORES[criterion]
             for (name, score), (_, unpatched) in zip(blocked.ordered, whole.ordered):
-                pair = (alone[name], alone[target])
-                direct = evaluate_metric(*(pair[::-1] if target_first else pair), metric).value
+                sides = {"candidate": alone[name], "target": alone[target]}
+                direct = evaluate_metric(*(sides[side] for side in order), metric).value
                 expected = direct * direct if squared else direct
                 assert np.float64(score).tobytes() == np.float64(expected).tobytes()
                 assert np.float64(unpatched).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(DATASETS)
+@example((7, ["ties", "huge", "constant", "distinct", "ties"], 0, 2))
+def test_the_metric_table_holds_each_matrix_metrics_mirror_bit_for_bit(case):
+    # Row i against the whole batch, itself included, as matrix row i and a
+    # ranking on target i call the table.
+    m, kinds, seed, _ = case
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([COLUMN_KINDS[kind](rng, m) for kind in kinds])
+    batch = Dataset([f"c{j}" for j in range(len(kinds))], values).batch
+    assert SYMMETRIC_METRICS == {"pearson", "spearman", "max_iota_sq"}
+    for metric in MATRIX_METRICS:
+        prepare, kernel, pair = minrel.coeff.METRIC_TABLE[metric]
+        assert (pair is None) == (metric in SYMMETRIC_METRICS)
+        block = prepare(batch)
+        for i in range(len(kinds)):
+            row = tuple(part[i] for part in block)
+            # Cell (i, J), then cell (J, i): from the pair, or the one kernel result both ways.
+            found = pair(row, block) if pair else (kernel(row, block),) * 2
+            for cells, expected in zip(found, (kernel(row, block), kernel(block, row))):
+                assert [part.tobytes() for part in cells] == [part.tobytes() for part in expected]
+
+
+@pytest.mark.parametrize(
+    "build, metric, calls, masses",
+    [
+        # Blocks of 3 of the 7 rows: a ranking reads rows 0-2, 3-5 and 6.
+        (lambda ds: rank_variables(ds, "c2", "iota_sq"), "iota", {"kernel": 3}, 2),
+        # Matrix row i reads the blocks from row i on: 3 + 2 + 2 + 2 + 1 + 1 + 1 tiles.
+        (lambda ds: pairwise_matrix(ds, "iota"), "iota", {"pair": 12}, 3),
+        (lambda ds: pairwise_matrix(ds, "max_iota_sq"), "max_iota_sq", {"kernel": 12}, 4),
+    ],
+    ids=["iota_sq_ranking", "iota_matrix", "max_iota_sq_matrix"],
+)
+def test_each_block_is_one_table_call_that_forms_each_mass_once(
+    monkeypatch, build, metric, calls, masses
+):
+    # A ranking calls the kernel, never the pair, whose third mass it would not use.
+    ds = _dataset(seed=37, m=40, n=7)
+    monkeypatch.setattr(minrel.matrix, "_SCRATCH_BYTES", 8 * ds.m * 3)
+    counts = {"kernel": 0, "pair": 0, "masses": 0}
+
+    def counted(name, function):
+        def call(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return call if function else None
+
+    prepare, kernel, pair = minrel.coeff.METRIC_TABLE[metric]
+    wrapped = Metric(prepare, counted("kernel", kernel), counted("pair", pair))
+    monkeypatch.setitem(minrel.coeff.METRIC_TABLE, metric, wrapped)
+    monkeypatch.setattr(minrel.coeff, "_mass", counted("masses", minrel.coeff._mass))
+    build(ds)
+    tiles = sum(calls.values())
+    assert counts == {"kernel": 0, "pair": 0, **calls, "masses": masses * tiles}
 
 
 def test_preprocessing_sorts_each_column_once(sort_counter):
