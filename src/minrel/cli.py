@@ -2,9 +2,10 @@
 
 CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is ignored; a
 file that is not UTF-8 fails, naming its first bad byte's line), lines end at
-'\\n', '\\r\\n' or '\\r' only, first non-comment record is the header, records
-starting with '#' (outside quotes) and blank or whitespace-only lines are
-skipped, quoted fields keep their line breaks (a '#' at the start of a continued
+'\\n', '\\r\\n' or '\\r' only, first non-comment record is the header, one
+filter drops records starting with '#' (outside quotes) and blank or
+whitespace-only lines, so "data row N" counts data records as ``rows_read``
+does, quoted fields keep their line breaks (a '#' at the start of a continued
 line is data), decimal points only (no locale handling). Numbers are printed
 with 12 significant digits in CSV output and at full double precision in JSON;
 CSV writes a bool as ``true``/``false``.
@@ -15,13 +16,14 @@ be reproduced from the artifact alone, with the rows behind the result:
 Each command builds its config (:func:`_dataset_config` for the commands
 that read a dataset) and hands it, with its JSON fields and CSV sections,
 to :func:`_write`, the one writer, which builds the whole result before it
-opens the output, so stdout and ``--output`` get the same bytes and a failed
-command leaves no file. JSON is the bytes of ``json.dumps(indent=2,
-sort_keys=True)`` on one object with a ``config`` key; CSV is a ``# config:
-key=value ...`` line, then tables and comment lines. A config value with a
-line break is written there as its JSON string literal, so the config stays
-on one line. A matrix is two typed grids, not n^2 Python floats: each row
-is spelled at once by its cell type, and each name encoded once.
+opens the output, so a failed command leaves no file, and encodes it into
+one binary sink, so stdout and ``--output`` get the same bytes. JSON is the
+bytes of ``json.dumps(indent=2, sort_keys=True)`` on one object with a
+``config`` key; CSV is a ``# config: key=value ...`` line, then tables and
+comment lines. A config value with a line break is written there as its JSON
+string literal, so the config stays on one line. A matrix is two typed
+grids, not n^2 Python floats: each row is spelled at once by its cell type,
+and each name encoded once.
 
 The header goes through the record reader. A data body of plain numbers
 is parsed in one ``np.loadtxt`` call, and :class:`Dataset` decides whether
@@ -86,16 +88,11 @@ def _read_text(path: str) -> str:
     return text
 
 
-def _is_blank(row: list[str]) -> bool:
-    """True for the record of an empty or whitespace-only line."""
-    return len(row) < 2 and not "".join(row).strip()
-
-
 def _records(lines: list[str]):
-    """(record, end) pairs, without comments: lines starting with '#' where a record starts.
+    """(record, end) pairs, less comments ('#' where a record starts) and whitespace-only lines.
 
-    ``end`` indexes the line after the record: the reader reads no further
-    than the record it yields. A quoted field left open raises, naming its line.
+    The one filter of the record stream. ``end`` indexes the line after the record: the
+    reader reads no further than the record it yields. An unclosed quote raises, naming its line.
     """
     end = 0
     at_record_start = True
@@ -116,7 +113,8 @@ def _records(lines: list[str]):
             opened = end - row[-1].count("\n")
             raise InvalidInputError(f"line {opened}: a quoted field opens here and never closes")
         at_record_start = True
-        yield row, end
+        if len(row) > 1 or "".join(row).strip():
+            yield row, end
 
 
 def _bulk_dataset(lines: list[str], names: list[str]) -> Dataset | None:
@@ -142,13 +140,10 @@ def _bulk_dataset(lines: list[str], names: list[str]) -> Dataset | None:
 
 
 def _record_values(rows, names: list[str], na_policy: str) -> tuple[list[list[float]], int]:
-    """Parse data records one cell at a time: the kept rows and the count of rows read."""
+    """The kept rows, parsed a cell at a time, and the records read; "data row N" is the N-th."""
     parsed: list[list[float]] = []
-    rows_read = 0
+    row_number = 0
     for row_number, row in enumerate(rows, start=1):
-        if _is_blank(row):
-            continue
-        rows_read += 1
         if len(row) != len(names):
             raise InvalidInputError(
                 f"data row {row_number}: expected {len(names)} cells, found {len(row)}"
@@ -179,7 +174,7 @@ def _record_values(rows, names: list[str], na_policy: str) -> tuple[list[list[fl
             values.append(value)
         if keep:
             parsed.append(values)
-    return parsed, rows_read
+    return parsed, row_number
 
 
 def read_dataset(path: str, na_policy: str) -> Dataset:
@@ -188,9 +183,7 @@ def read_dataset(path: str, na_policy: str) -> Dataset:
     # Lines break at '\n' only, as csv and text-mode files break them.
     lines = _read_text(path).removeprefix("\ufeff").split("\n")
     records = _records(lines)
-    header, body_start = next(
-        ((row, end) for row, end in records if not _is_blank(row)), (None, 0)
-    )
+    header, body_start = next(records, (None, 0))
     if header is None:
         raise InvalidInputError("input is empty")
     names = [cell.strip() for cell in header]
@@ -283,8 +276,8 @@ def _write(args: argparse.Namespace, config: dict, fields: dict | None, sections
     JSON is the object ``fields`` plus ``config``. CSV is the ``# config:``
     line, then each of ``sections``: a comment line, a table of typed rows
     whose every cell :func:`_csv_cell` spells, or a :data:`_Grid`, spelled
-    once per cell type under a header row of its names. All of the output is
-    built before it is opened.
+    once per cell type under a header row of its names. All of it is built
+    before its one binary sink, stdout's buffer or the ``--output`` file, opens.
     """
     if args.format == "json":
         parts = _Parts(_json_parts({**fields, "config": config}))
@@ -300,17 +293,18 @@ def _write(args: argparse.Namespace, config: dict, fields: dict | None, sections
                 writer.writerows([x, *map(spell, row.tolist())] for x, row in zip(*part))
             else:
                 writer.writerows(map(_csv_cell, row) for row in part)
-    # Many parts, not one string, as UTF-8 whatever the locale. A reader that
-    # closes early makes a write raise or take fewer bytes: both exit 4 quietly.
+    # Many parts, not one string, as UTF-8 whatever the locale, to one binary sink.
+    # A reader that closes early makes a write raise or take fewer bytes: both exit 4 quietly.
     if args.output in (None, "-"):
-        sys.stdout.flush()
+        sys.stdout.flush()  # sys.stdout is None when fd 1 is closed: touch it only here
+        sink = contextlib.nullcontext(sys.stdout.buffer)
+    else:
+        sink = open(args.output, "wb")
+    with sink as handle:
         for part in map(str.encode, parts):
-            if sys.stdout.buffer.write(part) < len(part):
-                raise BrokenPipeError("stdout took a short write")
-        sys.stdout.buffer.flush()
-        return
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(parts)
+            if handle.write(part) < len(part):
+                raise BrokenPipeError("the output took a short write")
+        handle.flush()
 
 
 def _status(passed: bool) -> str:
@@ -325,10 +319,10 @@ def _parse_orientation(text: str) -> tuple[int, int]:
 
 def _cmd_coeff(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input, args.na)
-    if not args.y and dataset.n < 2:
+    if args.y is None and dataset.n < 2:
         raise InvalidInputError("input has a single column; pass --y explicitly")
-    x_name = args.x or dataset.names[0]
-    y_name = args.y or dataset.names[1]
+    x_name = dataset.names[0] if args.x is None else args.x
+    y_name = dataset.names[1] if args.y is None else args.y
     x = dataset.columns[dataset.index(x_name)]
     y = dataset.columns[dataset.index(y_name)]
     orientation = "--" if args.orientation == [] else args.orientation  # argparse drops "--"
@@ -367,7 +361,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     header = ("position", "name", "score")
     rows = [(i, name, score) for i, (name, score) in enumerate(ranking.ordered, start=1)]
     scalars = {}
-    if args.relevant:
+    if args.relevant is not None:
         try:  # one CSV record, quoted like the header, so a name may hold a comma
             cells = next(csv.reader([args.relevant]))
         except csv.Error:  # an unquoted line break ends a CSV record; read it as text
@@ -500,9 +494,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:
-        # The reader of stdout went away (as under `| head`): stop quietly. A stdout
-        # with a descriptor now writes to devnull, so the interpreter's final flush cannot fail.
-        with contextlib.suppress(ValueError):
+        # The output's reader went away (as under `| head`): stop quietly. A stdout with a
+        # descriptor (not None) now writes to devnull, so the interpreter's final flush cannot fail.
+        with contextlib.suppress(ValueError, AttributeError):
             os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         os.close(devnull)
         return EXIT_IO

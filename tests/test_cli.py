@@ -129,6 +129,21 @@ def test_coeff_unknown_column(capsys, linear_csv):
     assert code == 2 and "zzz" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("coeff", "--x", ""), "unknown column ''"),
+        (("coeff", "--y", ""), "unknown column ''"),
+        (("rank", "--target", "x", "--relevant", ""), "relevant set must not be empty"),
+    ],
+    ids=["x", "y", "relevant"],
+)
+def test_an_empty_column_argument_is_not_a_default(capsys, linear_csv, argv, message):
+    # An empty value is a name that no column has, not the option left out.
+    code, out, err = run_cli(capsys, argv[0], linear_csv, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_header_with_an_empty_name_is_rejected(capsys, tmp_path):
     path = write_csv(tmp_path, "gap.csv", "a,,b\n1,2,3\n2,3,1\n")
     code, out, err = run_cli(capsys, "coeff", path)
@@ -500,6 +515,34 @@ def test_stdout_gets_the_utf8_bytes_of_output_files(capsys, tmp_path, monkeypatc
         assert stdout.buffer.getvalue() == out.read_bytes()
 
 
+@pytest.mark.parametrize("form", ["json", "csv"])
+def test_output_file_needs_no_stdout(capsys, linear_csv, tmp_path, monkeypatch, form):
+    expected = tmp_path / "expected"
+    assert main(["matrix", linear_csv, "--format", form, "--output", str(expected)]) == 0
+    monkeypatch.setattr(sys, "stdout", None)  # as Python starts with fd 1 closed
+    out = tmp_path / "out"
+    assert main(["matrix", linear_csv, "--format", form, "--output", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+class _ClosedPipe(io.BytesIO):
+    """An output file whose reader has gone, as a FIFO's does."""
+
+    def write(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_pipe_exits_4_with_no_stdout(capsys, linear_csv, monkeypatch):
+    def fifo_open(path, mode):
+        return _ClosedPipe() if mode == "wb" else open(path, mode)
+
+    monkeypatch.setattr(cli, "open", fifo_open, raising=False)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["matrix", linear_csv, "--output", "fifo"]) == 4
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_input_exits_4(capsys, tmp_path):
     code, _, err = run_cli(capsys, "coeff", str(tmp_path / "absent.csv"))
     assert code == 4
@@ -526,6 +569,27 @@ def test_config_records_rows_read_and_dropped(capsys, tmp_path):
         assert " rows_dropped=1 rows_read=4 " in out.splitlines()[0]
         code, _, err = run_cli(capsys, command[0], path, *command[1:])
         assert code == 2 and "data row 2, column 'y'" in err
+
+
+@pytest.mark.parametrize(
+    "skipped", ["", " \t ", "# a note"], ids=["blank", "whitespace", "comment"]
+)
+def test_data_row_n_is_the_nth_data_record(capsys, tmp_path, skipped):
+    # A skipped line is no data row: whatever it is, the row after it is data row 2.
+    for bad, message in (
+        ("3,x", "data row 2, column 'y': cannot parse 'x' as a number"),
+        ("3,4,5", "data row 2: expected 2 cells, found 3"),
+    ):
+        path = write_csv(tmp_path, "bad.csv", f"x,y\n1,2\n{skipped}\n{bad}\n4,1\n")
+        code, out, err = run_cli(capsys, "coeff", path)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    # The last row's number is the rows_read of a run that drops it.
+    path = write_csv(tmp_path, "na.csv", f"x,y\n1,2\n{skipped}\n3,1\n{skipped}\n4,2\n5,NA\n")
+    code, _, err = run_cli(capsys, "coeff", path)
+    assert code == 2 and err.startswith("error: data row 4, column 'y': missing")
+    code, out, err = run_cli(capsys, "coeff", path, "--na", "drop-rows")
+    assert code == 0, err
+    assert json.loads(out)["config"]["rows_read"] == 4
 
 
 # Cells the bulk parse reads exactly as float() does, and cells it must
