@@ -31,9 +31,6 @@ from .experiments import (
     ExperimentResult,
     OrderingCheck,
     run_experiment,
-    run_table2,
-    run_table3,
-    run_table4,
 )
 from .matrix import (
     MATRIX_METRICS,
@@ -61,13 +58,7 @@ from .ranking import (
 )
 from .ranks import (
     ColumnTransforms,
-    RankVector,
-    TriangularScores,
-    compute_ranks,
     fractional_ranks,
-    tri_decreasing,
-    tri_increasing,
-    uniform_norm,
 )
 from .synth import (
     FAMILIES,
@@ -103,16 +94,13 @@ __all__ = [
     "MinrelProfile",
     "OrderingCheck",
     "ProfileMatrix",
-    "RankVector",
     "RankingResult",
     "RelevanceEval",
     "RelevanceSuiteDataset",
     "TargetOutcome",
-    "TriangularScores",
     "WinLossRecord",
     "average_position",
     "compare_criteria",
-    "compute_ranks",
     "evaluate_metric",
     "fractional_ranks",
     "gen_combined",
@@ -135,14 +123,8 @@ __all__ = [
     "rank_minrelation",
     "rank_variables",
     "run_experiment",
-    "run_table2",
-    "run_table3",
-    "run_table4",
     "spearman",
     "split_half_cv_eval",
     "transform_cache",
-    "tri_decreasing",
-    "tri_increasing",
-    "uniform_norm",
     "__version__",
 ]

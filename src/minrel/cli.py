@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import json
 import math
@@ -71,6 +72,8 @@ EXIT_IO = 4
 def _read_text(path: str) -> str:
     """The input's bytes decoded as UTF-8, with universal newlines; '-' is stdin."""
     if path == "-":
+        if sys.stdin is None:  # as Python starts with fd 0 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdin>")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:

@@ -191,18 +191,3 @@ def run_experiment(name: str, reps: int, m: int, seed: int) -> ExperimentResult:
             stderr = _stderr(values[label])
             cells.append(ExperimentCell(label, means[label], stderr, reference, tolerance))
     return ExperimentResult(name, reps, m, seed, tuple(cells), table.checks(means))
-
-
-def run_table2(reps: int, m: int, seed: int) -> ExperimentResult:
-    """Multiplicative family A = B*C: strong asymmetric dependence."""
-    return run_experiment("table2", reps, m, seed)
-
-
-def run_table3(reps: int, m: int, seed: int) -> ExperimentResult:
-    """Linear family A = 3B + 2C + D: symmetric dependence at three strengths."""
-    return run_experiment("table3", reps, m, seed)
-
-
-def run_table4(reps: int, m: int, seed: int) -> ExperimentResult:
-    """Combined family G = B*C*D + E: the criteria disagree about G."""
-    return run_experiment("table4", reps, m, seed)

@@ -11,6 +11,9 @@ where r(-X) ranks the negated values. Both transforms land in [-0.5, 0.5]
 and mirror each other exactly: ``increasing(X) == -decreasing(-X)``
 elementwise, bit for bit.
 
+These are the views ``ranks``, ``dec`` and ``inc`` of a
+:class:`ColumnTransforms`, the one public way to build them; ``ranks / m``
+is the uniform normalization and ``(m + 1) - ranks`` the ranks r(-X).
 :class:`ColumnTransforms` is the one column type: a column, or a batch
 stored as one (n, m) array, a column per row, each row with the bits of its
 column's views (every view works along the last axis). It keeps one checked
@@ -26,13 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Literal, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-Direction = Literal["decreasing", "increasing"]
 
 ColumnLike = Union["ColumnTransforms", np.ndarray, Sequence[float]]
 
@@ -70,22 +71,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     array = np.ascontiguousarray(array)
     array.setflags(write=False)
     return array
-
-
-@dataclass(frozen=True, eq=False)
-class RankVector:
-    """Tie-averaged 1-based ranks of a column; their sum is always m(m+1)/2."""
-
-    ranks: np.ndarray
-    m: int
-
-
-@dataclass(frozen=True, eq=False)
-class TriangularScores:
-    """Squared-rank scores in [-0.5, 0.5] with a triangular marginal."""
-
-    scores: np.ndarray
-    direction: Direction
 
 
 def fractional_ranks(values: np.ndarray) -> np.ndarray:
@@ -225,23 +210,6 @@ def _centred_about(values: np.ndarray, centre: float) -> tuple[np.ndarray, np.nd
     return column, dots(column, column)
 
 
-def compute_ranks(column: ColumnLike, negate: bool = False) -> RankVector:
-    """Fractional ranks of the column, or of its negation when ``negate``; read-only.
-
-    The negated ranks are r(-X) = m + 1 - r(X); tie averaging preserves that
-    identity exactly.
-    """
-    column = as_column(column)
-    ranks = _frozen((column.m + 1) - column.ranks) if negate else column.ranks
-    return RankVector(ranks=ranks, m=column.m)
-
-
-def uniform_norm(column: ColumnLike) -> np.ndarray:
-    """Ranks rescaled to (0, 1]: r(X)/m, the uniform marginal normalization."""
-    vector = compute_ranks(column)
-    return vector.ranks / float(vector.m)
-
-
 def decreasing_scores_from_ranks(ranks: np.ndarray, m: int) -> np.ndarray:
     """r^2/m^2 - 0.5 for increasing-order ranks r, in one new array."""
     scores = ranks * ranks
@@ -254,13 +222,3 @@ def increasing_scores_from_ranks(
     """0.5 - r^2/m^2 for the ranks r of the negated column, into ``out`` or else a new array."""
     scores = np.multiply(negated_ranks, negated_ranks, out=out)
     return np.subtract(0.5, np.divide(scores, float(m * m), out=scores), out=scores)
-
-
-def tri_decreasing(column: ColumnLike) -> TriangularScores:
-    """Map a column onto a centered decreasing-triangular marginal; read-only."""
-    return TriangularScores(scores=as_column(column).dec, direction="decreasing")
-
-
-def tri_increasing(column: ColumnLike) -> TriangularScores:
-    """Map a column onto a centered increasing-triangular marginal; read-only."""
-    return TriangularScores(scores=as_column(column).inc, direction="increasing")

@@ -11,6 +11,7 @@ import pytest
 
 import minrel.matrix
 from minrel import (
+    ColumnTransforms,
     Dataset,
     compare_criteria,
     gen_multiplication,
@@ -25,12 +26,10 @@ from minrel import (
     minrel_simple,
     pearson,
     rank_minrelation,
+    run_experiment,
     spearman,
-    tri_decreasing,
-    tri_increasing,
 )
 from minrel.cli import main, read_dataset
-from minrel.experiments import run_table2, run_table3, run_table4
 from minrel.matrix import MATRIX_METRICS
 
 from oracles import naive_max_iota_sq, naive_rank_minrelation
@@ -56,7 +55,7 @@ def _cells_by_label(result):
 
 def test_criterion_1_table2_reproduction():
     start = time.monotonic()
-    result = run_table2(TABLE_REPS, TABLE_M, TABLE_SEED)
+    result = run_experiment("table2", TABLE_REPS, TABLE_M, TABLE_SEED)
     elapsed = time.monotonic() - start
     cells = _cells_by_label(result)
     required = {
@@ -81,7 +80,7 @@ def test_criterion_1_table2_reproduction():
 
 def test_criterion_2_table3_reproduction():
     start = time.monotonic()
-    result = run_table3(TABLE_REPS, TABLE_M, TABLE_SEED)
+    result = run_experiment("table3", TABLE_REPS, TABLE_M, TABLE_SEED)
     elapsed = time.monotonic() - start
     cells = _cells_by_label(result)
     for pair, (rho_ref, iota_ref) in {
@@ -98,7 +97,7 @@ def test_criterion_2_table3_reproduction():
 
 
 def test_criterion_3_table4_reproduction():
-    result = run_table4(TABLE_REPS, TABLE_M, TABLE_SEED)
+    result = run_experiment("table4", TABLE_REPS, TABLE_M, TABLE_SEED)
     cells = _cells_by_label(result)
     assert abs(cells["rho(A,G)"].mean - 0.57) <= 0.03
     assert abs(cells["rho(A,B)"].mean - 0.53) <= 0.03
@@ -129,7 +128,7 @@ def test_criterion_4_exact_identity_suite():
         m = int(rng.integers(2, 201))
         x = rng.normal(size=m)
         np.testing.assert_array_equal(
-            tri_increasing(x).scores, -tri_decreasing(-x).scores
+            ColumnTransforms(x).inc, -ColumnTransforms(-x).dec
         )
     rng = np.random.default_rng(406)
     for _ in range(1000):

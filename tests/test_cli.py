@@ -548,6 +548,13 @@ def test_missing_input_exits_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_closed_stdin_exits_4_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # as Python starts with fd 0 closed
+    code, out, err = run_cli(capsys, "matrix", "-")
+    assert code == 4 and out == ""
+    assert err == "i/o error: [Errno 9] Bad file descriptor: '<stdin>'\n"
+
+
 def test_config_records_rows_read_and_dropped(capsys, tmp_path):
     path = write_csv(tmp_path, "na.csv", "x,y\n1,2\n2,NA\n3,1\n4,4\n")
     commands = (

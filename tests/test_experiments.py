@@ -7,14 +7,7 @@ import minrel.experiments
 from minrel import InvalidInputError, iota_oriented, rank_minrelation, run_experiment, spearman
 from minrel.cli import main
 from minrel.coeff import _evaluate, _orientations
-from minrel.experiments import (
-    ORIENTATIONS,
-    TABLES,
-    ExperimentCell,
-    run_table2,
-    run_table3,
-    run_table4,
-)
+from minrel.experiments import ORIENTATIONS, TABLES, ExperimentCell
 from minrel.ranks import ColumnTransforms
 from minrel.synth import DRAWS, GENERATORS
 
@@ -32,9 +25,9 @@ def test_run_experiment_dispatch_and_validation():
     with pytest.raises(InvalidInputError, match="unknown experiment"):
         run_experiment("table9", reps=1, m=10, seed=0)
     with pytest.raises(InvalidInputError):
-        run_table2(reps=0, m=10, seed=0)
+        run_experiment("table2", reps=0, m=10, seed=0)
     with pytest.raises(InvalidInputError):
-        run_table3(reps=1, m=1, seed=0)
+        run_experiment("table3", reps=1, m=1, seed=0)
 
 
 def test_run_experiment_rejects_a_non_integer_rep_count():
@@ -52,12 +45,12 @@ def test_run_experiment_uses_the_checked_python_ints():
 
 
 def test_small_runs_produce_all_cells():
-    table2 = run_table2(reps=3, m=40, seed=1)
+    table2 = run_experiment("table2", reps=3, m=40, seed=1)
     assert len(table2.cells) == 15
     assert all(cell.stderr >= 0.0 for cell in table2.cells)
-    table3 = run_table3(reps=3, m=40, seed=1)
+    table3 = run_experiment("table3", reps=3, m=40, seed=1)
     assert len(table3.cells) == 9 and len(table3.checks) == 3
-    table4 = run_table4(reps=3, m=40, seed=1)
+    table4 = run_experiment("table4", reps=3, m=40, seed=1)
     assert len(table4.cells) == 10 and len(table4.checks) == 4
 
 
@@ -68,8 +61,8 @@ def test_one_repetition_has_zero_standard_errors(name):
 
 
 def test_experiments_are_seed_deterministic():
-    first = run_table3(reps=2, m=50, seed=9)
-    second = run_table3(reps=2, m=50, seed=9)
+    first = run_experiment("table3", reps=2, m=50, seed=9)
+    second = run_experiment("table3", reps=2, m=50, seed=9)
     assert [c.mean for c in first.cells] == [c.mean for c in second.cells]
 
 
@@ -80,9 +73,9 @@ def test_experiments_rank_each_column_once_per_repetition(sort_counter, monkeypa
     for reps, blocks in ((2, 1), (5, 3)):
         if blocks > 1:
             monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)  # 2 + 2 + 1
-        for run, columns in ((run_table2, 3), (run_table3, 4), (run_table4, 6)):
+        for name, columns in (("table2", 3), ("table3", 4), ("table4", 6)):
             sort_counter["count"] = sort_counter["rows"] = 0
-            run(reps=reps, m=m, seed=0)
+            run_experiment(name, reps=reps, m=m, seed=0)
             assert sort_counter["rows"] == reps * columns
             assert sort_counter["count"] == blocks * columns
 

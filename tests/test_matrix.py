@@ -25,7 +25,6 @@ from minrel import (
     pairwise_matrix,
     rank_variables,
     transform_cache,
-    tri_increasing,
 )
 from minrel.coeff import Metric
 from minrel.matrix import MATRIX_METRICS, SYMMETRIC_METRICS
@@ -104,7 +103,7 @@ def test_transform_cache_structure():
     ds = _dataset(n=3)
     cache = ds.columns
     assert len(cache) == 3
-    fresh = tri_increasing(ds.values[:, 1]).scores
+    fresh = ColumnTransforms(ds.values[:, 1]).inc
     np.testing.assert_array_equal(cache[1].inc, fresh)
 
 

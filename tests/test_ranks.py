@@ -7,48 +7,44 @@ from minrel import (
     METRICS,
     Dataset,
     InvalidInputError,
-    compute_ranks,
     evaluate_metric,
     gen_linear,
     gen_relevance_suite_dataset,
     minrel_profile_matrix,
     pairwise_matrix,
     rank_minrelation,
-    tri_decreasing,
-    tri_increasing,
-    uniform_norm,
 )
-from minrel.ranks import ColumnTransforms, centred, fractional_ranks, row_blocks
+from minrel.ranks import ColumnTransforms, as_column, centred, fractional_ranks, row_blocks
 
 from oracles import naive_ranks
 
 
 def test_compute_ranks_tie_averaging():
-    ranked = compute_ranks([1.5, 0.2, 0.2, 3.0])
+    ranked = ColumnTransforms([1.5, 0.2, 0.2, 3.0])
     assert ranked.ranks.tolist() == [3.0, 1.5, 1.5, 4.0]
     assert ranked.m == 4
 
 
 def test_compute_ranks_negate_reverses_distinct_values():
-    ranked = compute_ranks([10.0, 20.0, 30.0], negate=True)
-    assert ranked.ranks.tolist() == [3.0, 2.0, 1.0]
+    ranked = ColumnTransforms([10.0, 20.0, 30.0])
+    assert ((ranked.m + 1) - ranked.ranks).tolist() == [3.0, 2.0, 1.0]
 
 
 def test_compute_ranks_all_tied():
-    ranked = compute_ranks([5.0, 5.0, 5.0])
+    ranked = ColumnTransforms([5.0, 5.0, 5.0])
     assert ranked.ranks.tolist() == [2.0, 2.0, 2.0]
 
 
 def test_compute_ranks_rejects_short_input():
     with pytest.raises(InvalidInputError):
-        compute_ranks([1.0])
+        ColumnTransforms([1.0])
 
 
 def test_compute_ranks_rejects_non_finite():
     with pytest.raises(InvalidInputError, match="non-finite"):
-        compute_ranks([1.0, np.nan, 2.0])
+        ColumnTransforms([1.0, np.nan, 2.0])
     with pytest.raises(InvalidInputError, match="non-finite"):
-        compute_ranks([1.0, np.inf])
+        ColumnTransforms([1.0, np.inf])
 
 
 def test_rank_sum_is_conserved_under_ties():
@@ -209,20 +205,24 @@ def test_row_blocks_cover_the_rows_from_start_once_in_order(n, m, budget, start)
 
 
 def test_uniform_norm_examples():
-    np.testing.assert_allclose(uniform_norm([10.0, 20.0]), [0.5, 1.0])
-    np.testing.assert_allclose(uniform_norm([7.0, 3.0, 5.0]), [1.0, 1 / 3, 2 / 3])
-    np.testing.assert_allclose(uniform_norm([4.0, 4.0]), [0.75, 0.75])
+    for values, expected in (
+        ([10.0, 20.0], [0.5, 1.0]),
+        ([7.0, 3.0, 5.0], [1.0, 1 / 3, 2 / 3]),
+        ([4.0, 4.0], [0.75, 0.75]),
+    ):
+        column = ColumnTransforms(values)
+        np.testing.assert_allclose(column.ranks / column.m, expected)
 
 
 def test_tri_decreasing_examples():
-    scores = tri_decreasing([10.0, 20.0]).scores
+    scores = ColumnTransforms([10.0, 20.0]).dec
     np.testing.assert_allclose(scores, [-0.25, 0.5])
-    scores = tri_decreasing([30.0, 10.0, 20.0]).scores
+    scores = ColumnTransforms([30.0, 10.0, 20.0]).dec
     np.testing.assert_allclose(scores, [0.5, 1 / 9 - 0.5, 4 / 9 - 0.5])
 
 
 def test_tri_increasing_examples():
-    scores = tri_increasing([10.0, 20.0]).scores
+    scores = ColumnTransforms([10.0, 20.0]).inc
     np.testing.assert_allclose(scores, [-0.5, 0.25])
 
 
@@ -233,17 +233,17 @@ def test_triangular_mirror_identity_is_bit_exact():
         values = rng.normal(size=m)
         if rng.random() < 0.5:
             values = np.round(values, 1)  # exercise ties too
-        inc = tri_increasing(values).scores
-        mirrored = -tri_decreasing(-values).scores
-        np.testing.assert_array_equal(inc, mirrored)
+        inc = ColumnTransforms(values).inc
+        mirrored = -ColumnTransforms(-values).dec
+        assert inc.tobytes() == mirrored.tobytes()
 
 
 def test_triangular_scores_range_and_multiset():
     rng = np.random.default_rng(5)
     m = 200
     values = rng.normal(size=m)
-    dec = tri_decreasing(values).scores
-    inc = tri_increasing(values).scores
+    column = ColumnTransforms(values)
+    dec, inc = column.dec, column.inc
     assert np.all(dec >= -0.5) and np.all(dec <= 0.5)
     assert np.all(inc >= -0.5) and np.all(inc <= 0.5)
     expected = sorted((k / m) ** 2 - 0.5 for k in range(1, m + 1))
@@ -254,7 +254,7 @@ def test_triangular_mean_formula_exact_for_distinct_values():
     rng = np.random.default_rng(3)
     for m in (2, 5, 17, 100):
         values = rng.permutation(m).astype(float)
-        mean = tri_decreasing(values).scores.mean()
+        mean = ColumnTransforms(values).dec.mean()
         closed_form = (m + 1) * (2 * m + 1) / (6 * m * m) - 0.5
         assert mean == pytest.approx(closed_form, abs=1e-14)
 
@@ -262,16 +262,17 @@ def test_triangular_mean_formula_exact_for_distinct_values():
 def test_triangular_means_approach_one_sixth():
     rng = np.random.default_rng(41)
     values = rng.normal(size=1000)
-    assert tri_decreasing(values).scores.mean() == pytest.approx(-1 / 6, abs=1e-3)
-    assert tri_increasing(values).scores.mean() == pytest.approx(1 / 6, abs=1e-3)
+    column = ColumnTransforms(values)
+    assert column.dec.mean() == pytest.approx(-1 / 6, abs=1e-3)
+    assert column.inc.mean() == pytest.approx(1 / 6, abs=1e-3)
 
 
 def test_ranks_invariant_under_strictly_increasing_transforms():
     rng = np.random.default_rng(13)
     values = rng.normal(size=50)
-    base = compute_ranks(values).ranks
-    np.testing.assert_array_equal(compute_ranks(np.exp(values)).ranks, base)
-    np.testing.assert_array_equal(compute_ranks(values**3).ranks, base)
+    base = ColumnTransforms(values).ranks
+    np.testing.assert_array_equal(ColumnTransforms(np.exp(values)).ranks, base)
+    np.testing.assert_array_equal(ColumnTransforms(values**3).ranks, base)
 
 
 def test_column_transforms_validation_and_immutability():
@@ -298,7 +299,7 @@ BAD_COLUMNS = {
 def test_column_rejects_what_the_array_path_rejects(data, message):
     # The constructor and every array entry point raise the same message; a
     # direct call names its argument.
-    for build in (ColumnTransforms, compute_ranks, uniform_norm, tri_decreasing):
+    for build in (ColumnTransforms, as_column):
         with pytest.raises(InvalidInputError) as error:
             build(data)
         assert str(error.value) == message
@@ -329,16 +330,9 @@ def test_column_is_a_read_only_copy_of_its_source():
 
 @pytest.mark.parametrize("make", [np.array, list, ColumnTransforms], ids=["array", "list", "column"])
 def test_rank_and_score_results_are_read_only(make):
-    # One kind of array from every path: the views a column shares and the
-    # negated ranks built per call alike.
-    source = make([3.0, 1.0, 2.0])
-    results = (
-        compute_ranks(source).ranks,
-        compute_ranks(source, negate=True).ranks,
-        tri_decreasing(source).scores,
-        tri_increasing(source).scores,
-    )
-    for result in results:
+    # One kind of array from every path: the views a column shares.
+    column = as_column(make([3.0, 1.0, 2.0]))
+    for result in (column.ranks, column.dec, column.inc):
         assert not result.flags.writeable
         with pytest.raises(ValueError):
             result[0] = 0.0
@@ -350,8 +344,6 @@ def _small_dataset():
 
 HOLDERS = {
     "ColumnTransforms": lambda: ColumnTransforms([1.0, 2.0]),
-    "RankVector": lambda: compute_ranks([1.0, 2.0]),
-    "TriangularScores": lambda: tri_decreasing([1.0, 2.0]),
     "Dataset": _small_dataset,
     "CoefficientMatrix": lambda: pairwise_matrix(_small_dataset(), "iota"),
     "ProfileMatrix": lambda: minrel_profile_matrix(_small_dataset()),

@@ -15,7 +15,6 @@ from minrel import (
     METRICS,
     Dataset,
     InvalidInputError,
-    compute_ranks,
     evaluate_metric,
     iota2,
     iota_oriented,
@@ -31,9 +30,6 @@ from minrel import (
     rank_minrelation,
     rank_variables,
     spearman,
-    tri_decreasing,
-    tri_increasing,
-    uniform_norm,
 )
 from minrel.matrix import MATRIX_METRICS
 from minrel.ranks import (
@@ -133,22 +129,6 @@ def test_profile_and_spearman_take_prepared_transforms(sort_counter):
         spearman(prepared[0], ColumnTransforms(y[:-1]))
 
 
-def test_ranks_and_transforms_reuse_a_given_column(sort_counter):
-    x = np.random.default_rng(6).integers(0, 9, 40).astype(float)
-    column = ColumnTransforms(x)
-    column.inc  # the one sort
-    calls = (
-        lambda c: tri_decreasing(c).scores,
-        lambda c: tri_increasing(c).scores,
-        lambda c: compute_ranks(c).ranks,
-        lambda c: compute_ranks(c, negate=True).ranks,
-        uniform_norm,
-    )
-    reused = [call(column) for call in calls]
-    assert sort_counter["count"] == 1
-    assert [array.tobytes() for array in reused] == [call(x).tobytes() for call in calls]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(VALUES, min_size=2, max_size=20))
 def test_builder_negation_matches_ranking_the_negated_column(cells):
@@ -156,7 +136,7 @@ def test_builder_negation_matches_ranking_the_negated_column(cells):
     m = x.size
     built = ColumnTransforms(x)
     negated_ranks = fractional_ranks(np.negative(x))
-    assert compute_ranks(x, negate=True).ranks.tobytes() == negated_ranks.tobytes()
+    assert ((m + 1) - built.ranks).tobytes() == negated_ranks.tobytes()
     assert built.inc.tobytes() == increasing_scores_from_ranks(negated_ranks, m).tobytes()
     assert (-built.inc).tobytes() == decreasing_scores_from_ranks(negated_ranks, m).tobytes()
     # dec(-X) == -inc(X) and inc(-X) == -dec(X), which the mass table of
