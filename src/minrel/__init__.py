@@ -56,10 +56,7 @@ from .ranking import (
     rank_variables,
     split_half_cv_eval,
 )
-from .ranks import (
-    ColumnTransforms,
-    fractional_ranks,
-)
+from .ranks import ColumnTransforms, fractional_ranks
 from .synth import (
     FAMILIES,
     GeneratedDataset,

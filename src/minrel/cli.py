@@ -49,7 +49,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, astuple
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -247,6 +247,14 @@ def _csv_cell(value) -> str:
 _Grid = NamedTuple("_Grid", [("names", tuple), ("cells", np.ndarray)])
 
 
+def _words(cells: np.ndarray, spell) -> Iterator[list]:
+    """Each row of a grid as its cells' words: ``spell`` of each distinct bit pattern, once."""
+    bits = cells.view(np.int64 if cells.dtype == float else np.uint8).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    words = np.array(list(map(spell, distinct.view(cells.dtype).tolist())), dtype=object)
+    return (words[row].tolist() for row in inverse.reshape(cells.shape))
+
+
 def _json_parts(payload: dict):
     """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, in parts.
 
@@ -262,8 +270,8 @@ def _json_parts(payload: dict):
         keys = [json.dumps(value.names[i]) for i in order]
         prefixes = [f"\n      {name}: " for name in keys]
         spell = float.__repr__ if value.cells.dtype == float else _csv_spelling(bool)
-        for i, row in enumerate(value.cells[np.ix_(order, order)]):
-            cells = ",".join(map(str.__add__, prefixes, map(spell, row.tolist())))
+        for i, row in enumerate(_words(value.cells[np.ix_(order, order)], spell)):
+            cells = ",".join(map(str.__add__, prefixes, row))
             yield f"{',' if i else '{'}\n    {keys[i]}: {{{cells}\n    }}"
         yield "\n  }"
     yield "\n}\n"
@@ -293,7 +301,7 @@ def _write(args: argparse.Namespace, config: dict, fields: dict | None, sections
             elif isinstance(part, _Grid):
                 spell = _csv_spelling(type(part.cells.item(0)))
                 writer.writerow(["", *part.names])
-                writer.writerows([x, *map(spell, row.tolist())] for x, row in zip(*part))
+                writer.writerows([x, *row] for x, row in zip(part.names, _words(part.cells, spell)))
             else:
                 writer.writerows(map(_csv_cell, row) for row in part)
     # Many parts, not one string, as UTF-8 whatever the locale, to one binary sink.

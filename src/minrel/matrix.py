@@ -12,13 +12,13 @@ cells (i, J), a ranking's scores, are written both ways. The profile's cell
 IEEE operations on the same operands as its direct call, each cell is reduced
 on its own, and row i writes only row i and column i of storage allocated
 before any thread starts, so results are bit-identical for any thread count.
-From :data:`_THREAD_WORK` on, one thread per available CPU, dealt the rows in
-turn, runs the kernels, which release the interpreter lock.
+The rows are :func:`ranks.each`'s items, dealt in turn to threads as the
+triangle's work, n (n + 1) / 2 pairs times m, allows; the kernels release the
+interpreter lock.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
@@ -28,7 +28,7 @@ import numpy as np
 from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _max_iota_sq, _orientations
 from .coeff import _transforms
 from .errors import InvalidInputError, require_choice, require_count, require_names
-from .ranks import ColumnTransforms, _frozen, as_float_array, row_blocks
+from .ranks import ColumnTransforms, _frozen, as_float_array, each, row_blocks
 
 
 def _index(names: tuple[str, ...], name: str) -> int:
@@ -147,16 +147,6 @@ class ProfileMatrix:
 #: The size of one kernel call's (columns, m) temporaries, in bytes.
 _SCRATCH_BYTES = 1 << 20
 
-#: The triangle's work, n (n + 1) / 2 pairs times m rows, from which threads pay for themselves.
-_THREAD_WORK = 1 << 25
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
 
 def _blocks(parts: tuple, start: int = 0) -> Iterator[tuple[slice, tuple]]:
     """(J, rows J of ``parts``) per ``row_blocks`` block J of ``_SCRATCH_BYTES`` from ``start``."""
@@ -170,26 +160,19 @@ def _kernel_map(pair: Callable, parts: tuple, cell=()):
     ``parts``, the batch's prepared (n, ...) arrays, are only read. ``pair(row
     i, block J)`` returns ``(values, degenerate)`` of cells (i, J), then of
     cells (J, i); a cell has shape ``cell``. The blocks are :func:`_blocks`
-    from row i on. From :data:`_THREAD_WORK` on, one thread per available CPU and row runs.
+    from row i on; :func:`ranks.each` walks the rows.
     """
     n, m = parts[0].shape[:2]
     values = np.empty((n, n, *cell))
     degenerate = np.empty((n, n, *cell), dtype=bool)
 
-    def run_rows(rows: Iterable[int]) -> None:
-        for i in rows:
-            x = tuple(part[i] for part in parts)
-            for cells, y in _blocks(parts, i):
-                (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
-                values[cells, i], degenerate[cells, i] = transposed
+    def row(i: int) -> None:
+        x = tuple(part[i] for part in parts)
+        for cells, y in _blocks(parts, i):
+            (values[i, cells], degenerate[i, cells]), transposed = pair(x, y)
+            values[cells, i], degenerate[cells, i] = transposed
 
-    threads = min(_available_cpus(), n) if n * (n + 1) // 2 * m >= _THREAD_WORK else 1
-    if threads <= 1:
-        run_rows(range(n))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # not at import: most inputs run serially
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run_rows, [range(t, n, threads) for t in range(threads)]))
+    each(row, range(n), n * (n + 1) // 2 * m)
     return values, degenerate
 
 

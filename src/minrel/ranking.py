@@ -8,12 +8,12 @@ order, so results are fully deterministic):
     max_iota_sq -- largest squared oriented minrelation value
     iota_sq     -- squared minrelation of the target to the candidate only
 
-Each criterion is data (:data:`_CRITERIA`): a metric, and whether the value
-is squared. The scores are the metric's kernel on the target's row and each
-:func:`matrix._blocks` block of the dataset's prepared batch: the target's
-row of the metric's matrix, cell for cell the same operations. All rankings
-of one dataset (every target, both criteria of :func:`compare_criteria`)
-share the batch's one sort.
+Each criterion is data (:data:`_CRITERIA`): a metric and whether it is
+squared. The scores, the target's row of the metric's matrix cell for cell,
+are its kernel on the target's row and each :func:`matrix._blocks` block of
+the prepared batch, the blocks dealt by :func:`ranks.each`. All rankings of
+one dataset (every target, both criteria of :func:`compare_criteria`) share
+the batch's one sort.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
@@ -32,6 +32,7 @@ import numpy as np
 from .coeff import METRIC_TABLE
 from .errors import InvalidInputError, require_choice, require_count, require_names
 from .matrix import Dataset, _blocks
+from .ranks import each
 
 #: Each criterion as data: (metric, squared). A candidate's score is the
 #: metric of (target, candidate), squared when ``squared``.
@@ -113,7 +114,13 @@ def rank_variables(dataset: Dataset, target: str, criterion: str) -> RankingResu
     prepare, kernel, _ = METRIC_TABLE[metric]
     parts = prepare(dataset.batch)
     target_row = tuple(part[target_index] for part in parts)
-    scores = np.concatenate([kernel(target_row, y)[0] for _, y in _blocks(parts)])
+    scores = np.empty(dataset.n)
+
+    def score(block: tuple) -> None:
+        rows, y = block
+        scores[rows] = kernel(target_row, y)[0]
+
+    each(score, list(_blocks(parts)), dataset.n * dataset.m)
     scored = list(enumerate((scores * scores if squared else scores).tolist()))
     del scored[target_index]
     scored.sort(key=lambda item: (-item[1], item[0]))
@@ -155,33 +162,16 @@ def compare_criteria(
         require_choice(criterion, CRITERIA, "criterion")
     min_relevant = require_count(min_relevant, "min_relevant", 1)
     resolved = {t: require_names(names, f"relevant[{t!r}]") for t, names in targets.items()}
-    ordered_targets = sorted(resolved, key=dataset.index)
     outcomes = []
-    for target in ordered_targets:
-        relevant = resolved[target]
-        if len(relevant) < min_relevant:
+    for target in sorted(resolved, key=dataset.index):
+        known = resolved[target]
+        if len(known) < min_relevant:
             continue
-        ranking_a = rank_variables(dataset, target, criterion_a)
-        ranking_b = rank_variables(dataset, target, criterion_b)
-        avg_a = average_position(ranking_a, relevant).avg_position
-        avg_b = average_position(ranking_b, relevant).avg_position
-        if avg_a < avg_b:
-            outcome = "win"
-        elif avg_b < avg_a:
-            outcome = "loss"
-        else:
-            outcome = "draw"
-        outcomes.append(
-            TargetOutcome(
-                target=target,
-                avg_position_a=avg_a,
-                avg_position_b=avg_b,
-                outcome=outcome,
-            )
-        )
-    return WinLossRecord(
-        criterion_a=criterion_a, criterion_b=criterion_b, outcomes=tuple(outcomes)
-    )
+        avg_a = average_position(rank_variables(dataset, target, criterion_a), known).avg_position
+        avg_b = average_position(rank_variables(dataset, target, criterion_b), known).avg_position
+        outcome = "win" if avg_a < avg_b else "loss" if avg_b < avg_a else "draw"
+        outcomes.append(TargetOutcome(target, avg_a, avg_b, outcome))
+    return WinLossRecord(criterion_a, criterion_b, tuple(outcomes))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-import minrel.matrix
+import minrel.ranks
 from minrel import (
     ColumnTransforms,
     Dataset,
@@ -282,9 +282,9 @@ def test_criterion_8_cli_determinism(tmp_path, capsys, monkeypatch):
     serial = matrices("serial")
     dataset = read_dataset(data_path, "error")
     profile = minrel_profile_matrix(dataset)
-    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", 0)  # threads however small the matrix
+    monkeypatch.setattr(minrel.ranks, "_THREAD_WORK", 1)  # threads however small the matrix
     for cpus in (2, 4):
-        monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(minrel.ranks, "_available_cpus", lambda: cpus)
         assert matrices(f"threads_{cpus}") == serial, f"{cpus} threads changed matrix bytes"
         threaded = minrel_profile_matrix(dataset)
         for field in ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq"):

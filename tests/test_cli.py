@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -166,7 +167,7 @@ def test_coeff_sorts_only_the_two_columns_it_scores(capsys, tmp_path, sort_count
     np.savetxt(path, values, delimiter=",", header="a,b,c,d,e", comments="")
     code, _, _ = run_cli(capsys, "coeff", str(path), "--x", "b", "--y", "d", "--metric", metric)
     assert code == 0
-    assert sort_counter["rows"] == rows
+    assert sum(sort_counter) == rows
 
 
 def test_matrix_csv_round_trips_json_values(capsys, tmp_path):
@@ -472,6 +473,27 @@ def test_out_of_memory_exits_4_with_one_line(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "rank_variables", no_memory)
     code, out, err = run_cli(capsys, "rank", path, "--target", "a")
     assert (code, out, err) == (4, "", "error: out of memory: an allocation failed\n")
+
+
+def test_out_of_memory_on_a_walk_thread_exits_4_with_one_line(capsys, tmp_path, monkeypatch):
+    # One row per rank block, dealt to two threads: the second block, column b,
+    # ranks on the second thread, and its failed allocation ends the command.
+    path = write_csv(tmp_path, "three.csv", "a,b,c\n1,20,3\n2,10,4\n3,30,1\n")
+    monkeypatch.setattr(minrel.ranks, "_BLOCK_BYTES", 8)
+    monkeypatch.setattr(minrel.ranks, "_THREAD_WORK", 1)
+    monkeypatch.setattr(minrel.ranks, "_available_cpus", lambda: 2)
+    original, failed_on = minrel.ranks.fractional_ranks, []
+
+    def ranks(values):
+        if values[0, 0] == 20:
+            failed_on.append(threading.current_thread())
+            raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1, 3)")
+        return original(values)
+
+    monkeypatch.setattr(minrel.ranks, "fractional_ranks", ranks)
+    code, out, err = run_cli(capsys, "rank", path, "--target", "a")
+    assert (code, out) == (4, "") and failed_on != [threading.main_thread()]
+    assert err == "error: out of memory: Unable to allocate 7.45 GiB for an array with shape (1, 3)\n"
 
 
 def test_closed_stdout_exits_4_without_a_message():
@@ -886,7 +908,7 @@ def test_cli_output_equals_the_direct_calls(
 
     payload, serial = run("matrix", "--metric", matrix_metric)
     cpus = data.draw(st.integers(2, 4))  # threads however small the matrix
-    with mock.patch.multiple(minrel.matrix, _THREAD_WORK=0, _available_cpus=lambda: cpus):
+    with mock.patch.multiple(minrel.ranks, _THREAD_WORK=1, _available_cpus=lambda: cpus):
         assert run("matrix", "--metric", matrix_metric)[1] == serial
     # CSV: the value table, then the degenerate table, each headed by the names.
     records = run_csv("matrix", "--metric", matrix_metric)
@@ -949,6 +971,22 @@ def test_grid_writer_equals_the_dict_of_dicts_and_per_cell_writers(tmp_path, nam
         values = values.reshape(n, n)
         flags = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
         flags = flags.reshape(n, n)
+    _assert_grids_written_per_cell(tmp_path, names, values, flags)
+
+
+def test_a_grid_of_repeats_spells_every_cell_as_the_per_cell_writer_does(tmp_path):
+    # The grid spells each distinct bit pattern once: -0.0 and 0.0 stay apart,
+    # and a value repeated across rows and columns keeps its one spelling.
+    names = ["a", "b", "c", "d"]
+    values = np.array([0.0, -0.0, 0.1 + 0.2, 0.3, 1 / 3, 0.0, -0.0, 0.3, 1 / 3, 5e-324] * 2)[:16]
+    flags = np.array([True, True, False, True] * 4)
+    _assert_grids_written_per_cell(tmp_path, names, values.reshape(4, 4), flags.reshape(4, 4))
+    symmetric = values.reshape(4, 4) + values.reshape(4, 4).T  # a symmetric matrix's repeats
+    _assert_grids_written_per_cell(tmp_path, names, symmetric, flags.reshape(4, 4).T)
+
+
+def _assert_grids_written_per_cell(tmp_path, names, values, flags):
+    """Both writers of a values grid and a flags grid give the per-cell writers' bytes."""
     grids = [cli._Grid(tuple(names), values), cli._Grid(tuple(names), flags)]
     config = {"command": "matrix", "input": names[0], "m": 7}
     fields = {"metric": "iota", "names": names, "values": grids[0], "degenerate": grids[1]}

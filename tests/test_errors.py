@@ -119,7 +119,7 @@ def _fresh_suite():
 def test_arguments_are_checked_before_any_column_is_sorted(sort_counter, call):
     with pytest.raises(InvalidInputError):
         call(*_fresh_suite())
-    assert sort_counter["count"] == 0
+    assert len(sort_counter) == 0
 
 
 def test_a_string_is_not_a_set_of_relevant_columns():

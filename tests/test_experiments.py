@@ -74,10 +74,10 @@ def test_experiments_rank_each_column_once_per_repetition(sort_counter, monkeypa
         if blocks > 1:
             monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)  # 2 + 2 + 1
         for name, columns in (("table2", 3), ("table3", 4), ("table4", 6)):
-            sort_counter["count"] = sort_counter["rows"] = 0
+            sort_counter.clear()
             run_experiment(name, reps=reps, m=m, seed=0)
-            assert sort_counter["rows"] == reps * columns
-            assert sort_counter["count"] == blocks * columns
+            assert sum(sort_counter) == reps * columns
+            assert len(sort_counter) == blocks * columns
 
 
 #: The public direct call that gives each statistic.
@@ -156,9 +156,9 @@ def test_blocks_give_every_cell_the_bits_of_the_direct_calls(monkeypatch, sort_c
     for m in (7, 31):
         monkeypatch.setattr(minrel.experiments, "_BLOCK_BYTES", 2 * 8 * m)
         for name, table in TABLES.items():
-            sort_counter["count"] = 0
+            sort_counter.clear()
             result = run_experiment(name, reps, m, seed)
-            assert sort_counter["count"] == 3 * len(GENERATORS[table.family](m, 0).dataset.names)
+            assert len(sort_counter) == 3 * len(GENERATORS[table.family](m, 0).dataset.names)
             series = _direct_series(table, reps, m, seed)
             assert [cell.label for cell in result.cells] == list(series)
             for cell in result.cells:

@@ -1,8 +1,9 @@
-import concurrent.futures
 import itertools
 import os
 import subprocess
 import sys
+import threading
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -24,11 +25,14 @@ from minrel import (
     minrel_profile_matrix,
     pairwise_matrix,
     rank_variables,
+    spearman,
     transform_cache,
 )
 from minrel.coeff import Metric
 from minrel.matrix import MATRIX_METRICS, SYMMETRIC_METRICS
 from minrel.ranks import ColumnTransforms
+
+from conftest import force_threads
 
 
 def _dataset(seed=0, m=60, n=4):
@@ -125,7 +129,7 @@ def test_pairwise_matrix_equals_direct_two_column_calls(monkeypatch):
     datasets = (_dataset(seed=3, m=40, n=4), _dataset(seed=3, m=50_000, n=4))
     for forced in (False, True):
         if forced:
-            _force_threads(monkeypatch, 2)
+            force_threads(monkeypatch, 2)
         for ds, metric in itertools.product(datasets, MATRIX_METRICS):
             matrix = pairwise_matrix(ds, metric)
             for i in range(ds.n):
@@ -184,12 +188,6 @@ def _matrix_bytes(ds) -> dict:
     return found
 
 
-def _force_threads(monkeypatch, cpus: int) -> None:
-    """Deal every triangle's rows to min(``cpus``, n) threads, however small its work."""
-    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", 0)
-    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
-
-
 def test_parallel_runs_are_bit_identical(monkeypatch):
     # An odd n, so the threads split the triangle unevenly; up to four threads
     # run even on a host with fewer CPUs, switching as often as they can.
@@ -199,7 +197,7 @@ def test_parallel_runs_are_bit_identical(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for cpus in (2, 3, 4):
-            _force_threads(monkeypatch, cpus)
+            force_threads(monkeypatch, cpus)
             assert _matrix_bytes(ds) == serial
     finally:
         sys.setswitchinterval(interval)
@@ -253,7 +251,7 @@ def test_dataset_columns_have_their_own_columns_views_bit_for_bit(case):
         # Every matrix cell is the direct call on the columns alone, on one thread or two.
         for metric in MATRIX_METRICS:
             serial = pairwise_matrix(ds, metric)
-            with mock.patch.multiple(minrel.matrix, _THREAD_WORK=0, _available_cpus=lambda: 2):
+            with mock.patch.multiple(minrel.ranks, _THREAD_WORK=1, _available_cpus=lambda: 2):
                 threaded = pairwise_matrix(ds, metric)
             assert serial.values.tobytes() == threaded.values.tobytes()
             assert serial.degenerate.tobytes() == threaded.degenerate.tobytes()
@@ -278,7 +276,8 @@ DOCUMENTED_SCORES = {
 @example((7, ["ties", "huge", "constant", "distinct", "ties"], 0, 2))
 def test_rankings_in_blocks_score_the_direct_calls_bit_for_bit(case):
     # Kernel blocks of ``step`` rows, fewer than the dataset has, so a block
-    # boundary falls inside it; unpatched, the whole batch is one block.
+    # boundary falls inside it; unpatched, the whole batch is one block. The
+    # blocks dealt to two threads give the same ranking, bit for bit.
     m, kinds, seed, step = case
     assume(step < len(kinds))
     rng = np.random.default_rng(seed)
@@ -290,6 +289,9 @@ def test_rankings_in_blocks_score_the_direct_calls_bit_for_bit(case):
             whole = rank_variables(ds, target, criterion)
             with mock.patch.object(minrel.matrix, "_SCRATCH_BYTES", 8 * m * step):
                 blocked = rank_variables(ds, target, criterion)
+                with mock.patch.multiple(minrel.ranks, _THREAD_WORK=1, _available_cpus=lambda: 2):
+                    threaded = rank_variables(ds, target, criterion)
+            assert repr(threaded.ordered) == repr(blocked.ordered)  # a float's repr is its bits
             assert blocked.names() == whole.names()
             metric, squared, order = DOCUMENTED_SCORES[criterion]
             for (name, score), (_, unpatched) in zip(blocked.ordered, whole.ordered):
@@ -335,16 +337,14 @@ def test_the_metric_table_holds_each_matrix_metrics_mirror_bit_for_bit(case):
     ids=["iota_sq_ranking", "iota_matrix", "max_iota_sq_matrix"],
 )
 def test_each_block_is_one_table_call_that_forms_each_mass_once(
-    monkeypatch, build, metric, calls, masses
+    monkeypatch, walks, build, metric, calls, masses
 ):
     # A ranking calls the kernel, never the pair, whose third mass it would not use.
-    ds = _dataset(seed=37, m=40, n=7)
-    monkeypatch.setattr(minrel.matrix, "_SCRATCH_BYTES", 8 * ds.m * 3)
-    counts = {"kernel": 0, "pair": 0, "masses": 0}
+    called = []  # one name per call: an append loses none made on a walk's threads
 
     def counted(name, function):
         def call(*args):
-            counts[name] += 1
+            called.append(name)
             return function(*args)
 
         return call if function else None
@@ -353,41 +353,50 @@ def test_each_block_is_one_table_call_that_forms_each_mass_once(
     wrapped = Metric(prepare, counted("kernel", kernel), counted("pair", pair))
     monkeypatch.setitem(minrel.coeff.METRIC_TABLE, metric, wrapped)
     monkeypatch.setattr(minrel.coeff, "_mass", counted("masses", minrel.coeff._mass))
-    build(ds)
-    tiles = sum(calls.values())
-    assert counts == {"kernel": 0, "pair": 0, **calls, "masses": masses * tiles}
+    for _ in walks:  # serially, then with the batch ranked and the blocks dealt on threads
+        ds = _dataset(seed=37, m=40, n=7)
+        monkeypatch.setattr(minrel.matrix, "_SCRATCH_BYTES", 8 * ds.m * 3)
+        called.clear()
+        build(ds)
+        tiles = sum(calls.values())
+        counts = {name: called.count(name) for name in ("kernel", "pair", "masses")}
+        assert counts == {"kernel": 0, "pair": 0, **calls, "masses": masses * tiles}
 
 
-def test_preprocessing_sorts_each_column_once(sort_counter):
-    ds = _dataset(seed=13, m=30, n=5)
-    pairwise_matrix(ds, "iota")
-    # Each column's row ranked once (the negated order is derived), nothing per pair.
-    assert sort_counter["rows"] == ds.n
+def test_preprocessing_sorts_each_column_once(walks, sort_counter):
+    for _ in walks:
+        sort_counter.clear()
+        ds = _dataset(seed=13, m=30, n=5)
+        pairwise_matrix(ds, "iota")
+        # Each column's row ranked once (the negated order is derived), nothing per pair.
+        assert sum(sort_counter) == ds.n
 
 
-def test_repeated_passes_on_one_dataset_never_rerank(sort_counter):
-    ds = _dataset(seed=13, m=30, n=5)
-    # The first pass builds the dataset's column views; every later pass on
-    # the same Dataset reuses them.
-    first = pairwise_matrix(ds, "iota")
-    profiles = minrel_profile_matrix(ds)
-    assert sort_counter["rows"] == ds.n
-    sort_counter["rows"] = 0
-    matrix = pairwise_matrix(ds, "iota")
-    assert matrix.values.tobytes() == first.values.tobytes()
-    assert minrel_profile_matrix(ds).max_iota_sq.tobytes() == profiles.max_iota_sq.tobytes()
-    pairwise_matrix(ds, "max_iota_sq")
-    pairwise_matrix(ds, "iota2")
-    for criterion in CRITERIA:
-        rank_variables(ds, "c2", criterion)
-    assert sort_counter["rows"] == 0
-    assert transform_cache(ds) is ds.columns
-    assert [column.name for column in ds.columns] == list(ds.names)
-    # An equal but separate Dataset owns a batch of its own: reading its
-    # ranks ranks each of its rows once.
-    copy = Dataset(names=ds.names, values=ds.values)
-    assert copy.batch.ranks.tobytes() == ds.batch.ranks.tobytes()
-    assert sort_counter["rows"] == ds.n
+def test_repeated_passes_on_one_dataset_never_rerank(walks, sort_counter):
+    for _ in walks:
+        sort_counter.clear()
+        ds = _dataset(seed=13, m=30, n=5)
+        # The first pass builds the dataset's column views; every later pass on
+        # the same Dataset reuses them.
+        first = pairwise_matrix(ds, "iota")
+        profiles = minrel_profile_matrix(ds)
+        assert sum(sort_counter) == ds.n
+        sort_counter.clear()
+        matrix = pairwise_matrix(ds, "iota")
+        assert matrix.values.tobytes() == first.values.tobytes()
+        assert minrel_profile_matrix(ds).max_iota_sq.tobytes() == profiles.max_iota_sq.tobytes()
+        pairwise_matrix(ds, "max_iota_sq")
+        pairwise_matrix(ds, "iota2")
+        for criterion in CRITERIA:
+            rank_variables(ds, "c2", criterion)
+        assert sum(sort_counter) == 0
+        assert transform_cache(ds) is ds.columns
+        assert [column.name for column in ds.columns] == list(ds.names)
+        # An equal but separate Dataset owns a batch of its own: reading its
+        # ranks ranks each of its rows once.
+        copy = Dataset(names=ds.names, values=ds.values)
+        assert copy.batch.ranks.tobytes() == ds.batch.ranks.tobytes()
+        assert sum(sort_counter) == ds.n
 
 
 def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
@@ -395,7 +404,7 @@ def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
     # have no rank views yet and would have to sort to read one.
     ranked = _dataset(seed=13, m=30, n=5)
     pairwise_matrix(ranked, "spearman")
-    assert sort_counter["rows"] == ranked.n
+    assert sum(sort_counter) == ranked.n
 
     def exploding(values):
         raise AssertionError("a metric on raw values must not rank")
@@ -486,10 +495,10 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
                 direct = evaluate_metric(values[:, i], values[:, j], metric)
                 assert matrix.values[i, j].tobytes() == np.float64(direct.value).tobytes()
                 assert matrix.degenerate[i, j] == direct.degenerate
-    _force_threads(monkeypatch, 2)
+    force_threads(monkeypatch, 2)
     assert _matrix_bytes(ds) == serial
     for threads in (1, 2):
-        _force_threads(monkeypatch, threads)
+        force_threads(monkeypatch, threads)
         profiles = minrel_profile_matrix(ds)
         assert profiles.iota_yx.tobytes() == profiles.iota_xy.T.copy().tobytes()
         assert profiles.iota_negy_x.tobytes() == profiles.iota_negx_y.T.copy().tobytes()
@@ -510,93 +519,169 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
     ],
     ids=["iota", "iota2", "max_iota_sq", "profile", "direct_max_iota_sq", "direct_profile"],
 )
-def test_minrelation_maps_compute_each_orientation_once(monkeypatch, build, rows):
-    ds = _dataset(seed=31, m=40, n=5)
-    reduced = {"rows": 0}
+def test_minrelation_maps_compute_each_orientation_once(monkeypatch, walks, build, rows):
+    reduced = []  # the mass rows of each call: an append loses none made on a walk's threads
     original = minrel.coeff._mass
 
     def counting(s):
-        reduced["rows"] += int(np.prod(np.shape(s)[:-1]))
+        reduced.append(int(np.prod(np.shape(s)[:-1])))
         return original(s)
 
     monkeypatch.setattr(minrel.coeff, "_mass", counting)
-    build(ds)
-    # Every matrix walks only the n (n + 1) / 2 pairs with j >= i. An iota or
-    # iota2 pair shares three masses between its two cells; all four
-    # orientations of a pair, in either order, share four.
-    assert reduced["rows"] == rows(ds.n)
-
-
-class _SerialPool:
-    """A ThreadPoolExecutor stand-in that records its size and runs each task in turn."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, function, items):
-        return [function(item) for item in items]
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch) -> list:
-    """The size of every thread pool built, each running its rows in turn."""
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    return _SerialPool.sizes
+    for _ in walks:
+        ds = _dataset(seed=31, m=40, n=5)
+        reduced.clear()
+        build(ds)
+        # Every matrix walks only the n (n + 1) / 2 pairs with j >= i. An iota or
+        # iota2 pair shares three masses between its two cells; all four
+        # orientations of a pair, in either order, share four.
+        assert sum(reduced) == rows(ds.n)
 
 
 @pytest.mark.parametrize("cpus", [1, 3, 5000])
-def test_threads_are_capped_at_the_available_cpus(monkeypatch, pool_sizes, cpus):
+def test_threads_are_capped_at_the_available_cpus(monkeypatch, started, cpus):
     wide, narrow = _dataset(seed=5, m=30, n=8), _dataset(seed=6, m=30, n=2)
     serial = [_matrix_bytes(ds) for ds in (wide, narrow)]
-    _force_threads(monkeypatch, cpus)
+    force_threads(monkeypatch, cpus)
     assert [_matrix_bytes(ds) for ds in (wide, narrow)] == serial
-    # One pool per matrix (six metrics and the profile), of one thread per CPU and row.
-    sizes = [min(cpus, ds.n) for ds in (wide, narrow) for _ in range(len(MATRIX_METRICS) + 1)]
-    assert pool_sizes == [size for size in sizes if size > 1]
+    # Each matrix (six metrics and the profile) deals its rows to one thread per
+    # CPU and row, the calling thread one of them; the batches were ranked before.
+    matrices = len(MATRIX_METRICS) + 1
+    assert len(started) == sum((min(cpus, ds.n) - 1) * matrices for ds in (wide, narrow))
+    assert not any(thread.is_alive() for thread in started)
+
+
+#: The three walks over a batch, each on a dataset whose views it does not build:
+#: its items (one row per rank block and per kernel block) and its work, cells times rows.
+WALKS = {
+    "rank pass": (lambda ds: Dataset(ds.names, ds.values).batch.ranks, lambda n, m: n * m),
+    "matrix": (lambda ds: pairwise_matrix(ds, "iota").values, lambda n, m: n * (n + 1) // 2 * m),
+    "ranking": (lambda ds: rank_variables(ds, "c0", "iota_sq").ordered, lambda n, m: n * m),
+}
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_threads_run_from_the_work_threshold(monkeypatch, pool_sizes, cpus):
-    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: cpus)
+def test_threads_run_from_the_work_threshold(monkeypatch, started, cpus):
+    # One rule for every walk: min(CPUs, items, max(1, work // _THREAD_WORK)) threads.
     ds = _dataset(seed=7, m=30, n=8)
-    work = ds.n * (ds.n + 1) // 2 * ds.m  # the triangle's pairs times m
-    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", work + 1)
-    below = pairwise_matrix(ds, "iota")
-    assert pool_sizes == []
-    monkeypatch.setattr(minrel.matrix, "_THREAD_WORK", work)
-    at = pairwise_matrix(ds, "iota")
-    assert pool_sizes == ([] if cpus == 1 else [min(cpus, ds.n)])
-    assert at.values.tobytes() == below.values.tobytes()
+    monkeypatch.setattr(minrel.ranks, "_BLOCK_BYTES", 8 * ds.m)
+    monkeypatch.setattr(minrel.matrix, "_SCRATCH_BYTES", 8 * ds.m)
+    monkeypatch.setattr(minrel.ranks, "_available_cpus", lambda: cpus)
+    ds.batch.dec, ds.batch.inc  # the views the matrix and the ranking read
+    for walk, (build, work) in WALKS.items():
+        work = work(ds.n, ds.m)
+        monkeypatch.setattr(minrel.ranks, "_THREAD_WORK", work + 1)
+        started.clear()
+        serial = build(ds)
+        assert started == [], walk
+        # work // _THREAD_WORK is exactly ``threads`` here: 240 and 1080 divide by 1 to 4.
+        for threads in (1, 2, 3, 4, ds.n + 1):
+            monkeypatch.setattr(minrel.ranks, "_THREAD_WORK", max(1, work // threads))
+            started.clear()
+            assert np.array_equal(build(ds), serial), walk
+            assert len(started) == min(cpus, ds.n, threads) - 1, walk
 
 
-def test_a_network_sized_matrix_builds_no_pool(monkeypatch, pool_sizes):
-    # 100 columns of 1000 rows: 5 050 pairs of 1000 rows, below the 2^25 threshold.
-    monkeypatch.setattr(minrel.matrix, "_available_cpus", lambda: 4)
-    ds = _dataset(seed=8, m=1000, n=100)
-    for metric in ("iota", "max_iota_sq", "spearman"):
-        pairwise_matrix(ds, metric)
-    assert pool_sizes == []
+def test_network_sized_matrices_run_on_two_threads_and_small_passes_on_one(monkeypatch, started):
+    # 100 columns of 1000 rows: 5 050 pairs of 1000 rows. Its rank pass is
+    # 100 000 values in 4 blocks; a (20, 50) matrix is 210 pairs of 50 rows.
+    monkeypatch.setattr(minrel.ranks, "_available_cpus", lambda: 2)
+    network, small = _dataset(seed=8, m=1000, n=100), _dataset(seed=9, m=50, n=20)
+    for ds in (network, small):
+        started.clear()
+        for metric in ("iota", "max_iota_sq", "spearman"):
+            pairwise_matrix(ds, metric)
+        assert len(started) == (3 if ds is network else 0)
+    # One block, however long its column: a direct call never starts a thread.
+    started.clear()
+    x, y = np.random.default_rng(10).random((2, 200_000))
+    spearman(x, y)
+    assert started == []
 
 
-def test_import_leaves_the_thread_pool_unloaded():
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_threaded_rank_pass_gives_the_serial_bits_and_sorts(monkeypatch, sort_counter, cpus):
+    # Heavy ties with -0.0 and 0.0, in blocks of 2 rows: 7 rows rank as 2 + 2 + 2 + 1.
+    rng = np.random.default_rng(41)
+    values = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], (40, 7))
+    names = [f"c{j}" for j in range(7)]
+    monkeypatch.setattr(minrel.ranks, "_BLOCK_BYTES", 8 * 40 * 2)
+    serial = Dataset(names, values).batch.ranks
+    serial_sorts = sorted(sort_counter)
+    sort_counter.clear()
+    ranked_on = []
+    counting = minrel.ranks.fractional_ranks
+
+    def recorded(rows):
+        ranked_on.append(threading.get_ident())
+        return counting(rows)
+
+    monkeypatch.setattr(minrel.ranks, "fractional_ranks", recorded)
+    force_threads(monkeypatch, cpus)
+    threaded = Dataset(names, values).batch.ranks
+    assert threaded.tobytes() == serial.tobytes()
+    assert sorted(sort_counter) == serial_sorts == [1, 2, 2, 2]
+    assert len(set(ranked_on)) == cpus
+
+
+def test_each_raises_a_share_s_exception_after_every_share_has_ended(monkeypatch, started):
+    # Four threads dealt 1000 items in turn, switching as often as they can:
+    # every item runs once, and a failing item ends its own share only; the
+    # walk raises its exception once every share has ended.
+    monkeypatch.setattr(minrel.ranks, "_available_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for failing in (None, 0, 1, 998):
+            done = np.zeros(1000, dtype=int)
+
+            def run(item):
+                done[item] += 1  # each item's own cell
+                if item == failing:
+                    raise MemoryError(f"item {item}")
+
+            started.clear()
+            fails = failing is not None
+            with pytest.raises(MemoryError, match=f"^item {failing}$") if fails else nullcontext():
+                minrel.ranks.each(run, range(1000), 4 * minrel.ranks._THREAD_WORK)
+            skipped = [i for i in range(1000) if fails and i % 4 == failing % 4 and i > failing]
+            assert np.flatnonzero(done == 0).tolist() == skipped
+            assert done.max() == 1 and len(started) == 3
+            assert not any(thread.is_alive() for thread in started)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_import_leaves_the_thread_pool_unloaded(tmp_path):
+    # A matrix and a ranking, each walking on two threads, in a fresh process.
     package_root = os.path.dirname(os.path.dirname(minrel.__file__))
     env = {**os.environ, "PYTHONPATH": package_root}
-    code = "import sys, minrel.cli; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+    path = tmp_path / "in.csv"
+    path.write_text("a,b,c\n1,2,3\n2,1,4\n3,3,1\n4,0,2\n")
+    code = f"""
+import sys, threading
+import minrel.cli, minrel.ranks
+print(sorted({{'concurrent.futures', 'queue'}} & set(sys.modules)))
+started = []
+class Counted(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+ranks = minrel.ranks
+ranks.Thread, ranks._THREAD_WORK, ranks._BLOCK_BYTES, ranks._available_cpus = Counted, 1, 8, lambda: 2
+for command, *options in (("matrix",), ("rank", "--target", "a")):
+    started.clear()
+    argv = [command, {str(path)!r}, *options, "--output", {str(tmp_path / "out")!r}]
+    assert minrel.cli.main(argv) == 0 and started, command
+print(sorted({{'concurrent.futures', 'queue'}} & set(sys.modules)))
+"""
     argv = [sys.executable, "-c", code]
-    assert subprocess.run(argv, capture_output=True, text=True, env=env).stdout == "[]\n"
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.stdout, done.stderr) == ("[]\n[]\n", "")
 
 
 def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch):
-    assert 1 <= minrel.matrix._available_cpus() <= (os.cpu_count() or 1)
+    assert 1 <= minrel.ranks._available_cpus() <= (os.cpu_count() or 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert minrel.matrix._available_cpus() == 1
+    assert minrel.ranks._available_cpus() == 1
