@@ -44,17 +44,13 @@ from .matrix import (
 )
 from .ranking import (
     CRITERIA,
-    CvSummary,
-    FitResult,
     RankingResult,
     RelevanceEval,
     TargetOutcome,
     WinLossRecord,
     average_position,
     compare_criteria,
-    least_squares_regressor,
     rank_variables,
-    split_half_cv_eval,
 )
 from .ranks import ColumnTransforms, fractional_ranks
 from .synth import (
@@ -80,11 +76,9 @@ __all__ = [
     "CoefficientMatrix",
     "CoefficientValue",
     "ColumnTransforms",
-    "CvSummary",
     "Dataset",
     "ExperimentCell",
     "ExperimentResult",
-    "FitResult",
     "GeneratedDataset",
     "InvalidInputError",
     "MinrelError",
@@ -109,7 +103,6 @@ __all__ = [
     "iota_oriented",
     "iota_raw_indicator",
     "iota_raw_squared",
-    "least_squares_regressor",
     "max_iota_sq",
     "minrel_profile",
     "minrel_profile_matrix",
@@ -121,7 +114,6 @@ __all__ = [
     "rank_variables",
     "run_experiment",
     "spearman",
-    "split_half_cv_eval",
     "transform_cache",
     "__version__",
 ]

@@ -17,15 +17,12 @@ the batch's one sort.
 
 Two criteria are compared by the average 1-based position the known
 relevant columns get: strictly lower wins the target, equality is a draw.
-A split-half cross-validation harness evaluates rankings on held-out data
-with a built-in least-squares regressor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,8 +40,6 @@ _CRITERIA = {
 }
 
 CRITERIA = tuple(_CRITERIA)
-
-RIDGE_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -167,126 +162,27 @@ def compare_criteria(
         known = resolved[target]
         if len(known) < min_relevant:
             continue
-        avg_a = average_position(rank_variables(dataset, target, criterion_a), known).avg_position
-        avg_b = average_position(rank_variables(dataset, target, criterion_b), known).avg_position
-        outcome = "win" if avg_a < avg_b else "loss" if avg_b < avg_a else "draw"
-        outcomes.append(TargetOutcome(target, avg_a, avg_b, outcome))
-    return WinLossRecord(criterion_a, criterion_b, tuple(outcomes))
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """A fitted regressor: a predict callable plus fit diagnostics."""
-
-    predict: Callable[[np.ndarray], np.ndarray]
-    used_ridge: bool = False
-
-
-def least_squares_regressor(train_x: np.ndarray, train_y: np.ndarray) -> FitResult:
-    """Ordinary least squares with intercept via the normal equations.
-
-    A singular or non-finite solve falls back to a tiny ridge term on the
-    normal-equation diagonal, reported through ``used_ridge``.
-    """
-    design = np.column_stack([train_x, np.ones(train_x.shape[0])])
-    gram = design.T @ design
-    moment = design.T @ train_y
-    used_ridge = False
-    try:
-        beta = np.linalg.solve(gram, moment)
-        if not np.all(np.isfinite(beta)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        used_ridge = True
-        ridged = gram + RIDGE_EPSILON * np.eye(gram.shape[0])
-        beta = np.linalg.solve(ridged, moment)
-
-    def predict(x: np.ndarray) -> np.ndarray:
-        return np.column_stack([x, np.ones(x.shape[0])]) @ beta
-
-    return FitResult(predict=predict, used_ridge=used_ridge)
-
-
-@dataclass(frozen=True)
-class CvSummary:
-    """Split-half evaluation of one ranking criterion on one target."""
-
-    target: str
-    criterion: str
-    sizes: tuple[int, ...]
-    folds: int
-    seed: int
-    ranked: tuple[str, ...]
-    per_size_mse: tuple[float, ...]
-    mean_mse: float
-    used_ridge: bool
-
-
-def split_half_cv_eval(
-    dataset: Dataset,
-    target: str,
-    criterion: str,
-    sizes: Sequence[int],
-    folds: int,
-    seed: int,
-) -> CvSummary:
-    """Rank on one half of the rows, cross-validate subsets on the other.
-
-    Rows are put in a canonical order, shuffled with the seed, and split:
-    the first ceil(m/2) rows feed the ranking, the rest are evaluated with
-    k-fold cross-validation of :func:`least_squares_regressor` fitted on
-    the top-``size`` ranked columns, for each requested subset size.
-    Reported MSEs are fold averages; ``mean_mse`` additionally averages
-    over sizes.
-    """
-    require_choice(criterion, CRITERIA, "criterion")
-    sizes = tuple(require_count(k, "subset size", 1) for k in sizes)
-    if not sizes:
-        raise InvalidInputError("sizes must not be empty")
-    if any(k > dataset.n - 1 for k in sizes):
-        raise InvalidInputError(f"subset sizes must be within [1, {dataset.n - 1}], got {sizes}")
-    folds = require_count(folds, "folds", 2)
-    if dataset.m < 2 * folds:
-        raise InvalidInputError(
-            f"need at least {2 * folds} rows for {folds}-fold split-half evaluation, got {dataset.m}"
+        ranking_a = rank_variables(dataset, target, criterion_a)
+        avg_a = average_position(ranking_a, known).avg_position
+        ranking_b = rank_variables(dataset, target, criterion_b)
+        avg_b = average_position(ranking_b, known).avg_position
+        if avg_a < avg_b:
+            outcome = "win"
+        elif avg_b < avg_a:
+            outcome = "loss"
+        else:
+            outcome = "draw"
+        outcomes.append(
+            TargetOutcome(
+                target=target,
+                avg_position_a=avg_a,
+                avg_position_b=avg_b,
+                outcome=outcome,
+            )
         )
-    target_index = dataset.index(target)
-    seed = require_count(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    # Rows sorted by column 0, then 1, ..., so the shuffle ignores the order rows arrived in.
-    shuffled = np.lexsort(dataset.batch.values[::-1])[rng.permutation(dataset.m)]
-    half = math.ceil(dataset.m / 2)
-    ranking_rows, eval_rows = shuffled[:half], shuffled[half:]
-
-    ranking_half = Dataset(names=dataset.names, values=dataset.values[ranking_rows])
-    ranking = rank_variables(ranking_half, target, criterion)
-    ranked_names = ranking.names()
-
-    eval_values = dataset.values[eval_rows]
-    y = eval_values[:, target_index]
-    fold_slices = np.array_split(np.arange(eval_rows.size), folds)
-    used_ridge = False
-    per_size = []
-    for size in sizes:
-        feature_idx = [dataset.index(name) for name in ranked_names[:size]]
-        x = eval_values[:, feature_idx]
-        fold_mses = []
-        for validation in fold_slices:
-            mask = np.ones(eval_rows.size, dtype=bool)
-            mask[validation] = False
-            fit = least_squares_regressor(x[mask], y[mask])
-            used_ridge = used_ridge or fit.used_ridge
-            residual = fit.predict(x[validation]) - y[validation]
-            fold_mses.append(float(np.mean(residual * residual)))
-        per_size.append(float(np.mean(fold_mses)))
-    return CvSummary(
-        target=target,
-        criterion=criterion,
-        sizes=sizes,
-        folds=folds,
-        seed=seed,
-        ranked=ranked_names,
-        per_size_mse=tuple(per_size),
-        mean_mse=float(np.mean(per_size)),
-        used_ridge=used_ridge,
+    return WinLossRecord(
+        criterion_a=criterion_a,
+        criterion_b=criterion_b,
+        outcomes=tuple(outcomes),
     )
+

@@ -21,7 +21,6 @@ from minrel import (
     pairwise_matrix,
     rank_variables,
     run_experiment,
-    split_half_cv_eval,
 )
 from minrel.cli import NA_POLICIES, read_dataset
 
@@ -46,9 +45,6 @@ CASES = {
     "min_relevant": (
         "min_relevant", 1, lambda v: compare_criteria(SUITE.dataset, SUITE.targets, min_relevant=v)
     ),
-    "folds": ("folds", 2, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (2,), v, 0)),
-    "subset-size": ("subset size", 1, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (v,), 2, 0)),
-    "seed-split-half": ("seed", 0, lambda v: split_half_cv_eval(LINEAR, "A", "rho2", (2,), 2, v)),
     "rows_dropped": (
         "rows_dropped", 0, lambda v: Dataset(("a", "b"), [[1, 2], [3, 4]], rows_dropped=v)
     ),
@@ -75,9 +71,6 @@ NAME_CASES = {
     ),
     "compare_criteria-b": (
         "criterion", CRITERIA, lambda v: compare_criteria(SUITE.dataset, {}, criterion_b=v)
-    ),
-    "split_half_cv_eval": (
-        "criterion", CRITERIA, lambda v: split_half_cv_eval(LINEAR, "A", v, (2,), 2, 0)
     ),
     "run_experiment": ("experiment", EXPERIMENTS, lambda v: run_experiment(v, 1, 10, 0)),
     "read_dataset": ("NA policy", NA_POLICIES, lambda v: read_dataset("absent.csv", v)),
@@ -110,11 +103,10 @@ def _fresh_suite():
         lambda ds, targets: compare_criteria(ds, targets, criterion_a="bogus", min_relevant=99),
         # A valid criterion_a must not rank anything before criterion_b is checked.
         lambda ds, targets: compare_criteria(ds, targets, criterion_b="bogus"),
-        lambda ds, targets: split_half_cv_eval(ds, next(iter(targets)), "bogus", (1,), 2, 0),
         # A string is one name, not a set of relevant columns.
         lambda ds, targets: compare_criteria(ds, {next(iter(targets)): "AB"}),
     ],
-    ids=["compare-no-target", "compare-criterion-b", "split-half", "compare-string-relevant"],
+    ids=["compare-no-target", "compare-criterion-b", "compare-string-relevant"],
 )
 def test_arguments_are_checked_before_any_column_is_sorted(sort_counter, call):
     with pytest.raises(InvalidInputError):

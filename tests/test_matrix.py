@@ -613,7 +613,8 @@ def test_a_threaded_rank_pass_gives_the_serial_bits_and_sorts(monkeypatch, sort_
     counting = minrel.ranks.fractional_ranks
 
     def recorded(rows):
-        ranked_on.append(threading.get_ident())
+        # The Thread, not its ident: CPython gives an ended thread's ident to the next one.
+        ranked_on.append(threading.current_thread())
         return counting(rows)
 
     monkeypatch.setattr(minrel.ranks, "fractional_ranks", recorded)

@@ -8,12 +8,9 @@ from minrel import (
     average_position,
     compare_criteria,
     gen_combined,
-    gen_linear,
     gen_relevance_suite_dataset,
     rank_variables,
-    split_half_cv_eval,
 )
-from minrel.ranking import RIDGE_EPSILON, least_squares_regressor
 
 
 def _product_with_noise(seed, m=100, noise=5):
@@ -190,104 +187,3 @@ def test_compare_criteria_threshold_filters_targets():
     with pytest.raises(InvalidInputError):
         compare_criteria(ds, {"A": ("B",)}, min_relevant=0)
 
-
-def test_split_half_exact_recovery():
-    rng = np.random.default_rng(11)
-    x1 = rng.normal(size=200)
-    x2 = rng.normal(size=200)
-    columns = {
-        "y": 2.0 * x1 + x2,
-        "x1": x1,
-        "x2": x2,
-        "n1": rng.normal(size=200),
-        "n2": rng.normal(size=200),
-    }
-    summary = split_half_cv_eval(
-        Dataset.from_columns(columns), "y", "rho2", sizes=(2, 3), folds=10, seed=0
-    )
-    assert summary.mean_mse <= 1e-10
-    assert not summary.used_ridge
-
-
-def test_split_half_row_order_invariance():
-    ds = gen_linear(120, seed=13).dataset
-    summary = split_half_cv_eval(ds, "A", "rho2", sizes=(2,), folds=5, seed=3)
-    rng = np.random.default_rng(17)
-    permuted = Dataset(names=ds.names, values=ds.values[rng.permutation(ds.m)])
-    permuted_summary = split_half_cv_eval(permuted, "A", "rho2", sizes=(2,), folds=5, seed=3)
-    assert summary.per_size_mse == permuted_summary.per_size_mse
-    assert summary.ranked == permuted_summary.ranked
-
-
-def test_split_half_larger_subset_explains_more():
-    ds = gen_linear(1000, seed=19).dataset
-    summary = split_half_cv_eval(ds, "A", "rho2", sizes=(2, 3), folds=10, seed=1)
-    mse_by_size = dict(zip(summary.sizes, summary.per_size_mse))
-    # top-2 leaves the unit-variance third term unexplained; top-3 is exact
-    assert mse_by_size[3] < mse_by_size[2]
-    assert mse_by_size[2] == pytest.approx(1.0, abs=0.25)
-    assert mse_by_size[3] <= 1e-10
-
-
-def test_split_half_validation():
-    ds = gen_linear(30, seed=23).dataset
-    with pytest.raises(InvalidInputError, match="sizes"):
-        split_half_cv_eval(ds, "A", "rho2", sizes=(), folds=2, seed=0)
-    with pytest.raises(InvalidInputError, match="within"):
-        split_half_cv_eval(ds, "A", "rho2", sizes=(4,), folds=2, seed=0)
-    with pytest.raises(InvalidInputError, match="folds"):
-        split_half_cv_eval(ds, "A", "rho2", sizes=(2,), folds=1, seed=0)
-    with pytest.raises(InvalidInputError, match="rows"):
-        split_half_cv_eval(ds, "A", "rho2", sizes=(2,), folds=16, seed=0)
-
-
-def test_split_half_rejects_a_negative_seed():
-    ds = gen_relevance_suite_dataset(40, seed=0).dataset
-    with pytest.raises(InvalidInputError, match="seed must be an integer >= 0, got -1"):
-        split_half_cv_eval(ds, "T1", "iota_sq", sizes=(2,), folds=2, seed=-1)
-
-
-@pytest.mark.parametrize(
-    "sizes, folds, message",
-    [
-        ((2,), 2.5, "folds must be an integer >= 2, got 2.5"),
-        ((2.7,), 2, "subset size must be an integer >= 1, got 2.7"),
-    ],
-)
-def test_split_half_rejects_non_integer_counts(sizes, folds, message):
-    ds = gen_linear(30, seed=23).dataset
-    with pytest.raises(InvalidInputError) as raised:
-        split_half_cv_eval(ds, "A", "rho2", sizes=sizes, folds=folds, seed=0)
-    assert str(raised.value) == message
-
-
-def test_singular_design_falls_back_to_ridge():
-    rng = np.random.default_rng(29)
-    x = rng.normal(size=40)
-    ds = Dataset.from_columns({"y": x.copy(), "x1": x, "x2": x})
-    summary = split_half_cv_eval(ds, "y", "rho2", sizes=(2,), folds=2, seed=0)
-    assert summary.used_ridge
-    assert summary.mean_mse <= 1e-6
-
-
-def test_a_non_finite_solution_falls_back_to_ridge():
-    # The slope's pivot is subnormal, so the solve overflows to inf (numpy's
-    # solve ignores overflow); the ridge term makes it finite.
-    x = np.array([[1e-160], [-1e-160], [1e-160], [-1e-160]])
-    y = np.array([1e300, 0.0, 0.0, 0.0])
-    fit = least_squares_regressor(x, y)
-    assert fit.used_ridge
-    design = np.column_stack([x, np.ones(4)])
-    ridged = design.T @ design + RIDGE_EPSILON * np.eye(2)
-    beta = np.linalg.solve(ridged, design.T @ y)
-    assert np.isfinite(beta).all()
-    assert fit.predict(x).tobytes() == (design @ beta).tobytes()
-
-
-def test_least_squares_regressor_plain_fit():
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(50, 2))
-    y = x @ np.array([1.5, -2.0]) + 0.25
-    fit = least_squares_regressor(x, y)
-    assert not fit.used_ridge
-    np.testing.assert_allclose(fit.predict(x), y, atol=1e-10)
