@@ -37,8 +37,6 @@ from .matrix import (
     SYMMETRIC_METRICS,
     CoefficientMatrix,
     Dataset,
-    ProfileMatrix,
-    minrel_profile_matrix,
     pairwise_matrix,
     transform_cache,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "MinrelError",
     "MinrelProfile",
     "OrderingCheck",
-    "ProfileMatrix",
     "RankingResult",
     "RelevanceEval",
     "RelevanceSuiteDataset",
@@ -105,7 +102,6 @@ __all__ = [
     "iota_raw_squared",
     "max_iota_sq",
     "minrel_profile",
-    "minrel_profile_matrix",
     "minrel_simple",
     "p_leq_hat",
     "pairwise_matrix",

@@ -7,12 +7,11 @@ metric's ``prepare`` (see :mod:`minrel.coeff`) of the batch, (n, ...) parts,
 mapped by :func:`_kernel_map` over the cells with j >= i: one call of the
 metric's ``pair`` per row i and :func:`_blocks` block J gives cells (i, J) and
 (J, i). A metric of :data:`SYMMETRIC_METRICS` has no ``pair``: its kernel's
-cells (i, J), a ranking's scores, are written both ways. The profile's cell
-(j, i) is cell (i, j) with orientation k read as ``k ^ 1``. Each is the same
-IEEE operations on the same operands as its direct call, each cell is reduced
-on its own, and row i writes only row i and column i of storage allocated
-before any thread starts, so results are bit-identical for any thread count.
-The rows are :func:`ranks.each`'s items, dealt in turn to threads as the
+cells (i, J), a ranking's scores, are written both ways. Each cell is the same
+IEEE operations on the same operands as its direct call, each is reduced on
+its own, and row i writes only row i and column i of storage allocated before
+any thread starts, so results are bit-identical for any thread count. The
+rows are :func:`ranks.each`'s items, dealt in turn to threads as the
 triangle's work, n (n + 1) / 2 pairs times m, allows; the kernels release the
 interpreter lock.
 """
@@ -25,8 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .coeff import METRIC_TABLE, MinrelProfile, _coefficient, _max_iota_sq, _orientations
-from .coeff import _transforms
+from .coeff import METRIC_TABLE
 from .errors import InvalidInputError, require_choice, require_count, require_names
 from .ranks import ColumnTransforms, _frozen, as_float_array, each, row_blocks
 
@@ -41,10 +39,10 @@ def _index(names: tuple[str, ...], name: str) -> int:
 
 @dataclass(frozen=True, eq=False, init=False)
 class Dataset:
-    """Named columns of equal length m >= 2: the (m, n) ``values`` copied once into :attr:`batch`.
+    """Named columns of equal length m >= 2: the (m, n) ``values``, copied once, as :attr:`batch`.
 
-    ``rows_dropped`` counts input rows left out, such as the incomplete rows
-    the CLI reader drops under ``--na drop-rows``.
+    A batch (a :class:`ColumnTransforms` of n rows) as ``values`` is kept. ``rows_dropped``
+    counts input rows left out, such as the rows the CLI reader drops under ``--na drop-rows``.
     """
 
     names: tuple[str, ...]
@@ -56,17 +54,18 @@ class Dataset:
         if len(set(names)) != len(names):
             duplicate = next(name for i, name in enumerate(names) if name in names[:i])
             raise InvalidInputError(f"column names must be unique; {duplicate!r} repeats")
-        values = as_float_array(values, "dataset values")
+        if not names:
+            raise InvalidInputError("a dataset needs at least one column")
+        batch = values if isinstance(values, ColumnTransforms) else None
+        values = as_float_array(values if batch is None else batch.values.T, "dataset values")
         if values.ndim != 2:
             raise InvalidInputError(f"dataset values must be 2-D, got shape {values.shape}")
         if values.shape[1] != len(names):
             raise InvalidInputError(f"{len(names)} names but {values.shape[1]} columns of data")
-        if not names:
-            raise InvalidInputError("a dataset needs at least one column")
         if values.shape[0] < 2:
             raise InvalidInputError(f"dataset needs at least 2 rows, got {values.shape[0]}")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "batch", ColumnTransforms._batch(values.T, names))
+        object.__setattr__(self, "batch", batch or ColumnTransforms._batch(values.T, names))
         object.__setattr__(self, "rows_dropped", require_count(rows_dropped, "rows_dropped", 0))
 
     @classmethod
@@ -79,7 +78,7 @@ class Dataset:
         lengths = {len(array) for array in arrays}
         if len(lengths) > 1:
             raise InvalidInputError(f"columns differ in length: {sorted(lengths)}")
-        return cls(columns, np.array(arrays).T if arrays else np.empty((0, 0)))
+        return cls(columns, ColumnTransforms._batch(arrays, tuple(map(str, columns))))
 
     @property
     def m(self) -> int:
@@ -125,25 +124,6 @@ class CoefficientMatrix:
         return float(self.values[i, j])
 
 
-@dataclass(frozen=True, eq=False)
-class ProfileMatrix:
-    """Four-orientation coefficient maps for every ordered column pair."""
-
-    names: tuple[str, ...]
-    iota_xy: np.ndarray
-    iota_yx: np.ndarray
-    iota_negx_y: np.ndarray
-    iota_negy_x: np.ndarray
-    max_iota_sq: np.ndarray
-    degenerate: np.ndarray  # shape (n, n, 4), one flag per orientation
-
-    def profile(self, x_name: str, y_name: str) -> MinrelProfile:
-        i, j = _index(self.names, x_name), _index(self.names, y_name)
-        maps = (self.iota_xy, self.iota_yx, self.iota_negx_y, self.iota_negy_x)
-        oriented = map(_coefficient, (values[i, j] for values in maps), self.degenerate[i, j])
-        return MinrelProfile(*oriented, float(self.max_iota_sq[i, j]))
-
-
 #: The size of one kernel call's (columns, m) temporaries, in bytes.
 _SCRATCH_BYTES = 1 << 20
 
@@ -154,17 +134,17 @@ def _blocks(parts: tuple, start: int = 0) -> Iterator[tuple[slice, tuple]]:
     return ((rows, tuple(part[rows] for part in parts)) for rows in blocks)
 
 
-def _kernel_map(pair: Callable, parts: tuple, cell=()):
+def _kernel_map(pair: Callable, parts: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Cells (i, j) and (j, i) for every j >= i: one ``pair`` call per row i per block J.
 
     ``parts``, the batch's prepared (n, ...) arrays, are only read. ``pair(row
     i, block J)`` returns ``(values, degenerate)`` of cells (i, J), then of
-    cells (J, i); a cell has shape ``cell``. The blocks are :func:`_blocks`
-    from row i on; :func:`ranks.each` walks the rows.
+    cells (J, i), one scalar per cell. The blocks are :func:`_blocks` from row
+    i on; :func:`ranks.each` walks the rows.
     """
     n, m = parts[0].shape[:2]
-    values = np.empty((n, n, *cell))
-    degenerate = np.empty((n, n, *cell), dtype=bool)
+    values = np.empty((n, n))
+    degenerate = np.empty((n, n), dtype=bool)
 
     def row(i: int) -> None:
         x = tuple(part[i] for part in parts)
@@ -196,16 +176,3 @@ def pairwise_matrix(dataset: Dataset, metric: str) -> CoefficientMatrix:
         metric=metric, names=dataset.names, values=_frozen(values), degenerate=_frozen(degenerate)
     )
 
-
-def minrel_profile_matrix(dataset: Dataset) -> ProfileMatrix:
-    """Full four-orientation profile for every ordered pair of columns."""
-
-    def pair(x: tuple, y: tuple) -> tuple:  # cell (j, i) reads orientation k as k ^ 1
-        cells = _orientations(x, y, (0, 1, 2, 3))
-        return cells, tuple(part[..., [k ^ 1 for k in range(4)]] for part in cells)
-
-    values, degenerate = _kernel_map(pair, _transforms(dataset.batch), (4,))
-    best, _ = _max_iota_sq(values, degenerate)
-    # The four orientation maps, the largest square and the (n, n, 4) flags, in field order.
-    maps = (*np.moveaxis(values, -1, 0), best, degenerate)
-    return ProfileMatrix(dataset.names, *map(_frozen, maps))

@@ -131,6 +131,8 @@ def average_position(ranking: RankingResult, relevant: Iterable[str]) -> Relevan
     wanted = frozenset(require_names(relevant, "relevant"))
     if not wanted:
         raise InvalidInputError("relevant set must not be empty")
+    if ranking.target in wanted:
+        raise InvalidInputError(f"relevant set names {ranking.target!r}, the ranking's target")
     positions = {name: index for index, (name, _) in enumerate(ranking.ordered, start=1)}
     missing = sorted(wanted - positions.keys())
     if missing:

@@ -30,6 +30,8 @@ REMOVED = (
     "CvSummary",
     "FitResult",
     "RIDGE_EPSILON",
+    "ProfileMatrix",
+    "minrel_profile_matrix",
 )
 
 #: Names that reach a BLAS routine through numpy: the matrix products and ``np.linalg``.
@@ -49,7 +51,7 @@ def test_all_names_exactly_the_public_attributes():
 
 
 def test_removed_aliases_stay_removed():
-    for module in (minrel, minrel.ranks, minrel.experiments, minrel.ranking):
+    for module in (minrel, minrel.ranks, minrel.experiments, minrel.ranking, minrel.matrix):
         assert [name for name in REMOVED if hasattr(module, name)] == []
 
 

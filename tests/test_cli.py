@@ -21,7 +21,7 @@ from minrel.cli import main, read_dataset
 from minrel.coeff import METRICS
 from minrel.errors import InvalidInputError
 from minrel.experiments import EXPERIMENTS, run_experiment
-from minrel.matrix import MATRIX_METRICS, Dataset, minrel_profile_matrix, pairwise_matrix
+from minrel.matrix import MATRIX_METRICS, Dataset, pairwise_matrix
 from minrel.ranking import CRITERIA, rank_variables
 
 
@@ -136,11 +136,16 @@ def test_coeff_unknown_column(capsys, linear_csv):
         (("coeff", "--x", ""), "unknown column ''"),
         (("coeff", "--y", ""), "unknown column ''"),
         (("rank", "--target", "x", "--relevant", ""), "relevant set must not be empty"),
+        (
+            ("rank", "--target", "x", "--relevant", "x"),
+            "relevant set names 'x', the ranking's target",
+        ),
     ],
-    ids=["x", "y", "relevant"],
+    ids=["x", "y", "relevant", "relevant-target"],
 )
 def test_an_empty_column_argument_is_not_a_default(capsys, linear_csv, argv, message):
-    # An empty value is a name that no column has, not the option left out.
+    # An empty value is a name that no column has, not the option left out. The
+    # target is a column a ranking leaves out, so no relevant set may name it.
     code, out, err = run_cli(capsys, argv[0], linear_csv, *argv[1:])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -429,7 +434,6 @@ def test_each_column_is_validated_once_and_never_stacked(capsys, tmp_path, monke
     # the (m, n) values are a view of the batch.
     ds = read_dataset(path, "error")
     pairwise_matrix(ds, "iota")
-    minrel_profile_matrix(ds)
     for criterion in CRITERIA:
         rank_variables(ds, "a", criterion)
     assert np.shares_memory(ds.values, ds.batch.values)

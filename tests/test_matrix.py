@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import nullcontext
 from unittest import mock
 
@@ -20,10 +21,11 @@ from minrel import (
     InvalidInputError,
     evaluate_metric,
     gen_multiplication,
+    iota_oriented,
     max_iota_sq,
     minrel_profile,
-    minrel_profile_matrix,
     pairwise_matrix,
+    rank_minrelation,
     rank_variables,
     spearman,
     transform_cache,
@@ -74,6 +76,21 @@ def test_dataset_from_columns_rejects_ragged_input():
         Dataset.from_columns({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0]})
 
 
+def test_dataset_from_columns_copies_its_columns_once():
+    # The one (n, m) stack, which is the batch, and its finiteness mask of one
+    # byte a cell: 1.125 times the data. A stack copied again would be 2.125.
+    columns = {f"c{j}": np.random.default_rng(j).normal(size=20_000) for j in range(20)}
+    tracemalloc.start()
+    try:
+        ds = Dataset.from_columns(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * 20 * 20_000 * 8
+    assert ds.batch.values.tobytes() == np.array(list(columns.values())).tobytes()
+    assert not any(np.shares_memory(ds.batch.values, column) for column in columns.values())
+
+
 def test_dataset_rejects_non_numeric_cells():
     with pytest.raises(InvalidInputError, match="dataset values must hold numbers: .*'x'"):
         Dataset(("a", "b"), [["x", "1"], ["2", "3"]])
@@ -85,7 +102,6 @@ def test_result_matrices_reject_an_unknown_column():
     ds = _dataset(n=2)
     lookups = (
         lambda: pairwise_matrix(ds, "iota").value("c0", "zz"),
-        lambda: minrel_profile_matrix(ds).profile("zz", "c1"),
         lambda: ds.index("zz"),
     )
     for lookup in lookups:
@@ -174,17 +190,12 @@ def test_degenerate_mask_for_constant_column():
     assert matrix.values[0, 1] == 0.0
 
 
-_PROFILE_FIELDS = ("iota_xy", "iota_yx", "iota_negx_y", "iota_negy_x", "max_iota_sq", "degenerate")
-
-
 def _matrix_bytes(ds) -> dict:
-    """The value and flag bytes of every matrix metric and of the profile matrix."""
+    """The value and flag bytes of every matrix metric."""
     found = {}
     for metric in MATRIX_METRICS:
         matrix = pairwise_matrix(ds, metric)
         found[metric] = matrix.values.tobytes(), matrix.degenerate.tobytes()
-    profile = minrel_profile_matrix(ds)
-    found["profile"] = tuple(getattr(profile, field).tobytes() for field in _PROFILE_FIELDS)
     return found
 
 
@@ -379,12 +390,10 @@ def test_repeated_passes_on_one_dataset_never_rerank(walks, sort_counter):
         # The first pass builds the dataset's column views; every later pass on
         # the same Dataset reuses them.
         first = pairwise_matrix(ds, "iota")
-        profiles = minrel_profile_matrix(ds)
         assert sum(sort_counter) == ds.n
         sort_counter.clear()
         matrix = pairwise_matrix(ds, "iota")
         assert matrix.values.tobytes() == first.values.tobytes()
-        assert minrel_profile_matrix(ds).max_iota_sq.tobytes() == profiles.max_iota_sq.tobytes()
         pairwise_matrix(ds, "max_iota_sq")
         pairwise_matrix(ds, "iota2")
         for criterion in CRITERIA:
@@ -415,25 +424,53 @@ def test_only_rank_metric_matrices_sort(monkeypatch, sort_counter):
         assert pairwise_matrix(ds, metric).values.shape == (5, 5)
 
 
-def test_profile_matrix_matches_direct_profiles():
-    ds = _dataset(seed=19, m=40, n=4)
-    profiles = minrel_profile_matrix(ds)
-    for i, x in enumerate(ds.names):
-        for j, y in enumerate(ds.names):
-            direct = minrel_profile(ds.values[:, i], ds.values[:, j])
-            cell = profiles.profile(x, y)
-            assert cell == direct
-            assert profiles.max_iota_sq[i, j] == max(
-                v.value ** 2 for v in direct.oriented_values()
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_profile_matrix_matches_direct_profiles(walks):
+    # Every map of a four-orientation profile is one pairwise_matrix expression.
+    # Orientation (-X, Y) trades mass R against S, and (-X, -Y), iota2's cell
+    # (j, i), S against R, so 0.0 - v is exact; unary minus is not: it turns
+    # the +0.0 cells of a constant column into -0.0.
+    rng = np.random.default_rng(19)
+    base = rng.normal(size=40)
+    kinds = (["distinct"] * 4, ["ties"] * 4, ["distinct", "constant", "ties", "constant"])
+    tables = [np.column_stack([COLUMN_KINDS[kind](rng, 40) for kind in row]) for row in kinds]
+    tables.append(np.column_stack([base, -base, 1e300 * base, np.round(base)]))  # signed
+    for _ in walks:
+        for values in tables:
+            ds = Dataset([f"c{j}" for j in range(values.shape[1])], values)
+            io, i2, mx = (pairwise_matrix(ds, m) for m in ("iota", "iota2", "max_iota_sq"))
+            maps = (
+                (io.values, io.degenerate),
+                (io.values.T, io.degenerate.T),
+                (0.0 - i2.values.T, i2.degenerate.T),
+                (0.0 - i2.values, i2.degenerate),
             )
+            for i, j in itertools.product(range(ds.n), repeat=2):
+                x, y = values[:, i], values[:, j]
+                profile = minrel_profile(ds.columns[i], ds.columns[j])
+                assert profile == minrel_profile(x, y)
+                singles = (
+                    rank_minrelation(x, y),
+                    rank_minrelation(y, x),
+                    iota_oriented(x, y, -1, 1),
+                    iota_oriented(y, x, -1, 1),
+                )
+                for (cells, flags), field, single in zip(maps, profile.oriented_values(), singles):
+                    assert _bits(cells[i, j]) == _bits(field.value) == _bits(single.value)
+                    assert flags[i, j] == field.degenerate == single.degenerate
+                assert _bits(mx.values[i, j]) == _bits(profile.max_iota_sq)
+                assert mx.degenerate[i, j] == all(v.degenerate for v in profile.oriented_values())
 
 
-def test_profile_matrix_multiplicative_pair_rep_averaged():
+def test_profile_multiplicative_pair_rep_averaged():
     sums = np.zeros(4)
     reps = 30
     for rep in range(reps):
         ds = gen_multiplication(1000, seed=100 + rep).dataset
-        profile = minrel_profile_matrix(ds).profile("A", "B")
+        profile = minrel_profile(ds.column("A"), ds.column("B"))
         sums += [
             profile.iota_xy.value,
             profile.iota_yx.value,
@@ -444,12 +481,9 @@ def test_profile_matrix_multiplicative_pair_rep_averaged():
     np.testing.assert_allclose(means, [0.99, 0.77, -0.79, -0.99], atol=0.03)
 
 
-def test_profile_matrix_diagonal_is_near_one():
-    rng = np.random.default_rng(23)
-    ds = Dataset.from_columns({"X": rng.normal(size=1000), "Y": rng.normal(size=1000)})
-    profiles = minrel_profile_matrix(ds)
-    cell = profiles.profile("X", "X")
-    for value in cell.oriented_values():
+def test_profile_of_a_column_against_itself_is_near_one():
+    x = np.random.default_rng(23).normal(size=1000)
+    for value in minrel_profile(x, x).oriented_values():
         assert abs(value.value) >= 0.999
 
 
@@ -497,14 +531,6 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
                 assert matrix.degenerate[i, j] == direct.degenerate
     force_threads(monkeypatch, 2)
     assert _matrix_bytes(ds) == serial
-    for threads in (1, 2):
-        force_threads(monkeypatch, threads)
-        profiles = minrel_profile_matrix(ds)
-        assert profiles.iota_yx.tobytes() == profiles.iota_xy.T.copy().tobytes()
-        assert profiles.iota_negy_x.tobytes() == profiles.iota_negx_y.T.copy().tobytes()
-        for i, x_name in enumerate(ds.names):
-            for j, y_name in enumerate(ds.names):
-                assert profiles.profile(x_name, y_name) == minrel_profile(values[:, i], values[:, j])
 
 
 @pytest.mark.parametrize(
@@ -513,11 +539,10 @@ def test_long_columns_cells_equal_direct_calls_for_any_workers(monkeypatch, scra
         (lambda ds: pairwise_matrix(ds, "iota"), lambda n: 3 * n * (n + 1) // 2),
         (lambda ds: pairwise_matrix(ds, "iota2"), lambda n: 3 * n * (n + 1) // 2),
         (lambda ds: pairwise_matrix(ds, "max_iota_sq"), lambda n: 2 * n * (n + 1)),
-        (lambda ds: minrel_profile_matrix(ds), lambda n: 2 * n * (n + 1)),
         (lambda ds: max_iota_sq(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
         (lambda ds: minrel_profile(ds.values[:, 0], ds.values[:, 1]), lambda n: 4),
     ],
-    ids=["iota", "iota2", "max_iota_sq", "profile", "direct_max_iota_sq", "direct_profile"],
+    ids=["iota", "iota2", "max_iota_sq", "direct_max_iota_sq", "direct_profile"],
 )
 def test_minrelation_maps_compute_each_orientation_once(monkeypatch, walks, build, rows):
     reduced = []  # the mass rows of each call: an append loses none made on a walk's threads
@@ -544,9 +569,9 @@ def test_threads_are_capped_at_the_available_cpus(monkeypatch, started, cpus):
     serial = [_matrix_bytes(ds) for ds in (wide, narrow)]
     force_threads(monkeypatch, cpus)
     assert [_matrix_bytes(ds) for ds in (wide, narrow)] == serial
-    # Each matrix (six metrics and the profile) deals its rows to one thread per
-    # CPU and row, the calling thread one of them; the batches were ranked before.
-    matrices = len(MATRIX_METRICS) + 1
+    # Each matrix deals its rows to one thread per CPU and row, the calling
+    # thread one of them; the batches were ranked before.
+    matrices = len(MATRIX_METRICS)
     assert len(started) == sum((min(cpus, ds.n) - 1) * matrices for ds in (wide, narrow))
     assert not any(thread.is_alive() for thread in started)
 

@@ -128,6 +128,9 @@ def test_average_position_validation():
         average_position(ranking, set())
     with pytest.raises(InvalidInputError, match="not in ranking"):
         average_position(ranking, {"v9"})
+    with pytest.raises(InvalidInputError) as error:
+        average_position(ranking, {"v1", "t"})
+    assert str(error.value) == "relevant set names 't', the ranking's target"
 
 
 def test_average_position_ignores_non_relevant_labels():

@@ -10,7 +10,6 @@ from minrel import (
     evaluate_metric,
     gen_linear,
     gen_relevance_suite_dataset,
-    minrel_profile_matrix,
     pairwise_matrix,
     rank_minrelation,
 )
@@ -346,7 +345,6 @@ HOLDERS = {
     "ColumnTransforms": lambda: ColumnTransforms([1.0, 2.0]),
     "Dataset": _small_dataset,
     "CoefficientMatrix": lambda: pairwise_matrix(_small_dataset(), "iota"),
-    "ProfileMatrix": lambda: minrel_profile_matrix(_small_dataset()),
     "GeneratedDataset": lambda: gen_linear(10, 0),
     "RelevanceSuiteDataset": lambda: gen_relevance_suite_dataset(10, 0),
 }

@@ -22,7 +22,6 @@ from minrel import (
     iota_raw_squared,
     max_iota_sq,
     minrel_profile,
-    minrel_profile_matrix,
     minrel_simple,
     p_leq_hat,
     pairwise_matrix,
@@ -174,22 +173,6 @@ def test_matrix_cell_equals_direct_call(ds):
                 else:
                     named = DIRECT[metric](x, y).value
                 assert _bits(named) == _bits(direct.value)
-    # The profile matrix and the max_iota_sq kernel share one four-mass
-    # kernel; these direct calls form each orientation alone.
-    profiles = minrel_profile_matrix(ds)
-    maps = (profiles.iota_xy, profiles.iota_yx, profiles.iota_negx_y, profiles.iota_negy_x)
-    for i in range(ds.n):
-        for j in range(ds.n):
-            x, y = ds.values[:, i], ds.values[:, j]
-            oriented = (
-                rank_minrelation(x, y),
-                rank_minrelation(y, x),
-                iota_oriented(x, y, -1, 1),
-                iota_oriented(y, x, -1, 1),
-            )
-            for k, (cells, single) in enumerate(zip(maps, oriented)):
-                assert _bits(cells[i, j]) == _bits(single.value)
-                assert profiles.degenerate[i, j, k] == single.degenerate
 
 
 @settings(max_examples=150, deadline=None)
